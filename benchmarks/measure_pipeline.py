@@ -30,10 +30,10 @@ byte-identical to the cold one.  The resume should cost roughly one
 warm run: journaled stages are verified, not recomputed.
 
 A ``memory_s`` section measures peak RSS (``getrusage`` in fresh
-subprocesses) of the console round-trip at scale 1 vs scale 4, streamed
-and monolithic, and gates the streamed path: quadrupling the event rate
-must not grow the streamed peak past ``memory_s.max_ratio_allowed``
-times the scale-1 peak.  ``--memory-gate`` re-checks just that budget.
+subprocesses) of the console round-trip at scale 1 vs scale 4 and gates
+it: quadrupling the event rate must not grow the peak past
+``memory_s.max_ratio_allowed`` times the scale-1 peak.
+``--memory-gate`` re-checks just that budget.
 
 Usage::
 
@@ -213,20 +213,19 @@ def _measure_resume(scenario: list[str], seed: int) -> dict:
 
 
 #: Window for the memory probes (kept at the smoke default so the
-#: streamed/monolithic contrast is cheap to regenerate).
+#: probes are cheap to regenerate).
 _MEMORY_PROBE_DAYS = 45.0
 
-#: Allowed streamed peak-RSS growth from scale 1 to scale 4.  The
-#: console round-trip is O(chunk) either way once streamed; what grows
-#: is the ground-truth event arrays (4x the fleet event rate), which
-#: stay well under 2x total process RSS on top of the interpreter+numpy
-#: baseline.  The monolithic path is *recorded* for contrast but not
-#: gated — materializing the full log text is exactly what this budget
-#: exists to avoid.
+#: Allowed peak-RSS growth from scale 1 to scale 4.  The console
+#: round-trip streams in fixed-size batches; what grows is the
+#: ground-truth event arrays (4x the fleet event rate), which stay well
+#: under 2x total process RSS on top of the interpreter+numpy baseline.
+#: Materializing the full log text is exactly what this budget exists
+#: to catch.
 _MEMORY_MAX_RATIO = 2.0
 
 
-def _memory_probe_main(scale: float, streaming: bool, seed: int) -> int:
+def _memory_probe_main(scale: float, seed: int) -> int:
     """Child-process body of one memory probe.
 
     Runs one scaled smoke scenario end to end (simulate → console
@@ -246,12 +245,11 @@ def _memory_probe_main(scale: float, streaming: bool, seed: int) -> int:
     )
     point = expand(spec)[0]
     t0 = time.perf_counter()
-    dataset = TitanSimulation(point.scenario, streaming=streaming).run()
+    dataset = TitanSimulation(point.scenario).run()
     stats = dataset.parse_stats
     seconds = time.perf_counter() - t0
     print(json.dumps({
         "scale": scale,
-        "streaming": bool(streaming),
         "lines": stats.total_lines,
         "events": len(dataset.parsed_events.time),
         "ru_maxrss_kib": resource.getrusage(
@@ -262,7 +260,7 @@ def _memory_probe_main(scale: float, streaming: bool, seed: int) -> int:
     return 0
 
 
-def _run_memory_probe(scale: float, streaming: bool, seed: int) -> dict:
+def _run_memory_probe(scale: float, seed: int) -> dict:
     """Run one probe in a fresh subprocess; return its JSON report."""
     import os
     import subprocess
@@ -278,7 +276,6 @@ def _run_memory_probe(scale: float, streaming: bool, seed: int) -> dict:
             sys.executable, str(Path(__file__).resolve()),
             "--memory-probe",
             "--probe-scale", str(scale),
-            "--probe-streaming", str(int(streaming)),
             "--seed", str(seed),
         ],
         env=env, capture_output=True, text=True, check=True,
@@ -289,31 +286,28 @@ def _run_memory_probe(scale: float, streaming: bool, seed: int) -> dict:
 
 
 def _measure_memory(seed: int) -> dict:
-    """Peak-RSS contrast of the streamed console round-trip vs scale.
+    """Peak RSS of the console round-trip vs scale.
 
-    Four fresh-subprocess probes (scale 1 and 4, streamed and
-    monolithic); the gate is on the *streamed* path only: its scale-4
-    peak must stay within ``_MEMORY_MAX_RATIO`` of its scale-1 peak,
-    i.e. quadrupling the event rate must not quadruple memory.
+    Two fresh-subprocess probes (scale 1 and 4); the scale-4 peak must
+    stay within ``_MEMORY_MAX_RATIO`` of the scale-1 peak, i.e.
+    quadrupling the event rate must not quadruple memory.
     """
     probes: dict[str, dict] = {}
     for scale in (1.0, 4.0):
-        for streaming in (True, False):
-            name = (f"scale{scale:g}_"
-                    f"{'streamed' if streaming else 'monolithic'}")
-            probes[name] = _run_memory_probe(scale, streaming, seed)
-            print(f"memory {name:<22} "
-                  f"{probes[name]['ru_maxrss_mib']:8.1f} MiB  "
-                  f"({probes[name]['lines']} lines, "
-                  f"{probes[name]['seconds']:.2f} s)")
-    low = probes["scale1_streamed"]["ru_maxrss_mib"]
-    high = probes["scale4_streamed"]["ru_maxrss_mib"]
+        name = f"scale{scale:g}"
+        probes[name] = _run_memory_probe(scale, seed)
+        print(f"memory {name:<8} "
+              f"{probes[name]['ru_maxrss_mib']:8.1f} MiB  "
+              f"({probes[name]['lines']} lines, "
+              f"{probes[name]['seconds']:.2f} s)")
+    low = probes["scale1"]["ru_maxrss_mib"]
+    high = probes["scale4"]["ru_maxrss_mib"]
     ratio = high / low if low > 0 else float("inf")
     return {
         "days": _MEMORY_PROBE_DAYS,
         "seed": seed,
         "probes": probes,
-        "streamed_scale4_over_scale1": round(ratio, 2),
+        "scale4_over_scale1": round(ratio, 2),
         "max_ratio_allowed": _MEMORY_MAX_RATIO,
         "pass": bool(ratio <= _MEMORY_MAX_RATIO),
         "check_with": "PYTHONPATH=src python benchmarks/measure_pipeline.py"
@@ -322,12 +316,12 @@ def _measure_memory(seed: int) -> dict:
 
 
 def run_memory_gate(out: Path) -> int:
-    """CI memory gate: streamed peak RSS must stay flat across scale.
+    """CI memory gate: peak RSS must stay flat across scale.
 
-    Re-runs only the two streamed probes and fails when the scale-4 /
-    scale-1 peak-RSS ratio exceeds the committed ``memory_s`` budget —
-    the regression this guards is someone re-materializing the full log
-    text somewhere inside the streamed path.
+    Re-runs the two probes and fails when the scale-4 / scale-1
+    peak-RSS ratio exceeds the committed ``memory_s`` budget — the
+    regression this guards is someone re-materializing the full log
+    text somewhere inside the console round-trip.
     """
     if not out.exists():
         print(f"memory-gate: no committed benchmark at {out}",
@@ -341,17 +335,17 @@ def run_memory_gate(out: Path) -> int:
         return 2
     seed = int(memory["seed"])
     max_ratio = float(memory["max_ratio_allowed"])
-    low = _run_memory_probe(1.0, True, seed)
-    high = _run_memory_probe(4.0, True, seed)
+    low = _run_memory_probe(1.0, seed)
+    high = _run_memory_probe(4.0, seed)
     ratio = (
         high["ru_maxrss_mib"] / low["ru_maxrss_mib"]
         if low["ru_maxrss_mib"] > 0 else float("inf")
     )
-    print(f"memory-gate: streamed scale-1 {low['ru_maxrss_mib']:.1f} MiB, "
+    print(f"memory-gate: scale-1 {low['ru_maxrss_mib']:.1f} MiB, "
           f"scale-4 {high['ru_maxrss_mib']:.1f} MiB "
           f"(ratio {ratio:.2f}, allowed {max_ratio:.2f})")
     if ratio > max_ratio:
-        print("memory-gate: FAIL (streamed peak RSS no longer flat "
+        print("memory-gate: FAIL (peak RSS no longer flat "
               "across the scale axis)")
         return 1
     print("memory-gate: OK")
@@ -426,20 +420,16 @@ def main(argv: list[str] | None = None) -> int:
                     help="CI mode: time the smoke cold run against the "
                          "committed gate budget instead of regenerating")
     ap.add_argument("--memory-gate", action="store_true",
-                    help="CI mode: check streamed peak RSS stays flat "
+                    help="CI mode: check peak RSS stays flat "
                          "across the scale axis (memory_s budget)")
     ap.add_argument("--memory-probe", action="store_true",
                     help=argparse.SUPPRESS)
     ap.add_argument("--probe-scale", type=float, default=1.0,
                     help=argparse.SUPPRESS)
-    ap.add_argument("--probe-streaming", type=int, default=1,
-                    help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
 
     if args.memory_probe:
-        return _memory_probe_main(
-            args.probe_scale, bool(args.probe_streaming), args.seed
-        )
+        return _memory_probe_main(args.probe_scale, args.seed)
     if args.memory_gate:
         return run_memory_gate(args.out)
     if args.gate:
@@ -523,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
           f"resume ok: {resume['pass']}, "
           f"sweep warm {sweep['speedup_cold_over_warm']:.1f}x "
           f"(need >= {_SWEEP_MIN_SPEEDUP}x), "
-          f"streamed RSS x{memory['streamed_scale4_over_scale1']:.2f} "
+          f"peak RSS x{memory['scale4_over_scale1']:.2f} "
           f"at scale 4 (cap x{_MEMORY_MAX_RATIO}) -> {args.out}")
     return 0 if ok else 1
 

@@ -38,7 +38,6 @@ from repro.cache.keys import (
 )
 from repro.cache.pipeline import (
     DATASET_LAYERS,
-    CachedDataset,
     GroundTruthUnavailable,
     has_dataset,
     load_dataset,
@@ -69,7 +68,6 @@ __all__ = [
     "CorruptArtifact",
     "SerdeError",
     "DATASET_LAYERS",
-    "CachedDataset",
     "GroundTruthUnavailable",
     "persist_dataset",
     "load_dataset",

@@ -9,33 +9,37 @@ dataset is a pure function of ``(scenario, seed, pipeline epoch)``.
 
 This module closes the loop.  :func:`persist_dataset` writes a
 :class:`~repro.sim.simulation.SimulationDataset`'s *observable* layers
-into an :class:`~repro.cache.store.ArtifactStore`:
+into an :class:`~repro.cache.store.ArtifactStore`, all under one
+dataset key:
 
-==============  ======  ==================================================
-layer           kind    contents
-==============  ======  ==================================================
-``console``     text    the rendered console log (zlib-compressed)
-``parsed``      pickle  ``(EventLog, ParseStats)`` — the SEC output
-``nvsmi``       npz     the fleet nvidia-smi table
-``jobsnap``     pickle  per-job snapshot records (Figs. 16–20 data)
-``trace``       pickle  the columnar job accounting trace
-==============  ======  ==================================================
+====================  ======  ============================================
+layer                 kind    contents
+====================  ======  ============================================
+``console.manifest``  json    shard list of the console log: line count,
+                              size and SHA-256 of every shard
+``console.NNNNNN``    text    the console log in whole-line-aligned
+                              shards of up to ``DEFAULT_SHARD_LINES``
+                              lines (zlib-compressed)
+``parsed``            pickle  ``(EventLog, ParseStats)`` — the SEC output
+``nvsmi``             npz     the fleet nvidia-smi table
+``jobsnap``           pickle  per-job snapshot records (Figs. 16–20 data)
+``trace``             pickle  the columnar job accounting trace
+====================  ======  ============================================
 
-With ``streaming=True`` the console layer is persisted *sharded*
-instead — ``console.manifest`` (json) plus ``console.NNNNNN`` text
-shards, whole-line aligned, under the **same dataset key** — so a
-scale-4 stream never exists as one resident string.  Loads accept
-either form (monolithic preferred when both exist): shards are
-checksum-verified eagerly at load, one at a time, and the reconstructed
-``console_text`` reassembles lazily, only if something actually asks
-for the monolithic string.  Reassembly is byte-identical to the
-monolithic layer.
+Shards are written first and the manifest last, so a crash mid-persist
+leaves no manifest and the layer reads as absent.  No step holds the
+whole console log as one string, and a dataset persisted before it is
+parsed is parsed from the same pass that writes its shards, so the log
+is rendered once.
 
-and :func:`load_or_simulate` reconstructs a :class:`CachedDataset` from
-them — skipping simulation, console rendering *and* parsing — or
+:func:`load_or_simulate` rebuilds a dataset from these layers —
+skipping simulation, console rendering *and* parsing — or
 transparently falls back to a cold :class:`TitanSimulation` run (and
 persists the result) when any layer is missing or fails its checksum.
-A damaged or stale cache can cost time, never correctness.
+Console shards are verified eagerly at load, one resident at a time,
+against the store's checksums and the manifest's digests; their lines
+are re-read lazily, only if something asks for the console stream.  A
+damaged or stale cache can cost time, never correctness.
 
 Ground truth (the injector's event log, the fleet ledgers) is *not*
 cached: analyses must run from observables exactly like the paper's
@@ -45,42 +49,47 @@ via ``require_ground_truth=True``, which always simulates.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+import hashlib
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro import perf
 from repro.cache.keys import PIPELINE_EPOCH, dataset_key
 from repro.cache.store import ArtifactStore
+from repro.sim.simulation import (
+    GroundTruthUnavailable,
+    SimulationDataset,
+    TitanSimulation,
+)
 from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
     ShardCorruption,
     ShardInfo,
     ShardManifest,
+    iter_shard_payloads,
 )
+from repro.topology.machine import TitanMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
-    from repro.errors.event import EventLog
     from repro.sim.scenario import Scenario
-    from repro.sim.simulation import SimulationDataset
-    from repro.telemetry.jobsnap import JobSnapshotRecord
-    from repro.telemetry.parser import ParseStats
-    from repro.workload.jobs import JobTrace
-    from repro.workload.lookup import JobLocator
 
 __all__ = [
     "DATASET_LAYERS",
     "GroundTruthUnavailable",
-    "CachedDataset",
     "persist_dataset",
     "load_dataset",
     "has_dataset",
     "load_or_simulate",
 ]
 
-#: ``(layer name, serde kind)`` of every persisted dataset layer.
+#: Layer name of the console shard manifest.
+_CONSOLE_MANIFEST_LAYER = "console.manifest"
+
+#: ``(layer name, serde kind)`` of every persisted dataset layer (the
+#: console shards are listed by the manifest).
 DATASET_LAYERS: tuple[tuple[str, str], ...] = (
-    ("console", "text"),
+    (_CONSOLE_MANIFEST_LAYER, "json"),
     ("parsed", "pickle"),
     ("nvsmi", "npz"),
     ("jobsnap", "pickle"),
@@ -88,226 +97,24 @@ DATASET_LAYERS: tuple[tuple[str, str], ...] = (
 )
 
 
-class GroundTruthUnavailable(RuntimeError):
-    """A cache-reconstructed dataset was asked for simulator ground truth.
-
-    Cached datasets carry only what the paper's authors had — telemetry.
-    Validation code that needs the injector's event log or the fleet
-    ledgers must run a real simulation
-    (``load_or_simulate(..., require_ground_truth=True)``).
-    """
-
-
 def _layer_key(dkey: str, layer: str) -> str:
     return f"{dkey}/layer/{layer}"
-
-
-#: Layer name of the sharded-console manifest artifact.
-_CONSOLE_MANIFEST_LAYER = "console.manifest"
 
 
 def _console_shard_layer(index: int) -> str:
     return f"console.{index:06d}"
 
 
-class CachedDataset:
-    """A dataset reconstructed from cached telemetry layers.
+def _put_console_shards(
+    store: ArtifactStore, dkey: str, lines: Iterable[str], shards: list[ShardInfo]
+) -> Iterator[str]:
+    """Write ``lines`` as console shard artifacts, one at a time.
 
-    Mirrors the *observable* surface of
-    :class:`~repro.sim.simulation.SimulationDataset` — ``scenario``,
-    ``machine``, ``trace``, ``console_text``, ``parsed_events``,
-    ``parse_stats``, ``nvsmi_table``, ``jobsnap_records``, ``locator``
-    — which is everything :class:`~repro.core.study.TitanStudy` and the
-    chaos toolkit consume.  Ground-truth accessors raise
-    :class:`GroundTruthUnavailable`.
+    Yields each shard's payload text once it is stored and its
+    :class:`ShardInfo` is appended to ``shards``; the manifest is the
+    caller's to write once the iterator is exhausted.
     """
-
-    provenance = "cache"
-
-    def __init__(
-        self,
-        scenario: "Scenario",
-        *,
-        console_text: "Union[str, Callable[[], str]]",
-        parsed: "tuple[EventLog, ParseStats]",
-        nvsmi_table: "dict[str, np.ndarray]",
-        jobsnap_records: "list[JobSnapshotRecord]",
-        trace: "JobTrace",
-    ) -> None:
-        from repro.topology.machine import TitanMachine
-
-        self.scenario = scenario
-        self.machine = TitanMachine(folded_torus=scenario.folded_torus)
-        self.trace = trace
-        # ``console_text`` may be a thunk: sharded loads defer the
-        # monolithic reassembly until something actually needs the
-        # whole string (the parsed layer covers every analysis path).
-        if callable(console_text):
-            self._console_text: Optional[str] = None
-            self._console_source: Optional[Callable[[], str]] = console_text
-        else:
-            self._console_text = console_text
-            self._console_source = None
-        self._parsed = parsed
-        self._nvsmi_table = nvsmi_table
-        self._jobsnap = jobsnap_records
-        self._locator: Optional["JobLocator"] = None
-
-    # -- observable artifacts ------------------------------------------------
-
-    @property
-    def console_text(self) -> str:
-        if self._console_text is None:
-            assert self._console_source is not None
-            self._console_text = self._console_source()
-        return self._console_text
-
-    @property
-    def parsed_events(self) -> "EventLog":
-        return self._parsed[0]
-
-    @property
-    def parse_stats(self) -> "ParseStats":
-        return self._parsed[1]
-
-    @property
-    def nvsmi_table(self) -> "dict[str, np.ndarray]":
-        return self._nvsmi_table
-
-    @property
-    def jobsnap_records(self) -> "list[JobSnapshotRecord]":
-        return self._jobsnap
-
-    @property
-    def locator(self) -> "JobLocator":
-        if self._locator is None:
-            from repro.workload.lookup import JobLocator
-
-            self._locator = JobLocator(self.trace, self.machine.allocation_rank)
-        return self._locator
-
-    def with_console_text(
-        self,
-        text: str,
-        parsed: "Optional[tuple[EventLog, ParseStats]]" = None,
-    ) -> "CachedDataset":
-        """Observable-stream replacement hook (chaos experiments).
-
-        The returned dataset is marked ``provenance="modified"`` so
-        figure memoization never writes its results back to the store
-        under the clean dataset's key.
-        """
-        if parsed is None:
-            from repro.telemetry.parser import ConsoleLogParser
-
-            log, stats = ConsoleLogParser(self.machine).parse_text(text)
-            parsed = (log.sorted_by_time(), stats)
-        clone = CachedDataset(
-            self.scenario,
-            console_text=text,
-            parsed=parsed,
-            nvsmi_table=self._nvsmi_table,
-            jobsnap_records=self._jobsnap,
-            trace=self.trace,
-        )
-        clone.provenance = "modified"  # type: ignore[misc]
-        return clone
-
-    # -- ground truth is *not* cached ---------------------------------------
-
-    def _no_ground_truth(self, attr: str) -> Any:
-        raise GroundTruthUnavailable(
-            f"SimulationDataset.{attr} is simulator ground truth and is "
-            "never cached; rerun with require_ground_truth=True (or call "
-            "TitanSimulation directly) to get a fully simulated dataset"
-        )
-
-    @property
-    def events(self) -> Any:
-        return self._no_ground_truth("events")
-
-    @property
-    def injection(self) -> Any:
-        return self._no_ground_truth("injection")
-
-    @property
-    def fleet(self) -> Any:
-        return self._no_ground_truth("fleet")
-
-    @property
-    def thermal(self) -> Any:
-        return self._no_ground_truth("thermal")
-
-    @property
-    def users(self) -> Any:
-        return self._no_ground_truth("users")
-
-    @property
-    def nvsmi(self) -> Any:
-        return self._no_ground_truth("nvsmi")
-
-    @property
-    def node_state_log(self) -> Any:
-        return self._no_ground_truth("node_state_log")
-
-    @property
-    def sbe_by_slot(self) -> Any:
-        return self._no_ground_truth("sbe_by_slot")
-
-    @property
-    def sbe_by_job(self) -> Any:
-        return self._no_ground_truth("sbe_by_job")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"CachedDataset(scenario={self.scenario.name!r}, "
-            f"seed={self.scenario.seed})"
-        )
-
-
-def _console_line_source(dataset: Any) -> Any:
-    """Bounded-memory line iterator over a dataset's console stream.
-
-    A simulated dataset that has not materialized its text renders
-    straight from the injector's events (the exact :meth:`lines`
-    sequence); anything else splits the already-resident string.
-    """
-    from repro.sim.simulation import SimulationDataset
-
-    if (
-        isinstance(dataset, SimulationDataset)
-        and dataset._console_text is None
-    ):
-        from repro.telemetry.console import ConsoleLogWriter
-
-        return ConsoleLogWriter(dataset.machine).iter_lines_chunked(
-            dataset.injection.events
-        )
-    return iter(dataset.console_text.splitlines())
-
-
-def _persist_console_shards(
-    store: ArtifactStore,
-    dkey: str,
-    dataset: Any,
-    shard_lines: int,
-) -> None:
-    """Stream the console layer into per-shard artifacts + a manifest.
-
-    Shards are written first, the manifest last — a crash mid-persist
-    leaves no manifest, so the layer reads as absent, never as a
-    partially-valid shard set (mirroring ``write_shards``).
-    """
-    import hashlib
-
-    from repro.stream.shards import iter_shard_payloads
-
-    shards: list[ShardInfo] = []
-    total_lines = 0
-    total_bytes = 0
-    for n_lines, text in iter_shard_payloads(
-        _console_line_source(dataset), max_lines_per_shard=shard_lines
-    ):
+    for n_lines, text in iter_shard_payloads(lines):
         payload = text.encode("utf-8")
         name = _console_shard_layer(len(shards))
         store.put(_layer_key(dkey, name), text, "text")
@@ -319,54 +126,47 @@ def _persist_console_shards(
                 sha256=hashlib.sha256(payload).hexdigest(),
             )
         )
-        total_lines += n_lines
-        total_bytes += len(payload)
-    manifest = ShardManifest(
-        total_lines=total_lines,
-        total_bytes=total_bytes,
-        shards=tuple(shards),
-    )
-    store.put(
-        _layer_key(dkey, _CONSOLE_MANIFEST_LAYER), manifest.to_doc(), "json"
-    )
+        yield text
 
 
 def persist_dataset(
     store: ArtifactStore,
-    dataset: "Union[SimulationDataset, CachedDataset]",
+    dataset: SimulationDataset,
     *,
     epoch: int = PIPELINE_EPOCH,
-    streaming: bool = False,
-    shard_lines: int = DEFAULT_SHARD_LINES,
 ) -> str:
     """Write every observable layer of ``dataset``; returns the dataset key.
 
-    Materializing ``parsed`` forces the render → parse pipeline, so a
-    cold persist pays the full collection cost exactly once.  With
-    ``streaming=True`` the console layer is written as whole-line
-    shards (``shard_lines`` lines each) under the same dataset key and
-    the monolithic string is never materialized here.
+    The console shards stream from ``dataset.console_lines()``.  When
+    the dataset is not parsed yet, the parse reads the lines as they
+    pass through the shard writer, so a log that is not resident is
+    rendered once and never held as one string.
     """
-    if getattr(dataset, "provenance", "simulated") == "modified":
+    if dataset.provenance == "modified":
         raise ValueError(
             "refusing to persist a dataset with a modified console "
             "stream under its scenario's content address"
         )
     dkey = dataset_key(dataset.scenario, epoch=epoch)
+    shards: list[ShardInfo] = []
+    payloads = _put_console_shards(store, dkey, dataset.console_lines(), shards)
+    if dataset._parsed is None:
+        dataset._parse(chain.from_iterable(map(str.splitlines, payloads)))
     layers: dict[str, Any] = {
         "parsed": (dataset.parsed_events, dataset.parse_stats),
         "nvsmi": dataset.nvsmi_table,
         "jobsnap": dataset.jobsnap_records,
         "trace": dataset.trace,
     }
-    if not streaming:
-        layers["console"] = dataset.console_text
     with perf.stage("cache.persist"):
+        deque(payloads, maxlen=0)  # the shards the parse did not draw
+        layers[_CONSOLE_MANIFEST_LAYER] = ShardManifest(
+            total_lines=sum(s.lines for s in shards),
+            total_bytes=sum(s.nbytes for s in shards),
+            shards=tuple(shards),
+        ).to_doc()
         for layer, kind in DATASET_LAYERS:
-            if layer in layers:
-                store.put(_layer_key(dkey, layer), layers[layer], kind)
-        if streaming:
-            _persist_console_shards(store, dkey, dataset, shard_lines)
+            store.put(_layer_key(dkey, layer), layers[layer], kind)
     return dkey
 
 
@@ -375,7 +175,7 @@ def load_dataset(
     scenario: "Scenario",
     *,
     epoch: int = PIPELINE_EPOCH,
-) -> Optional[CachedDataset]:
+) -> Optional[SimulationDataset]:
     """Reconstruct a dataset from the store, or ``None`` on any miss.
 
     Every layer is fully decoded (checksum-verified) up front: a
@@ -386,54 +186,51 @@ def load_dataset(
     decoded: dict[str, Any] = {}
     with perf.stage("cache.load"):
         for layer, _kind in DATASET_LAYERS:
-            if layer == "console":
-                console = _load_console_layer(store, dkey)
-                if console is None:
-                    return None
-                decoded[layer] = console
-                continue
             obj = store.get(_layer_key(dkey, layer))
             if obj is None:
                 return None
             decoded[layer] = obj
-    return CachedDataset(
-        scenario,
-        console_text=decoded["console"],
-        parsed=tuple(decoded["parsed"]),
-        nvsmi_table=decoded["nvsmi"],
-        jobsnap_records=decoded["jobsnap"],
+        console = _console_shard_source(
+            store, dkey, decoded[_CONSOLE_MANIFEST_LAYER]
+        )
+        if console is None:
+            return None
+    return SimulationDataset(
+        scenario=scenario,
+        machine=TitanMachine(folded_torus=scenario.folded_torus),
         trace=decoded["trace"],
+        provenance="cache",
+        _console_shards=console,
+        _parsed=tuple(decoded["parsed"]),
+        _nvsmi_table=decoded["nvsmi"],
+        _jobsnap=decoded["jobsnap"],
     )
 
 
-def _load_console_layer(
-    store: ArtifactStore, dkey: str
-) -> "Union[str, Callable[[], str], None]":
-    """The console layer in whichever form it was persisted.
-
-    Monolithic wins when both forms exist (it is already one decode).
-    A sharded layer is *verified* eagerly — every shard is decoded
-    (store checksums) and its payload re-digested against the
-    manifest, one shard resident at a time — but *reassembled* lazily:
-    the returned thunk re-reads the shards only if ``console_text`` is
-    actually touched.  Any missing or drifted shard degrades to a miss
-    (``None``), and the caller recomputes.
-    """
-    text = store.get(_layer_key(dkey, "console"))
-    if text is not None:
-        return text
-    doc = store.get(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-    if doc is None:
-        return None
-    import hashlib
-
+def _console_manifest(doc: Any) -> Optional[ShardManifest]:
     try:
-        manifest = ShardManifest.from_doc(doc)
+        return ShardManifest.from_doc(doc)
     except (ShardCorruption, KeyError, TypeError, ValueError):
+        return None
+
+
+def _console_shard_source(
+    store: ArtifactStore, dkey: str, doc: Any
+) -> Optional[Callable[[], Iterator[str]]]:
+    """Verify the console shards; return their payload source or ``None``.
+
+    Every shard is decoded (store checksums) and its payload
+    re-digested against the manifest, one shard resident at a time.
+    Any missing or drifted shard degrades to a miss (``None``), and
+    the caller recomputes.  The returned source re-reads the shard
+    payloads through the checksummed ``store.get`` on every call.
+    """
+    manifest = _console_manifest(doc)
+    if manifest is None:
         return None
     for shard in manifest.shards:
         payload = store.get(_layer_key(dkey, shard.name))
-        if payload is None or not isinstance(payload, str):
+        if not isinstance(payload, str):
             return None
         encoded = payload.encode("utf-8")
         if (
@@ -442,8 +239,7 @@ def _load_console_layer(
         ):
             return None
 
-    def reassemble() -> str:
-        parts: list[str] = []
+    def payloads() -> Iterator[str]:
         for shard in manifest.shards:
             payload = store.get(_layer_key(dkey, shard.name))
             if payload is None:
@@ -451,10 +247,9 @@ def _load_console_layer(
                     f"console shard {shard.name} vanished after load "
                     f"verification (dataset {dkey})"
                 )
-            parts.append(payload)
-        return "".join(parts)
+            yield payload
 
-    return reassemble
+    return payloads
 
 
 def has_dataset(
@@ -463,25 +258,20 @@ def has_dataset(
     *,
     epoch: int = PIPELINE_EPOCH,
 ) -> bool:
-    """Cheap probe: are all layers present (not yet checksum-verified)?
+    """Cheap probe: are all layers and console shards present?
 
-    Full validation happens on :func:`load_dataset`; a probe that lies
-    (an artifact exists but is corrupt) only costs a recompute later.
-    The console layer counts as present in either form — monolithic
-    artifact or shard manifest.
+    Only the small console manifest is read (to list the shards);
+    nothing else is checksum-verified.  Full validation happens on
+    :func:`load_dataset`; a probe that lies (an artifact exists but is
+    corrupt) only costs a recompute later.
     """
     dkey = dataset_key(scenario, epoch=epoch)
-    for layer, _ in DATASET_LAYERS:
-        if layer == "console":
-            if not (
-                store.has(_layer_key(dkey, layer))
-                or store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-            ):
-                return False
-            continue
-        if not store.has(_layer_key(dkey, layer)):
-            return False
-    return True
+    if not all(store.has(_layer_key(dkey, layer)) for layer, _ in DATASET_LAYERS):
+        return False
+    manifest = _console_manifest(store.get(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER)))
+    return manifest is not None and all(
+        store.has(_layer_key(dkey, shard.name)) for shard in manifest.shards
+    )
 
 
 def load_or_simulate(
@@ -490,9 +280,7 @@ def load_or_simulate(
     *,
     require_ground_truth: bool = False,
     epoch: int = PIPELINE_EPOCH,
-    streaming: bool = False,
-    shard_lines: int = DEFAULT_SHARD_LINES,
-) -> "tuple[Union[SimulationDataset, CachedDataset], bool]":
+) -> tuple[SimulationDataset, bool]:
     """The incremental front door: ``(dataset, warm)``.
 
     * ``store is None`` — plain cold simulation, nothing persisted.
@@ -503,27 +291,12 @@ def load_or_simulate(
     * ``require_ground_truth=True`` — always simulate (validation needs
       the injector's ledgers), but still persist the layers so future
       observable-only runs are warm.
-
-    ``streaming=True`` keeps the cold path inside a fixed memory
-    budget: the simulation parses its console round-trip in streamed
-    chunks and the console layer persists as shards (``shard_lines``
-    each) — results and dataset keys are identical either way, so a
-    streamed run warms the cache for monolithic consumers and vice
-    versa.
     """
-    from repro.sim.simulation import TitanSimulation
-
     if store is not None and not require_ground_truth:
         cached = load_dataset(store, scenario, epoch=epoch)
         if cached is not None:
             return cached, True
-    dataset = TitanSimulation(scenario, streaming=streaming).run()
+    dataset = TitanSimulation(scenario).run()
     if store is not None:
-        persist_dataset(
-            store,
-            dataset,
-            epoch=epoch,
-            streaming=streaming,
-            shard_lines=shard_lines,
-        )
+        persist_dataset(store, dataset, epoch=epoch)
     return dataset, False

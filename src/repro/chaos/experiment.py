@@ -190,7 +190,7 @@ def run_degradation(
         if store is not None:
             from repro.cache import load_or_simulate
 
-            dataset, _warm = load_or_simulate(sc, store)  # type: ignore[arg-type, assignment]
+            dataset, _warm = load_or_simulate(sc, store)  # type: ignore[arg-type]
         else:
             dataset = TitanSimulation(sc).run()
     swept = sorted(set(float(level) for level in levels) | {0.0})

@@ -63,13 +63,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         "$REPRO_CACHE_DIR if set, else caching is off)")
     p.add_argument("--no-cache", action="store_true",
                    help="ignore --cache-dir/$REPRO_CACHE_DIR and run cold")
-    p.add_argument("--streaming", action="store_true",
-                   help="bounded-memory pipeline: chunked console "
-                        "round-trip, sharded console cache layer "
-                        "(bit-identical results)")
-    p.add_argument("--shard-lines", type=int, default=None,
-                   help="lines per console shard when --streaming "
-                        "persists to the cache (default 100000)")
 
 
 def _store(args) -> "ArtifactStore | None":
@@ -97,17 +90,8 @@ def _load_dataset(args, *, require_ground_truth: bool = False):
     from repro.cache import load_or_simulate
 
     store = _store(args)
-    extra = {}
-    if getattr(args, "streaming", False):
-        extra["streaming"] = True
-        shard_lines = getattr(args, "shard_lines", None)
-        if shard_lines is not None:
-            extra["shard_lines"] = int(shard_lines)
     dataset, warm = load_or_simulate(
-        _scenario(args),
-        store,
-        require_ground_truth=require_ground_truth,
-        **extra,
+        _scenario(args), store, require_ground_truth=require_ground_truth
     )
     if store is not None:
         state = "hit (warm)" if warm else "miss (simulated, persisted)"
@@ -231,43 +215,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_simulate(args) -> int:
     dataset, _store_ = _load_dataset(args)
-    scenario = dataset.scenario
-    text = None
     if args.chaos_rate > 0.0:
         from repro.chaos import ChaosConfig, CorruptionInjector
 
         injector = CorruptionInjector(
-            ChaosConfig.uniform(args.chaos_rate), seed=scenario.seed
+            ChaosConfig.uniform(args.chaos_rate), seed=dataset.scenario.seed
         )
         result = injector.corrupt_text(dataset.console_text)
-        text = result.text
+        dataset = dataset.with_console_text(result.text)
         print(f"chaos: corrupted {result.total_corrupted:,} of "
               f"{result.n_lines_in:,} lines at rate {args.chaos_rate}")
     if args.log_shards is not None:
         from repro.stream.shards import write_shards
 
-        if (
-            text is None
-            and getattr(dataset, "provenance", "") == "simulated"
-            and dataset._console_text is None
-        ):
-            # Pristine, unmaterialized simulation: render straight to
-            # shards without ever holding the whole log in memory.
-            from repro.telemetry.console import ConsoleLogWriter
-
-            writer = ConsoleLogWriter(dataset.machine)
-            manifest = writer.write_shards(
-                dataset.injection.events, args.log_shards
-            )
-        else:
-            if text is None:
-                text = dataset.console_text
-            manifest = write_shards(iter(text.splitlines()), args.log_shards)
+        manifest = write_shards(dataset.console_lines(), args.log_shards)
         print(f"wrote {args.log_shards} ({len(manifest.shards)} shards, "
               f"{manifest.total_lines:,} lines)")
     else:
-        if text is None:
-            text = dataset.console_text
+        text = dataset.console_text
         args.log_out.write_text(text)
         print(f"wrote {args.log_out} "
               f"({text.count(chr(10)):,} lines)")

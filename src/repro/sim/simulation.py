@@ -19,8 +19,10 @@ simulates each configuration once.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import chain
+from typing import Optional, TypeVar
 
 import numpy as np
 
@@ -31,10 +33,7 @@ from repro.gpu.fleet import GPUFleet
 from repro.rng import RngTree
 from repro.sim.scenario import Scenario
 from repro.telemetry.console import ConsoleLogWriter
-from repro.telemetry.parallel_parse import (
-    parse_lines_chunked,
-    parse_text_parallel,
-)
+from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.jobsnap import JobSnapshotFramework, JobSnapshotRecord
 from repro.telemetry.nvsmi import NvidiaSmi
 from repro.telemetry.parser import ParseStats
@@ -46,44 +45,63 @@ from repro.workload.jobs import JobTrace
 from repro.workload.lookup import JobLocator
 from repro.workload.users import UserPopulation
 
-__all__ = ["TitanSimulation", "SimulationDataset", "default_dataset"]
+__all__ = [
+    "TitanSimulation",
+    "SimulationDataset",
+    "GroundTruthUnavailable",
+    "default_dataset",
+]
+
+_T = TypeVar("_T")
+
+
+class GroundTruthUnavailable(RuntimeError):
+    """A cache-loaded dataset was asked for simulator ground truth.
+
+    The artifact store holds only what the paper's authors had —
+    telemetry.  Validation code that needs the injector's event log or
+    the fleet ledgers must run a real simulation
+    (``load_or_simulate(..., require_ground_truth=True)``).
+    """
 
 
 @dataclass
 class SimulationDataset:
-    """Everything one simulated Titan study produced.
+    """Everything one Titan study analyzes.
 
     Observable artifacts (what the paper's authors had):
-    ``console_text`` / ``parsed_events``, ``nvsmi`` tables,
-    ``jobsnap_records``, and the job accounting in ``trace``.
-    Ground truth (for validation only): ``injection`` and ``fleet``.
+    :meth:`console_lines` / ``console_text`` / ``parsed_events``, the
+    ``nvsmi_table``, ``jobsnap_records`` and the job accounting in
+    ``trace``.  Ground truth (for validation only): ``injection``,
+    ``fleet``, ``thermal``, ``users``, ``nvsmi`` and what derives from
+    them.  A dataset loaded from the artifact store carries no ground
+    truth; its accessors raise :class:`GroundTruthUnavailable`.
     """
 
     scenario: Scenario
     machine: TitanMachine
-    fleet: GPUFleet
-    thermal: ThermalModel
-    users: UserPopulation
     trace: JobTrace
-    injection: InjectionResult
-    nvsmi: NvidiaSmi
-    #: ``"simulated"`` for a pristine run, ``"modified"`` once the
-    #: observable console stream was replaced (chaos experiments).  The
-    #: figure cache only ever persists results for pristine datasets —
-    #: a modified stream must never be written back under the clean
-    #: scenario's content address.
+    #: ``"simulated"`` for a pristine run, ``"cache"`` when loaded from
+    #: the artifact store, ``"modified"`` once the observable console
+    #: stream was replaced (chaos experiments).  The figure cache only
+    #: ever persists results for pristine datasets — a modified stream
+    #: must never be written back under the clean scenario's content
+    #: address.
     provenance: str = "simulated"
     #: Worker processes for console parsing (0/1 = serial in-process).
     #: Output is byte-identical at any worker count; this only trades
     #: wall time — see :mod:`repro.telemetry.parallel_parse`.
     parse_workers: int = 0
-    #: Stream the console round-trip instead of materializing the full
-    #: log text: events render chunk-by-chunk straight into the chunked
-    #: parser, so peak memory is one render window plus one line chunk
-    #: no matter the machine scale.  The parsed log and statistics are
-    #: bit-identical to the monolithic path; only ``console_text``
-    #: still materializes the whole string (on demand, if asked).
-    streaming: bool = False
+    _injection: Optional[InjectionResult] = field(default=None, repr=False)
+    _fleet: Optional[GPUFleet] = field(default=None, repr=False)
+    _thermal: Optional[ThermalModel] = field(default=None, repr=False)
+    _users: Optional[UserPopulation] = field(default=None, repr=False)
+    _nvsmi: Optional[NvidiaSmi] = field(default=None, repr=False)
+    #: Payload source of a cache-loaded console layer: the store's
+    #: shards, each a newline-terminated run of whole lines.
+    _console_shards: Optional[Callable[[], Iterator[str]]] = field(
+        default=None, repr=False
+    )
     _console_text: Optional[str] = field(default=None, repr=False)
     _parsed: Optional[tuple[EventLog, ParseStats]] = field(default=None, repr=False)
     _nvsmi_table: Optional[dict[str, np.ndarray]] = field(default=None, repr=False)
@@ -93,13 +111,30 @@ class SimulationDataset:
 
     # -- observable artifacts ------------------------------------------------
 
+    def console_lines(self) -> Iterator[str]:
+        """The console log, one line at a time, in log order.
+
+        Reads whichever source the dataset has: the resident text (a
+        replaced stream, or a log already materialized), the artifact
+        store's checksummed shards (a cache load), or a windowed render
+        of the injector's events.  The last two never hold the whole
+        log in memory.
+        """
+        if self._console_text is not None:
+            return iter(self._console_text.splitlines())
+        if self._console_shards is not None:
+            return chain.from_iterable(map(str.splitlines, self._console_shards()))
+        return ConsoleLogWriter(self.machine).lines(self.injection.events)
+
     @property
     def console_text(self) -> str:
-        """The rendered console log (lazily materialized)."""
+        """The console log as one string (materialized on first use)."""
         if self._console_text is None:
             with perf.stage("telemetry.render"):
-                writer = ConsoleLogWriter(self.machine)
-                self._console_text = writer.to_text(self.injection.events)
+                if self._console_shards is not None:
+                    self._console_text = "".join(self._console_shards())
+                else:
+                    self._console_text = "\n".join([*self.console_lines(), ""])
         return self._console_text
 
     @property
@@ -112,24 +147,19 @@ class SimulationDataset:
     def parse_stats(self) -> ParseStats:
         return self._parse()[1]
 
-    def _parse(self) -> tuple[EventLog, ParseStats]:
+    def _parse(
+        self, lines: Optional[Iterable[str]] = None
+    ) -> tuple[EventLog, ParseStats]:
+        """Parse the console stream once; ``lines``, when given, stands
+        in for :meth:`console_lines` (the same lines, e.g. teed through
+        the cache's shard writer)."""
         if self._parsed is None:
-            if self.streaming and self._console_text is None:
-                # Render → parse as one streamed pass; the full log
-                # text never exists.  (A chaos-replaced stream ignores
-                # the flag — the replacement text *is* the artifact.)
-                writer = ConsoleLogWriter(self.machine)
-                with perf.stage("telemetry.parse"):
-                    log, stats = parse_lines_chunked(
-                        writer.iter_lines_chunked(self.injection.events),
-                        self.machine,
-                    )
-            else:
-                text = self.console_text
-                with perf.stage("telemetry.parse"):
-                    log, stats = parse_text_parallel(
-                        text, self.machine, n_workers=self.parse_workers
-                    )
+            with perf.stage("telemetry.parse"):
+                log, stats = parse_stream(
+                    self.console_lines() if lines is None else lines,
+                    self.machine,
+                    n_workers=self.parse_workers,
+                )
             with perf.stage("telemetry.sort"):
                 self._parsed = (log.sorted_by_time(), stats)
             perf.count("telemetry.lines", stats.total_lines)
@@ -191,7 +221,36 @@ class SimulationDataset:
             self._locator = JobLocator(self.trace, self.machine.allocation_rank)
         return self._locator
 
-    # -- ground truth helpers used by tests ------------------------------------
+    # -- ground truth (simulated datasets only) ------------------------------
+
+    def _ground_truth(self, value: Optional[_T], name: str) -> _T:
+        if value is None:
+            raise GroundTruthUnavailable(
+                f"SimulationDataset.{name} is simulator ground truth and is "
+                "never cached; rerun with require_ground_truth=True (or call "
+                "TitanSimulation directly) to get a fully simulated dataset"
+            )
+        return value
+
+    @property
+    def injection(self) -> InjectionResult:
+        return self._ground_truth(self._injection, "injection")
+
+    @property
+    def fleet(self) -> GPUFleet:
+        return self._ground_truth(self._fleet, "fleet")
+
+    @property
+    def thermal(self) -> ThermalModel:
+        return self._ground_truth(self._thermal, "thermal")
+
+    @property
+    def users(self) -> UserPopulation:
+        return self._ground_truth(self._users, "users")
+
+    @property
+    def nvsmi(self) -> NvidiaSmi:
+        return self._ground_truth(self._nvsmi, "nvsmi")
 
     @property
     def events(self) -> EventLog:
@@ -212,24 +271,13 @@ class TitanSimulation:
 
     ``parse_workers`` is forwarded to the produced dataset's lazy
     console parse (see :mod:`repro.telemetry.parallel_parse`); it never
-    changes results, only wall time.  ``streaming`` selects the
-    bounded-memory console round-trip (bit-identical results; see
-    :class:`SimulationDataset.streaming`) — the streamed parse is
-    serial, so ``parse_workers`` only matters if the monolithic text is
-    later materialized anyway.
+    changes results, only wall time.
     """
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        *,
-        parse_workers: int = 0,
-        streaming: bool = False,
-    ) -> None:
+    def __init__(self, scenario: Scenario, *, parse_workers: int = 0) -> None:
         scenario.validate()
         self.scenario = scenario
         self.parse_workers = int(parse_workers)
-        self.streaming = bool(streaming)
 
     def run(self) -> SimulationDataset:
         sc = self.scenario
@@ -268,14 +316,13 @@ class TitanSimulation:
         return SimulationDataset(
             scenario=sc,
             machine=machine,
-            fleet=fleet,
-            thermal=thermal,
-            users=generator.users,
             trace=trace,
-            injection=injection,
-            nvsmi=nvsmi,
             parse_workers=self.parse_workers,
-            streaming=self.streaming,
+            _injection=injection,
+            _fleet=fleet,
+            _thermal=thermal,
+            _users=generator.users,
+            _nvsmi=nvsmi,
         )
 
 

@@ -1,11 +1,11 @@
 """repro.stream — out-of-core, sharded telemetry with a memory budget.
 
-The generation side renders telemetry straight to whole-line-aligned
-disk shards (:func:`write_shards`) instead of joining one giant
-string; the consumption side parses shard manifests back with bounded
-memory (:func:`repro.telemetry.parallel_parse.parse_shards_parallel`)
-and the cache persists sharded console layers under the same dataset
-keys as the monolithic path.  See docs/PERFORMANCE.md ("Memory").
+Telemetry is written as whole-line-aligned shards plus a checksummed
+manifest (:func:`write_shards`) instead of one giant string, and read
+back one shard at a time as a line stream that
+:func:`repro.telemetry.parallel_parse.parse_stream` consumes.  The
+artifact store persists the console layer the same way.  See
+docs/PERFORMANCE.md ("Memory").
 """
 
 from repro.stream.shards import (
@@ -18,7 +18,6 @@ from repro.stream.shards import (
     iter_shard_payloads,
     iter_shard_texts,
     read_manifest,
-    read_shard_text,
     reassemble_text,
     verify_shards,
     write_shards,
@@ -34,7 +33,6 @@ __all__ = [
     "iter_shard_payloads",
     "iter_shard_texts",
     "read_manifest",
-    "read_shard_text",
     "reassemble_text",
     "verify_shards",
     "write_shards",

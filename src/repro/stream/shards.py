@@ -1,11 +1,11 @@
 """Out-of-core telemetry shards: whole-line-aligned files + manifest.
 
-The telemetry emitters can render a 21-month console stream as one
-giant string, but an honest machine-scale sweep cannot afford that: at
-scale 4 the rendered log alone is hundreds of megabytes before the
-parser even starts.  This module is the disk-backed alternative every
-emitter shares — a directory of *shards*, each a newline-terminated,
-whole-line-aligned text file, described by a single ``manifest.json``:
+The console emitter can render a 21-month stream as one giant string,
+but an honest machine-scale sweep cannot afford that: at scale 4 the
+rendered log alone is hundreds of megabytes before the parser even
+starts.  This module is the disk-backed alternative — a directory of
+*shards*, each a newline-terminated, whole-line-aligned text file,
+described by a single ``manifest.json``:
 
 * **whole-line alignment** — a shard always ends exactly after a
   line's trailing ``\\n``, so concatenating the shard payloads in
@@ -44,7 +44,6 @@ __all__ = [
     "write_shards",
     "iter_shard_payloads",
     "read_manifest",
-    "read_shard_text",
     "iter_shard_lines",
     "iter_shard_texts",
     "reassemble_text",
@@ -264,23 +263,6 @@ def _read_shard_bytes(
         if _sha256_hex(payload) != shard.sha256:
             raise ShardCorruption(f"shard {shard.name} checksum mismatch")
     return payload
-
-
-def read_shard_text(
-    directory: str | Path,
-    shard: ShardInfo,
-    *,
-    verify: bool = True,
-) -> str:
-    """Read one shard's decoded text (optionally digest-verified).
-
-    The random-access counterpart of :func:`iter_shard_texts`; parallel
-    consumers hand each worker a :class:`ShardInfo` and let it pull its
-    own shard off disk instead of shipping payloads between processes.
-    """
-    return _read_shard_bytes(Path(directory), shard, verify=verify).decode(
-        "utf-8"
-    )
 
 
 def iter_shard_texts(

@@ -65,11 +65,6 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
     p_run.add_argument(
         "--quiet", action="store_true",
         help="suppress per-point progress")
-    p_run.add_argument(
-        "--streaming", action="store_true",
-        help="bounded-memory point computation: chunked console "
-             "round-trip and sharded console cache layers "
-             "(bit-identical summaries)")
 
     p_status = sub.add_parser(
         "status", help="journal progress of a sweep (no computation)")
@@ -136,7 +131,6 @@ def _cmd_sweep_run(args) -> int:
             resume=args.resume,
             run_id=args.run_id,
             n_workers=args.jobs,
-            streaming=args.streaming,
             chunk_timeout_s=args.chunk_timeout,
             heartbeat_timeout_s=args.heartbeat_timeout,
             progress=say,

@@ -140,9 +140,7 @@ def _digest(payload: bytes) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def point_summary_doc(
-    point: SweepPoint, store: Any, *, streaming: bool = False
-) -> dict[str, Any]:
+def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
     """Compute one grid point's summary document (pure given the point).
 
     Pipeline: warm-load or simulate the dataset (ground truth forced
@@ -150,14 +148,9 @@ def point_summary_doc(
     ledger is never cached), score availability *before* any corruption
     (it is machine ground truth, not telemetry), then corrupt the
     rendered console stream if the corruption axis says so, and run the
-    full figure pipeline + scorecard + headline on what remains.
-
-    ``streaming=True`` runs the cold dataset path out-of-core (chunked
-    console round-trip, sharded console layer) — summaries and their
-    content addresses are identical either way, so streamed and
-    monolithic sweeps share warm artifacts.  A corruption point still
-    materializes the stream (the chaos injector rewrites the whole
-    text by construction).
+    full figure pipeline + scorecard + headline on what remains.  A
+    corruption point materializes the console text (the chaos injector
+    rewrites the whole text by construction).
     """
     from repro.cache import load_or_simulate
     from repro.cache.keys import scenario_fingerprint
@@ -170,10 +163,7 @@ def point_summary_doc(
 
     scenario = point.scenario
     dataset, _warm = load_or_simulate(
-        scenario,
-        store,
-        require_ground_truth=point.availability,
-        streaming=streaming,
+        scenario, store, require_ground_truth=point.availability
     )
 
     availability: Optional[dict[str, Any]] = None
@@ -273,18 +263,15 @@ def _reusable_summary(store: Any, key: str) -> Optional[bytes]:
     return payload
 
 
-def _compute_point(args: "tuple[str, dict[str, Any], int, bool]") -> dict[str, Any]:
+def _compute_point(args: "tuple[str, dict[str, Any], int]") -> dict[str, Any]:
     """Pool worker: make one point's summary durable; return its digest.
 
     The summary is content-addressed, so a payload already in the store
     is reused byte-for-byte (the near-free warm rerun); otherwise the
     full pipeline runs and the document is atomically persisted before
     this function returns — the parent journals only after that.
-    Accepts the legacy 3-tuple (no streaming flag) for journal/resume
-    compatibility.
     """
-    store_root, spec_doc, index, *rest = args
-    streaming = bool(rest[0]) if rest else False
+    store_root, spec_doc, index = args
     from repro.cache.store import ArtifactStore
 
     spec = SweepSpec.from_doc(spec_doc)
@@ -295,7 +282,7 @@ def _compute_point(args: "tuple[str, dict[str, Any], int, bool]") -> dict[str, A
     payload = _reusable_summary(store, key)
     warm = payload is not None
     if payload is None:
-        doc = point_summary_doc(point, store, streaming=streaming)
+        doc = point_summary_doc(point, store)
         payload = document_json(doc).encode("utf-8")
         store.put_bytes(key, payload, "json")
     else:
@@ -316,7 +303,6 @@ def run_sweep(
     resume: bool = False,
     run_id: Optional[str] = None,
     n_workers: int = 1,
-    streaming: bool = False,
     chunk_timeout_s: Optional[float] = None,
     heartbeat_timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
@@ -412,8 +398,7 @@ def run_sweep(
             if pending:
                 spec_doc = spec.to_doc()
                 items = [
-                    (str(store.root), spec_doc, index, bool(streaming))
-                    for index in pending
+                    (str(store.root), spec_doc, index) for index in pending
                 ]
 
                 def on_point(_item_index: int, result: dict[str, Any]) -> None:

@@ -16,17 +16,10 @@ analysis layer's job, as it was for the paper's authors.
 
 from __future__ import annotations
 
-import io
 from collections.abc import Iterator
-from pathlib import Path
 
 from repro.errors.event import STRUCTURE_CODES, EventLog, structure_from_code
 from repro.errors.xid import ErrorType, from_code
-from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
-    ShardManifest,
-    write_shards,
-)
 from repro.telemetry.timecodec import format_timestamps
 from repro.topology.machine import TitanMachine
 from repro.units import timestamp_to_datetime
@@ -124,33 +117,39 @@ class ConsoleLogWriter:
         self.machine = machine
 
     def lines(self, events: EventLog) -> Iterator[str]:
-        """Yield one log line per loggable event, in log order."""
+        """Yield one log line per loggable event, in log order.
+
+        Rows render in :data:`RENDER_CHUNK_ROWS` windows, each with one
+        vectorized timestamp pass, so at most one window's stamp
+        strings are alive at a time.
+        """
         heads = _BODY_HEAD_BY_CODE
         struct_names = _STRUCT_NAME_BY_CODE
         cnames = self.machine.cname_table()
-        # All stamps render in one vectorized pass (SBE rows included —
-        # skipping them afterwards is cheaper than masking first).
-        stamps = format_timestamps(events.time)
-        for stamp, gpu, ecode, scode, job, aux in zip(
-            stamps,
-            events.gpu.tolist(),
-            events.etype.tolist(),
-            events.structure.tolist(),
-            events.job.tolist(),
-            events.aux.tolist(),
-        ):
-            if ecode == _SBE_CODE:
-                continue
-            body = heads[ecode]
-            if scode >= 0:
-                if aux >= 0:
-                    body = f"{body} in {struct_names[scode]} page 0x{aux:06x}"
+        for start in range(0, len(events), RENDER_CHUNK_ROWS):
+            window = slice(start, start + RENDER_CHUNK_ROWS)
+            # SBE rows get stamps too: skipping them afterwards is
+            # cheaper than masking first.
+            for stamp, gpu, ecode, scode, job, aux in zip(
+                format_timestamps(events.time[window]),
+                events.gpu[window].tolist(),
+                events.etype[window].tolist(),
+                events.structure[window].tolist(),
+                events.job[window].tolist(),
+                events.aux[window].tolist(),
+            ):
+                if ecode == _SBE_CODE:
+                    continue
+                body = heads[ecode]
+                if scode >= 0:
+                    if aux >= 0:
+                        body = f"{body} in {struct_names[scode]} page 0x{aux:06x}"
+                    else:
+                        body = f"{body} in {struct_names[scode]}"
+                if job >= 0:
+                    yield f"{stamp} {cnames[gpu]} {body} [job={job}]"
                 else:
-                    body = f"{body} in {struct_names[scode]}"
-            if job >= 0:
-                yield f"{stamp} {cnames[gpu]} {body} [job={job}]"
-            else:
-                yield f"{stamp} {cnames[gpu]} {body}"
+                    yield f"{stamp} {cnames[gpu]} {body}"
 
     def lines_reference(self, events: EventLog) -> Iterator[str]:
         """Per-row reference rendering via :func:`render_event_line`.
@@ -172,66 +171,6 @@ class ConsoleLogWriter:
                 page=page if page >= 0 else None,
                 job=int(events.job[i]),
             )
-
-    def iter_lines_chunked(
-        self, events: EventLog, *, chunk_rows: int = RENDER_CHUNK_ROWS
-    ) -> Iterator[str]:
-        """Yield the exact :meth:`lines` sequence with bounded memory.
-
-        :meth:`lines` vectorizes every timestamp up front — one string
-        per event, all resident at once.  This variant slices the log
-        into ``chunk_rows`` row windows and renders each through the
-        same fast path, so at most one window's stamps are alive; the
-        emitted lines are byte-identical.
-        """
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
-        n = len(events)
-        for start in range(0, n, chunk_rows):
-            window = EventLog(
-                **{
-                    name: getattr(events, name)[start : start + chunk_rows]
-                    for name in (
-                        "time",
-                        "gpu",
-                        "etype",
-                        "structure",
-                        "job",
-                        "parent",
-                        "aux",
-                    )
-                }
-            )
-            yield from self.lines(window)
-
-    def write_shards(
-        self,
-        events: EventLog,
-        directory: str | Path,
-        *,
-        max_lines_per_shard: int = DEFAULT_SHARD_LINES,
-    ) -> ShardManifest:
-        """Render straight to whole-line-aligned disk shards.
-
-        The concatenated shard payloads are byte-identical to
-        :meth:`to_text` (every line newline-terminated); see
-        :mod:`repro.stream.shards` for the manifest/digest contract.
-        Peak memory is one render window plus one shard buffer,
-        regardless of the stream's total size.
-        """
-        return write_shards(
-            self.iter_lines_chunked(events),
-            directory,
-            max_lines_per_shard=max_lines_per_shard,
-        )
-
-    def write(self, events: EventLog, stream: io.TextIOBase) -> int:
-        """Write all lines; returns the number written."""
-        n = 0
-        for line in self.lines(events):
-            stream.write(line + "\n")
-            n += 1
-        return n
 
     def to_text(self, events: EventLog) -> str:
         parts = list(self.lines(events))

@@ -23,15 +23,9 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from repro.stream.shards import (
-    DEFAULT_SHARD_LINES,
-    ShardManifest,
-    write_shards,
-)
 from repro.workload.jobs import JobTrace
 
 __all__ = [
@@ -40,7 +34,6 @@ __all__ = [
     "JobsnapParseStats",
     "render_jobsnap_records",
     "iter_jobsnap_lines",
-    "write_jobsnap_shards",
     "parse_jobsnap_records",
     "JOBSNAP_HEADER",
 ]
@@ -159,25 +152,6 @@ def iter_jobsnap_lines(records: list[JobSnapshotRecord]) -> Iterator[str]:
             f"\t{r.max_memory_gb:.6f}\t{r.total_memory:.6f}"
             f"\t{r.walltime_h:.6f}\t{r.sbe_delta}"
         )
-
-
-def write_jobsnap_shards(
-    records: list[JobSnapshotRecord],
-    directory: str | Path,
-    *,
-    max_lines_per_shard: int = DEFAULT_SHARD_LINES,
-) -> ShardManifest:
-    """Write the record stream as whole-line-aligned shards.
-
-    The parser skips header lines wherever they appear, so shard-wise
-    consumers can parse each shard independently; the reassembled text
-    equals :func:`render_jobsnap_records` byte for byte.
-    """
-    return write_shards(
-        iter_jobsnap_lines(records),
-        directory,
-        max_lines_per_shard=max_lines_per_shard,
-    )
 
 
 @dataclass

@@ -1,47 +1,41 @@
-"""Chunked-parallel console parsing with order-preserving merge.
+"""Chunked console parsing with an order-preserving merge.
 
-A full 21-month console stream is hundreds of thousands of lines; the
-parse is embarrassingly parallel because every line lands in exactly
-one primary counter and the parser keeps no cross-line state (resync
-operates *within* a line).  This module shards a large log across
-:func:`repro.parallel.pool.parallel_map` workers in deterministic
-line-offset chunks and merges the per-chunk results back in chunk
-order, reproducing the serial parser's observable behavior exactly:
+A full 21-month console stream is over a million lines; the parse is
+embarrassingly parallel because every line lands in exactly one
+primary counter and the parser keeps no cross-line state (resync
+operates *within* a line).  :func:`parse_stream` drains a line
+iterator in deterministic whole-line batches, parses each batch with
+global line numbering — in-process, or over
+:func:`repro.parallel.pool.parallel_map` workers — and merges the
+per-batch results back in batch order, reproducing the serial parser's
+observable behavior exactly:
 
 * the merged :class:`~repro.errors.event.EventLog` equals the serial
-  log row for row (chunks split on whole-line boundaries, so no record
-  is ever torn across workers — the partition invariant
+  log row for row (batches split on whole-line boundaries, so no record
+  is ever torn across batches — the partition invariant
   ``parsed + non_gpu + malformed + unknown_xid == total`` survives);
-* strict mode re-raises the *earliest* worker
+* strict mode re-raises the *earliest*
   :class:`~repro.telemetry.ingestion.IngestionError` (global line
   numbers, via ``first_line_no``), with the caller's quarantine sink
   reflecting only rejects before that line — as a serial run would;
 * the error budget is evaluated once, after the merge, on the merged
   statistics, raising :class:`~repro.telemetry.ingestion.IngestionDegraded`
   with the merged partial log;
-* quarantine records merge in chunk order and the first ``capacity``
+* quarantine records merge in batch order and the first ``capacity``
   survive — the same set a serial sink would have kept.
 
-Small inputs (or ``n_workers <= 1``) skip the pool entirely and parse
-serially in-process; spawning workers for a smoke-sized log costs more
-than it saves.  Only the default SEC rule catalog is supported in
-parallel — custom catalogs parse serially.
+Only the default SEC rule catalog is supported here — custom catalogs
+parse through :class:`~repro.telemetry.parser.ConsoleLogParser`
+directly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from pathlib import Path
+from itertools import islice
 
 from repro.errors.event import EventLog
-from repro.stream.shards import (
-    ShardInfo,
-    ShardManifest,
-    iter_shard_lines,
-    read_manifest,
-    read_shard_text,
-)
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
@@ -50,31 +44,17 @@ from repro.telemetry.ingestion import (
 from repro.telemetry.parser import ConsoleLogParser, ParseStats
 from repro.topology.machine import TitanMachine
 
-__all__ = [
-    "parse_lines_parallel",
-    "parse_text_parallel",
-    "parse_lines_chunked",
-    "parse_shards_parallel",
-    "SERIAL_THRESHOLD",
-    "PARSE_CHUNK_LINES",
-]
+__all__ = ["parse_stream", "PARSE_CHUNK_LINES"]
 
-#: Below this many lines the pool is never worth its spawn cost.
-SERIAL_THRESHOLD: int = 80_000
-
-#: Minimum lines per chunk; caps the effective worker count so tiny
-#: chunks do not drown the merge in per-chunk overhead.
-_MIN_CHUNK_LINES: int = 20_000
-
-#: Chunk granularity of the streaming serial parse
-#: (:func:`parse_lines_chunked`): how many raw lines are resident at
-#: once.  Purely a memory knob — results are identical at any value.
+#: Lines per parse batch: how many raw lines are resident at once in a
+#: serial parse, and the unit of work a parallel parse ships to a
+#: worker.  Results are identical at any value.
 PARSE_CHUNK_LINES: int = 131_072
 
 
 @dataclass(frozen=True)
 class _ChunkTask:
-    """One worker's slice of the stream (picklable, self-contained)."""
+    """One batch of the stream (picklable, self-contained)."""
 
     lines: tuple[str, ...]
     first_line_no: int
@@ -94,7 +74,7 @@ class _ChunkResult:
 
 
 #: Per-process machine cache: workers rebuild the (deterministic)
-#: topology once per folded/unfolded flavor, not once per chunk.
+#: topology once per folded/unfolded flavor, not once per batch.
 _WORKER_MACHINES: dict[bool, TitanMachine] = {}
 
 
@@ -106,10 +86,13 @@ def _worker_machine(folded_torus: bool) -> TitanMachine:
     return machine
 
 
-def _parse_chunk(task: _ChunkTask) -> _ChunkResult:
-    """Worker: parse one chunk with global line numbering.
+def _parse_chunk(
+    task: _ChunkTask, machine: TitanMachine | None = None
+) -> _ChunkResult:
+    """Parse one batch with global line numbering.
 
-    Module-level on purpose (spawn-safe).  The worker parses with
+    Module-level on purpose (spawn-safe); workers pass no ``machine``
+    and rebuild the topology from the task.  The batch parses with
     ``error_budget=None`` — the budget is a whole-stream property and
     is applied by the merger; strict errors are captured and returned
     so the merger can raise the globally earliest one.
@@ -120,7 +103,7 @@ def _parse_chunk(task: _ChunkTask) -> _ChunkResult:
         else QuarantineSink(capacity=task.quarantine_capacity)
     )
     parser = ConsoleLogParser(
-        _worker_machine(task.folded_torus),
+        machine if machine is not None else _worker_machine(task.folded_torus),
         strict=task.strict,
         resync=task.resync,
         error_budget=None,
@@ -148,11 +131,11 @@ def _merge_stats(target: ParseStats, chunk: ParseStats) -> None:
 
 
 def _merge_sink(target: QuarantineSink, chunk: QuarantineSink) -> None:
-    """Fold one chunk sink into the caller's sink, in chunk order.
+    """Fold one batch sink into the caller's sink, in batch order.
 
-    Every reject a serial run would have *kept* is among its chunk's
-    kept records (a globally-early reject is chunk-early too, and the
-    chunk capacity matches the caller's), so appending kept records in
+    Every reject a serial run would have *kept* is among its batch's
+    kept records (a globally-early reject is batch-early too, and the
+    batch capacity matches the caller's), so appending kept records in
     order until the target fills reproduces the serial record set;
     counts and totals cover dropped records as well.
     """
@@ -174,13 +157,12 @@ def _merge_results(
     quarantine: QuarantineSink | None,
     error_budget: float | None,
 ) -> tuple[EventLog, ParseStats]:
-    """Order-preserving merge of per-chunk results (shared by every
-    fan-out flavor: line chunks, disk shards).
+    """Order-preserving merge of per-batch results.
 
     Strict mode honors the globally earliest rejection, with the
     caller's sink reflecting exactly the rejects a serial run saw
-    before raising (whole chunks before the failing one, plus the
-    failing chunk's partial sink).  The error budget is a whole-stream
+    before raising (whole batches before the failing one, plus the
+    failing batch's partial sink).  The error budget is a whole-stream
     property and is evaluated once here, on the merged statistics.
     """
     error_index = next(
@@ -200,166 +182,6 @@ def _merge_results(
         _merge_stats(stats, result.stats)
         if quarantine is not None and result.sink is not None:
             _merge_sink(quarantine, result.sink)
-    log = EventLog.concatenate(logs) if logs else EventLog.empty()
-    if error_budget is not None and stats.corrupt_fraction > error_budget:
-        raise IngestionDegraded(
-            stats=stats,
-            budget=error_budget,
-            fraction=stats.corrupt_fraction,
-            log=log,
-        )
-    return log, stats
-
-
-def parse_lines_parallel(
-    lines: Iterable[str],
-    machine: TitanMachine,
-    *,
-    n_workers: int = 1,
-    strict: bool = False,
-    resync: bool = True,
-    error_budget: float | None = None,
-    quarantine: QuarantineSink | None = None,
-    fast: bool = True,
-    serial_threshold: int = SERIAL_THRESHOLD,
-) -> tuple[EventLog, ParseStats]:
-    """Parse log lines, sharded across processes when large enough.
-
-    Semantics match ``ConsoleLogParser(...).parse_lines(lines)`` for
-    the default rule catalog — same log, same statistics, same errors,
-    same quarantine contents — regardless of worker count.  Chunk
-    boundaries depend only on the line count and ``n_workers``, so the
-    sharding itself is deterministic.
-    """
-    lines = list(lines)
-    if error_budget is not None and not 0.0 <= error_budget <= 1.0:
-        raise ValueError("error_budget must be in [0, 1] or None")
-    if n_workers <= 1 or len(lines) < max(serial_threshold, 2):
-        parser = ConsoleLogParser(
-            machine,
-            strict=strict,
-            resync=resync,
-            error_budget=error_budget,
-            quarantine=quarantine,
-            fast=fast,
-        )
-        return parser.parse_lines(lines)
-
-    # Imported here, not at module top: repro.parallel's package init
-    # pulls in the replica engine, which imports the simulation — which
-    # imports this module (telemetry is further down the dependency
-    # stack than the pool).
-    from repro.parallel.pool import parallel_map
-
-    n_chunks = min(int(n_workers), max(1, len(lines) // _MIN_CHUNK_LINES))
-    chunk_len = -(-len(lines) // n_chunks)  # ceil division
-    tasks = [
-        _ChunkTask(
-            lines=tuple(lines[start : start + chunk_len]),
-            first_line_no=start + 1,
-            folded_torus=machine.folded_torus,
-            strict=strict,
-            resync=resync,
-            fast=fast,
-            quarantine_capacity=None if quarantine is None else quarantine.capacity,
-        )
-        for start in range(0, len(lines), chunk_len)
-    ]
-    results = parallel_map(_parse_chunk, tasks, n_workers=n_workers)
-    return _merge_results(results, quarantine, error_budget)
-
-
-def parse_text_parallel(
-    text: str,
-    machine: TitanMachine,
-    *,
-    n_workers: int = 1,
-    strict: bool = False,
-    resync: bool = True,
-    error_budget: float | None = None,
-    quarantine: QuarantineSink | None = None,
-    fast: bool = True,
-    serial_threshold: int = SERIAL_THRESHOLD,
-) -> tuple[EventLog, ParseStats]:
-    """:func:`parse_lines_parallel` over ``text.splitlines()``."""
-    return parse_lines_parallel(
-        text.splitlines(),
-        machine,
-        n_workers=n_workers,
-        strict=strict,
-        resync=resync,
-        error_budget=error_budget,
-        quarantine=quarantine,
-        fast=fast,
-        serial_threshold=serial_threshold,
-    )
-
-
-# --------------------------------------------------------------------------
-# Streaming consumption (bounded memory; shard manifests)
-# --------------------------------------------------------------------------
-
-
-def parse_lines_chunked(
-    lines: Iterable[str],
-    machine: TitanMachine,
-    *,
-    chunk_lines: int = PARSE_CHUNK_LINES,
-    strict: bool = False,
-    resync: bool = True,
-    error_budget: float | None = None,
-    quarantine: QuarantineSink | None = None,
-    fast: bool = True,
-) -> tuple[EventLog, ParseStats]:
-    """Serially parse a line *iterator* without materializing it.
-
-    ``parse_lines_parallel`` starts with ``list(lines)`` — fine for a
-    smoke run, a few hundred MB of resident strings for a scale-4
-    sweep point.  This variant drains the iterator ``chunk_lines`` at
-    a time, parses each chunk with global line numbering, and merges
-    per-chunk results in order; because the parser keeps no cross-line
-    state (resync operates within a line) and every counter is
-    additive, the merged log, statistics, strict errors and quarantine
-    contents are identical to a monolithic serial parse.  Peak memory
-    is one chunk of raw lines plus the (unavoidable) output columns.
-    """
-    if error_budget is not None and not 0.0 <= error_budget <= 1.0:
-        raise ValueError("error_budget must be in [0, 1] or None")
-    if chunk_lines < 1:
-        raise ValueError("chunk_lines must be >= 1")
-    parser = ConsoleLogParser(
-        machine,
-        strict=strict,
-        resync=resync,
-        error_budget=None,  # whole-stream property; applied post-merge
-        quarantine=quarantine,
-        fast=fast,
-    )
-    logs: list[EventLog] = []
-    stats = ParseStats()
-    first_line_no = 1
-    buffer: list[str] = []
-
-    def drain() -> None:
-        nonlocal first_line_no
-        # The shared sink accumulates across calls exactly as a serial
-        # run's would; a strict IngestionError propagates with its
-        # true global line number.
-        log, chunk_stats = parser.parse_lines(
-            buffer, first_line_no=first_line_no
-        )
-        logs.append(log)
-        _merge_stats(stats, chunk_stats)
-        first_line_no += len(buffer)
-        buffer.clear()
-
-    for line in lines:
-        buffer.append(line)
-        if len(buffer) >= chunk_lines:
-            drain()
-    if buffer or not logs:
-        drain()
-
     log = EventLog.concatenate(logs)
     if error_budget is not None and stats.corrupt_fraction > error_budget:
         raise IngestionDegraded(
@@ -371,120 +193,70 @@ def parse_lines_chunked(
     return log, stats
 
 
-@dataclass(frozen=True)
-class _ShardTask:
-    """One worker's shard: a disk pointer, not a payload (picklable)."""
-
-    directory: str
-    shard: ShardInfo
-    first_line_no: int
-    verify: bool
-    folded_torus: bool
-    strict: bool
-    resync: bool
-    fast: bool
-    quarantine_capacity: int | None
-
-
-def _parse_shard(task: _ShardTask) -> _ChunkResult:
-    """Worker: read, digest-verify and parse one shard.
-
-    :class:`~repro.stream.shards.ShardCorruption` propagates out of the
-    pool unwrapped — a shard that drifted from its manifest is an
-    infrastructure fault, not parse damage, and must never degrade
-    silently into statistics.
-    """
-    text = read_shard_text(task.directory, task.shard, verify=task.verify)
-    sink = (
-        None
-        if task.quarantine_capacity is None
-        else QuarantineSink(capacity=task.quarantine_capacity)
-    )
-    parser = ConsoleLogParser(
-        _worker_machine(task.folded_torus),
-        strict=task.strict,
-        resync=task.resync,
-        error_budget=None,
-        quarantine=sink,
-        fast=task.fast,
-    )
-    try:
-        log, stats = parser.parse_lines(
-            text.splitlines(), first_line_no=task.first_line_no
-        )
-    except IngestionError as exc:
-        return _ChunkResult(EventLog.empty(), ParseStats(), sink, exc)
-    return _ChunkResult(log, stats, sink, None)
-
-
-def parse_shards_parallel(
-    directory: str | Path,
+def parse_stream(
+    lines: Iterable[str],
     machine: TitanMachine,
     *,
-    manifest: ShardManifest | None = None,
     n_workers: int = 1,
+    chunk_lines: int = PARSE_CHUNK_LINES,
     strict: bool = False,
     resync: bool = True,
     error_budget: float | None = None,
     quarantine: QuarantineSink | None = None,
     fast: bool = True,
-    verify: bool = True,
-    serial_threshold: int = SERIAL_THRESHOLD,
 ) -> tuple[EventLog, ParseStats]:
-    """Parse a shard directory written by ``write_shards``.
+    """Parse a stream of console lines.
 
-    The observable results — log rows, statistics, strict errors,
-    quarantine contents — are identical to parsing the reassembled
-    monolithic text serially, but no process ever holds more than one
-    shard's text: the serial path streams shard by shard through
-    :func:`parse_lines_chunked`, and the parallel path ships workers
-    *shard pointers* (name, digest, global first line) so each worker
-    pulls its own payload off disk.  Shards are digest-verified on
-    read (``verify=False`` skips, for already-verified cache loads);
-    a mismatch raises :class:`~repro.stream.shards.ShardCorruption`.
-
-    Shard boundaries are whole-line aligned by construction, so the
-    partition invariant and the merge semantics are exactly those of
-    :func:`parse_lines_parallel`; only the default SEC rule catalog is
-    supported in parallel.
+    Semantics match ``ConsoleLogParser(...).parse_lines(lines)`` for
+    the default rule catalog — same log, same statistics, same errors,
+    same quarantine contents — at any worker count and batch size.
+    The iterator is drained ``chunk_lines`` at a time.  Serially
+    (``n_workers <= 1``, or a stream that fits one batch) each batch is
+    parsed in-process against ``machine`` as it is drawn, so at most
+    one batch of raw lines is resident; otherwise every batch is handed
+    to :func:`repro.parallel.pool.parallel_map` workers.  Batch
+    boundaries depend only on the line count and ``chunk_lines``.
     """
     if error_budget is not None and not 0.0 <= error_budget <= 1.0:
         raise ValueError("error_budget must be in [0, 1] or None")
-    directory = Path(directory)
-    if manifest is None:
-        manifest = read_manifest(directory)
+    if chunk_lines < 1:
+        raise ValueError("chunk_lines must be >= 1")
+    source = iter(lines)
+    capacity = None if quarantine is None else quarantine.capacity
 
-    if n_workers <= 1 or manifest.total_lines < max(serial_threshold, 2):
-        return parse_lines_chunked(
-            iter_shard_lines(directory, manifest, verify=verify),
-            machine,
-            strict=strict,
-            resync=resync,
-            error_budget=error_budget,
-            quarantine=quarantine,
-            fast=fast,
-        )
-
-    from repro.parallel.pool import parallel_map
-
-    tasks = []
-    first_line_no = 1
-    for shard in manifest.shards:
-        tasks.append(
-            _ShardTask(
-                directory=str(directory),
-                shard=shard,
+    def batches() -> Iterator[_ChunkTask]:
+        first_line_no = 1
+        while batch := tuple(islice(source, chunk_lines)):
+            n_lines = len(batch)
+            yield _ChunkTask(
+                lines=batch,
                 first_line_no=first_line_no,
-                verify=verify,
                 folded_torus=machine.folded_torus,
                 strict=strict,
                 resync=resync,
                 fast=fast,
-                quarantine_capacity=(
-                    None if quarantine is None else quarantine.capacity
-                ),
+                quarantine_capacity=capacity,
             )
-        )
-        first_line_no += shard.lines
-    results = parallel_map(_parse_shard, tasks, n_workers=n_workers)
+            # Drop the batch before drawing the next (the serial loop
+            # below drops its reference too): one batch resident.
+            del batch
+            first_line_no += n_lines
+
+    tasks: Iterable[_ChunkTask] = batches()
+    if n_workers > 1:
+        tasks = list(tasks)
+        if len(tasks) > 1:
+            # Imported here, not at module top: repro.parallel's package
+            # init pulls in the replica engine, which imports the
+            # simulation — which imports this module.
+            from repro.parallel.pool import parallel_map
+
+            results = parallel_map(_parse_chunk, tasks, n_workers=n_workers)
+            return _merge_results(results, quarantine, error_budget)
+    results = []
+    for task in tasks:
+        results.append(_parse_chunk(task, machine))
+        if results[-1].error is not None:
+            break  # a serial strict parse stops at its first reject
+        del task
     return _merge_results(results, quarantine, error_budget)

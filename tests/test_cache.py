@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 
 from repro.cache import (
     ArtifactStore,
-    CachedDataset,
     GroundTruthUnavailable,
     PIPELINE_EPOCH,
     canonical_encode,
@@ -538,7 +537,7 @@ class TestPipeline:
     def test_warm_load_bit_identical_observables(self, warm_store):
         store, cold = warm_store
         warm = load_dataset(store, SMOKE)
-        assert isinstance(warm, CachedDataset)
+        assert warm.provenance == "cache"
         assert warm.console_text == cold.console_text
         assert len(warm.parsed_events) == len(cold.parsed_events)
         np.testing.assert_array_equal(
@@ -561,8 +560,8 @@ class TestPipeline:
     def test_ground_truth_never_cached(self, warm_store):
         store, _ = warm_store
         warm = load_dataset(store, SMOKE)
-        for attr in ("events", "injection", "fleet", "nvsmi",
-                     "node_state_log", "sbe_by_slot"):
+        for attr in ("events", "injection", "fleet", "thermal", "users",
+                     "nvsmi", "node_state_log", "sbe_by_slot", "sbe_by_job"):
             with pytest.raises(GroundTruthUnavailable):
                 getattr(warm, attr)
 
@@ -599,6 +598,32 @@ class TestPipeline:
     def test_epoch_bump_is_a_clean_miss(self, warm_store):
         store, _ = warm_store
         assert load_dataset(store, SMOKE, epoch=PIPELINE_EPOCH + 1) is None
+
+    def test_monolithic_console_layer_is_a_miss(self, tmp_path, warm_store):
+        """A store written before the console layer was sharded holds
+        one monolithic ``console`` artifact: it must read as a miss and
+        be re-persisted in the sharded form."""
+        _, cold = warm_store
+        store = ArtifactStore(tmp_path)
+        dkey = dataset_key(SMOKE)
+        for layer, obj, kind in (
+            ("console", cold.console_text, "text"),
+            ("parsed", (cold.parsed_events, cold.parse_stats), "pickle"),
+            ("nvsmi", cold.nvsmi_table, "npz"),
+            ("jobsnap", cold.jobsnap_records, "pickle"),
+            ("trace", cold.trace, "pickle"),
+        ):
+            store.put(f"{dkey}/layer/{layer}", obj, kind)
+        assert not has_dataset(store, SMOKE)
+        assert load_dataset(store, SMOKE) is None
+
+        _, warm = load_or_simulate(SMOKE, store)
+        assert not warm
+        assert store.has(f"{dkey}/layer/console.manifest")
+        assert store.has(f"{dkey}/layer/console.000000")
+        reloaded, warm = load_or_simulate(SMOKE, store)
+        assert warm
+        assert reloaded.console_text == cold.console_text
 
 
 class TestStudyMemoization:

@@ -230,11 +230,12 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", store, "--json"]) == 0
         info = json.loads(capsys.readouterr().out)
-        assert info["n_artifacts"] == 5  # the five dataset layers
+        # console manifest + its one shard + four more dataset layers
+        assert info["n_artifacts"] == 6
         assert len(info["datasets"]) == 1
         assert info["total_bytes"] > 0
         assert main(["cache", "clear", "--cache-dir", store, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["removed"] == 5
+        assert json.loads(capsys.readouterr().out)["removed"] == 6
         assert main(["cache", "info", "--cache-dir", store, "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["n_artifacts"] == 0
 
@@ -243,7 +244,7 @@ class TestCacheCommand:
         capsys.readouterr()
         assert main(["cache", "info", "--cache-dir", store]) == 0
         out = capsys.readouterr().out
-        assert "artifacts    5" in out
+        assert "artifacts    6" in out
         assert "datasets     1" in out
 
     def test_evict_requires_budget(self, tmp_path, capsys):
@@ -258,7 +259,7 @@ class TestCacheCommand:
                    "--max-mb", "0", "--json"])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["evicted"]) == 5
+        assert len(out["evicted"]) == 6
         assert out["total_bytes"] == 0
 
     def test_cache_action_required(self):

@@ -12,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.telemetry.parallel_parse as parallel_parse
 from repro.chaos.injector import ChaosConfig, CorruptionInjector
 from repro.telemetry.ingestion import (
     IngestionDegraded,
@@ -29,7 +28,7 @@ from repro.telemetry.nvsmi_text import (
     parse_nvsmi_query,
     render_nvsmi_query,
 )
-from repro.telemetry.parallel_parse import parse_lines_parallel
+from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.parser import ConsoleLogParser
 
 
@@ -332,27 +331,24 @@ class TestFastSlowEquivalence:
 
 class TestParallelParse:
     """Chunked-parallel parsing must be observably identical to the
-    serial parser: same rows, stats, errors and quarantine contents."""
-
-    @pytest.fixture(autouse=True)
-    def _tiny_chunks(self, monkeypatch):
-        # Force real multi-chunk sharding on test-sized inputs.
-        monkeypatch.setattr(parallel_parse, "_MIN_CHUNK_LINES", 10)
+    serial parser: same rows, stats, errors and quarantine contents.
+    ``chunk_lines=20`` forces real multi-batch sharding on test-sized
+    inputs."""
 
     def test_parallel_matches_serial(self, smoke_dataset, gpu_lines):
         lines = gpu_lines[:50] + ["@@garbage@@"] + gpu_lines[50:60]
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_lines_parallel(
-            lines, smoke_dataset.machine, n_workers=2, serial_threshold=0
+        par_log, par_stats = parse_stream(
+            lines, smoke_dataset.machine, n_workers=2, chunk_lines=20
         )
         _assert_logs_equal(par_log, serial_log)
         assert par_stats == serial_stats
 
     def test_torn_line_at_chunk_boundary(self, smoke_dataset, gpu_lines):
-        # 40 lines, 2 workers -> the chunk boundary falls after index
-        # 19.  Tear the last line of the first chunk (a splice of two
+        # 40 lines in batches of 20 -> the batch boundary falls after
+        # index 19.  Tear the last line of the first chunk (a splice of two
         # records, the classic torn-write shape): chunking must not
         # change how the parser heals it, and the merged ParseStats
         # must still partition the input.
@@ -362,8 +358,8 @@ class TestParallelParse:
         serial_log, serial_stats = ConsoleLogParser(
             smoke_dataset.machine
         ).parse_lines(lines)
-        par_log, par_stats = parse_lines_parallel(
-            lines, smoke_dataset.machine, n_workers=2, serial_threshold=0
+        par_log, par_stats = parse_stream(
+            lines, smoke_dataset.machine, n_workers=2, chunk_lines=20
         )
         assert par_stats.resynced_lines == serial_stats.resynced_lines >= 1
         assert par_stats.accounted == par_stats.total_lines == 40
@@ -381,11 +377,11 @@ class TestParallelParse:
             smoke_dataset.machine, quarantine=serial_sink
         ).parse_lines(lines)
         par_sink = QuarantineSink(capacity=3)
-        parse_lines_parallel(
+        parse_stream(
             lines,
             smoke_dataset.machine,
             n_workers=2,
-            serial_threshold=0,
+            chunk_lines=20,
             quarantine=par_sink,
         )
         assert par_sink.total == serial_sink.total
@@ -405,11 +401,11 @@ class TestParallelParse:
         with pytest.raises(IngestionError) as serial_exc:
             ConsoleLogParser(smoke_dataset.machine, strict=True).parse_lines(lines)
         with pytest.raises(IngestionError) as par_exc:
-            parse_lines_parallel(
+            parse_stream(
                 lines,
                 smoke_dataset.machine,
                 n_workers=2,
-                serial_threshold=0,
+                chunk_lines=20,
                 strict=True,
             )
         assert par_exc.value.line_no == serial_exc.value.line_no == 5
@@ -422,11 +418,11 @@ class TestParallelParse:
                 smoke_dataset.machine, error_budget=0.2
             ).parse_lines(lines)
         with pytest.raises(IngestionDegraded) as par_exc:
-            parse_lines_parallel(
+            parse_stream(
                 lines,
                 smoke_dataset.machine,
                 n_workers=2,
-                serial_threshold=0,
+                chunk_lines=20,
                 error_budget=0.2,
             )
         assert par_exc.value.stats == serial_exc.value.stats

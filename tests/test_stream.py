@@ -1,17 +1,18 @@
-"""The streamed telemetry pipeline: shards, chunked parse, cache layers.
+"""The streamed telemetry pipeline: shards, batched parse, cache layers.
 
 Everything here guards one contract: streaming is a *memory*
 optimization, never a semantic one.  Sharded renderings reassemble
-byte-identical to the monolithic text, chunked and manifest-driven
-parses reproduce the serial parser's log, statistics and quarantine
-exactly, the sharded console cache layer round-trips under the same
-dataset key, and a fully streamed paper run reproduces the committed
-golden digests bit for bit.  The bugfix satellites ride along: LRU
-eviction, the coverage edge clamp, fused-record seam recovery and the
-half-up fleet rounding.
+byte-identical to the whole text, batched parses of line streams and
+shard directories reproduce the serial parser's log, statistics and
+quarantine exactly, the sharded console cache layer round-trips under
+the dataset key, and a paper run whose console text is never
+materialized reproduces the committed golden digests bit for bit.  The
+bugfix satellites ride along: LRU eviction, the coverage edge clamp,
+fused-record seam recovery and the half-up fleet rounding.
 """
 
 import dataclasses
+import functools
 import json
 import os
 from pathlib import Path
@@ -33,6 +34,7 @@ from repro.cache.pipeline import (
 from repro.stream import (
     MANIFEST_NAME,
     ShardCorruption,
+    ShardManifest,
     iter_shard_lines,
     iter_shard_payloads,
     read_manifest,
@@ -42,10 +44,7 @@ from repro.stream import (
 )
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
-from repro.telemetry.parallel_parse import (
-    parse_lines_chunked,
-    parse_shards_parallel,
-)
+from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.ingestion import IngestionError
 from repro.telemetry.parser import ConsoleLogParser
 
@@ -141,7 +140,7 @@ class TestShards:
         with pytest.raises(ShardCorruption):
             reassemble_text(tmp_path)
         with pytest.raises(ShardCorruption):
-            parse_shards_parallel(tmp_path, smoke_dataset.machine)
+            parse_stream(iter_shard_lines(tmp_path), smoke_dataset.machine)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -154,7 +153,7 @@ class TestShards:
 
 
 # ---------------------------------------------------------------------------
-# Parse equivalence: chunked and manifest-driven vs the serial parser
+# Parse equivalence: batched and shard-driven vs the serial parser
 # ---------------------------------------------------------------------------
 
 
@@ -163,7 +162,7 @@ class TestParseEquivalence:
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(
             console_lines
         )
-        chunked = parse_lines_chunked(
+        chunked = parse_stream(
             iter(console_lines), smoke_dataset.machine, chunk_lines=1000
         )
         assert_logs_equal(serial[0], chunked[0])
@@ -176,11 +175,11 @@ class TestParseEquivalence:
         lines = console_lines[:6000]
         write_shards(lines, tmp_path, max_lines_per_shard=1024)
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_shards_parallel(
-            tmp_path,
+        sharded = parse_stream(
+            iter_shard_lines(tmp_path),
             smoke_dataset.machine,
             n_workers=n_workers,
-            serial_threshold=0,
+            chunk_lines=1024,
         )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
@@ -227,7 +226,9 @@ class TestParseEquivalence:
         assert reassemble_text(directory) == expected_text
 
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_shards_parallel(directory, smoke_dataset.machine)
+        sharded = parse_stream(
+            iter_shard_lines(directory), smoke_dataset.machine
+        )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
 
@@ -236,7 +237,7 @@ class TestParseEquivalence:
     ):
         lines = [gpu_record_lines[0]] * 5 + ["garbage GPU XID zzz"]
         with pytest.raises(IngestionError) as excinfo:
-            parse_lines_chunked(
+            parse_stream(
                 iter(lines), smoke_dataset.machine, chunk_lines=2, strict=True
             )
         assert excinfo.value.line_no == 6
@@ -294,7 +295,7 @@ class TestSeamRecovery:
         lines = [a, b, a + b, b, a]
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
         for chunk_lines in (1, 2, 3):
-            chunked = parse_lines_chunked(
+            chunked = parse_stream(
                 iter(lines), smoke_dataset.machine, chunk_lines=chunk_lines
             )
             assert_logs_equal(serial[0], chunked[0])
@@ -307,10 +308,9 @@ class TestSeamRecovery:
 
 
 def _streamed_replica(dataset):
-    """The same simulation, reset to parse through the streamed path."""
-    return dataclasses.replace(
-        dataset, streaming=True, _console_text=None, _parsed=None
-    )
+    """The same simulation with its console text and parse dropped, so
+    the parse streams from a windowed render."""
+    return dataclasses.replace(dataset, _console_text=None, _parsed=None)
 
 
 class TestStreamedSimulation:
@@ -336,52 +336,121 @@ class TestShardedCacheLayer:
     def store(self, tmp_path):
         return ArtifactStore(tmp_path / "store")
 
-    def test_streaming_persist_round_trip(self, store, smoke_dataset):
-        persist_dataset(
-            store, smoke_dataset, streaming=True, shard_lines=10_000
+    @pytest.fixture()
+    def small_shards(self, monkeypatch):
+        """Persist the smoke log's ~53k lines as several shards."""
+        monkeypatch.setattr(
+            "repro.cache.pipeline.iter_shard_payloads",
+            functools.partial(iter_shard_payloads, max_lines_per_shard=10_000),
         )
+
+    @staticmethod
+    def _manifest(store, dkey):
+        return ShardManifest.from_doc(
+            store.get(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
+        )
+
+    def test_streaming_persist_round_trip(
+        self, store, smoke_dataset, small_shards
+    ):
+        persist_dataset(store, smoke_dataset)
         dkey = dataset_key(smoke_dataset.scenario)
-        assert store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-        assert store.has(_layer_key(dkey, _console_shard_layer(0)))
+        manifest = self._manifest(store, dkey)
+        assert len(manifest.shards) >= 2
+        for shard in manifest.shards:
+            assert store.has(_layer_key(dkey, shard.name))
         assert not store.has(_layer_key(dkey, "console"))
         assert has_dataset(store, smoke_dataset.scenario)
 
         cached = load_dataset(store, smoke_dataset.scenario)
         assert cached is not None
+        assert list(cached.console_lines()) == (
+            smoke_dataset.console_text.splitlines()
+        )
+        assert cached._console_text is None  # lines came from the shards
         assert cached.console_text == smoke_dataset.console_text
         assert_logs_equal(
             cached.parsed_events, smoke_dataset.parsed_events
         )
 
-    def test_corrupt_shard_degrades_to_recompute(self, store, smoke_dataset):
-        persist_dataset(
-            store, smoke_dataset, streaming=True, shard_lines=10_000
-        )
+    def test_corrupt_shard_degrades_to_recompute(
+        self, store, smoke_dataset, small_shards
+    ):
+        persist_dataset(store, smoke_dataset)
         dkey = dataset_key(smoke_dataset.scenario)
-        shard_key = _layer_key(dkey, _console_shard_layer(0))
+        manifest = self._manifest(store, dkey)
+        assert len(manifest.shards) >= 2
+        shard_key = _layer_key(dkey, manifest.shards[-1].name)
         store.put(shard_key, "tampered\n", "text")  # valid artifact, wrong sha
         assert load_dataset(store, smoke_dataset.scenario) is None
 
-        dataset, warm = load_or_simulate(
-            smoke_dataset.scenario, store, streaming=True
-        )
+        dataset, warm = load_or_simulate(smoke_dataset.scenario, store)
         assert not warm
         assert dataset.console_text == smoke_dataset.console_text
+        reloaded = load_dataset(store, smoke_dataset.scenario)
+        assert reloaded is not None
+        assert reloaded.console_text == smoke_dataset.console_text
 
-    def test_streamed_cache_key_matches_monolithic(self, store, smoke_dataset):
-        """Monolithic persist then streamed load: same key, same bytes."""
+    def test_missing_shard_fails_the_probe(
+        self, store, smoke_dataset, small_shards
+    ):
+        """Shard keys sort before the manifest, so an LRU evict can drop
+        a shard and keep every layer: the probe must see it."""
         persist_dataset(store, smoke_dataset)
+        dkey = dataset_key(smoke_dataset.scenario)
+        manifest = self._manifest(store, dkey)
+        assert store.delete(_layer_key(dkey, manifest.shards[1].name))
+        assert store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
+        assert not has_dataset(store, smoke_dataset.scenario)
+        assert load_dataset(store, smoke_dataset.scenario) is None
+
+    def test_cold_persist_renders_once(
+        self, store, smoke_dataset, small_shards, monkeypatch
+    ):
+        """Persisting an unparsed simulation feeds the parse and the
+        shards from one render; the whole text is never built."""
+        text = smoke_dataset.console_text
+        log, stats = smoke_dataset.parsed_events, smoke_dataset.parse_stats
+        renders = []
+        render = ConsoleLogWriter.lines
+
+        def counting_render(writer, events):
+            renders.append(events)
+            return render(writer, events)
+
+        monkeypatch.setattr(ConsoleLogWriter, "lines", counting_render)
+        replica = _streamed_replica(smoke_dataset)
+        dkey = persist_dataset(store, replica)
+        assert len(renders) == 1
+        assert replica._console_text is None
+        assert_logs_equal(replica.parsed_events, log)
+        assert replica.parse_stats == stats
+
+        assert len(self._manifest(store, dkey).shards) >= 2
         cached = load_dataset(store, smoke_dataset.scenario)
         assert cached is not None
-        assert cached.console_text == smoke_dataset.console_text
+        assert cached.console_text == text
+        assert cached.parse_stats == stats
+
+    def test_streamed_cache_key_matches_monolithic(self, store, smoke_dataset):
+        """The sharded layer lives under the scenario's dataset key, and
+        a load streams back the lines of the rendered log."""
+        dkey = persist_dataset(store, smoke_dataset)
+        assert dkey == dataset_key(smoke_dataset.scenario)
+        cached = load_dataset(store, smoke_dataset.scenario)
+        assert cached is not None
+        assert list(cached.console_lines()) == (
+            smoke_dataset.console_text.splitlines()
+        )
+        assert cached._console_text is None  # lines came from the shards
 
 
 class TestWriterShards:
     def test_console_shards_match_to_text(self, tmp_path, smoke_dataset):
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.injection.events
-        manifest = writer.write_shards(
-            events, tmp_path, max_lines_per_shard=7_000
+        manifest = write_shards(
+            writer.lines(events), tmp_path, max_lines_per_shard=7_000
         )
         assert len(manifest.shards) >= 2
         assert reassemble_text(tmp_path) == writer.to_text(events)
@@ -501,28 +570,14 @@ class TestGridRounding:
 
 
 # ---------------------------------------------------------------------------
-# End to end: streamed sweeps and the golden paper run
+# End to end: the golden paper run
 # ---------------------------------------------------------------------------
-
-
-class TestStreamedSweep:
-    def test_streamed_table_matches_monolithic(self, tmp_path):
-        from repro.sweep import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            name="stream-eq", base="smoke", days=2.0, scales=(1.0, 2.0)
-        )
-        mono = run_sweep(spec, ArtifactStore(tmp_path / "mono"))
-        streamed = run_sweep(
-            spec, ArtifactStore(tmp_path / "streamed"), streaming=True
-        )
-        assert streamed.table_sha256 == mono.table_sha256
 
 
 class TestStreamedGolden:
     def test_streamed_paper_run_matches_golden_digests(self, paper_dataset):
-        """The full paper scenario through the streamed pipeline must
-        reproduce the committed golden figure digests bit for bit."""
+        """The full paper scenario parsed straight from a windowed render
+        must reproduce the committed golden figure digests bit for bit."""
         from repro.core.golden import golden_diff, golden_document
         from repro.core.study import TitanStudy
 

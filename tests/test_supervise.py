@@ -354,6 +354,19 @@ class TestRunner:
         assert [r.run_id for r in runs] == [rid]
         assert runs[0].complete and not runs[0].torn_tail
 
+    def test_dataset_stage_journals_written_keys(self, tmp_path):
+        scenario = _tiny_scenario()
+        store = ArtifactStore(tmp_path / "cache")
+        report = run_study(scenario, store)
+        records, _bytes, _problems = read_journal(report.journal_path)
+        stage = next(
+            r for r in records
+            if r.type == "stage" and r.get("name") == "dataset"
+        )
+        keys = stage.get("artifact_keys")
+        assert keys
+        assert all(store.has(key) for key in keys), keys
+
     def test_corrupt_artifact_recomputed_on_resume(self, tmp_path):
         scenario = _tiny_scenario()
         store = ArtifactStore(tmp_path / "cache")
