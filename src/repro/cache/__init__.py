@@ -18,8 +18,8 @@ behave the same way:
 * :mod:`cli` — ``python -m repro cache info|clear|evict``.
 
 The golden-trace regression suite (``tests/test_golden.py``) pins the
-contract: cold, warm and parallel runs of the canonical scenario must
-produce bit-identical statistics.
+contract: cold, store-backed and warm runs of the canonical scenario
+must produce bit-identical statistics.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from repro.cache.keys import (
 from repro.cache.pipeline import (
     DATASET_LAYERS,
     GroundTruthUnavailable,
-    has_dataset,
     load_dataset,
     load_or_simulate,
     persist_dataset,
@@ -71,7 +70,6 @@ __all__ = [
     "GroundTruthUnavailable",
     "persist_dataset",
     "load_dataset",
-    "has_dataset",
     "load_or_simulate",
     "default_cache_dir",
 ]

@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "df54eeef3bc6b1c5"
+PIPELINE_SURFACE: str = "bb978f509de3dc8b"
 
 
 def canonical_encode(obj: Any) -> Any:

@@ -79,7 +79,6 @@ __all__ = [
     "GroundTruthUnavailable",
     "persist_dataset",
     "load_dataset",
-    "has_dataset",
     "load_or_simulate",
 ]
 
@@ -250,28 +249,6 @@ def _console_shard_source(
             yield payload
 
     return payloads
-
-
-def has_dataset(
-    store: ArtifactStore,
-    scenario: "Scenario",
-    *,
-    epoch: int = PIPELINE_EPOCH,
-) -> bool:
-    """Cheap probe: are all layers and console shards present?
-
-    Only the small console manifest is read (to list the shards);
-    nothing else is checksum-verified.  Full validation happens on
-    :func:`load_dataset`; a probe that lies (an artifact exists but is
-    corrupt) only costs a recompute later.
-    """
-    dkey = dataset_key(scenario, epoch=epoch)
-    if not all(store.has(_layer_key(dkey, layer)) for layer, _ in DATASET_LAYERS):
-        return False
-    manifest = _console_manifest(store.get(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER)))
-    return manifest is not None and all(
-        store.has(_layer_key(dkey, shard.name)) for shard in manifest.shards
-    )
 
 
 def load_or_simulate(

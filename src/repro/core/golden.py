@@ -15,11 +15,12 @@ noticing:
   single definition the replica error-bar machinery uses.
 
 ``tests/test_golden.py`` asserts the canonical scenario's document
-matches the committed ``tests/golden/*.json`` files for cold, warm
-(artifact-cache) and parallel ``figs_all()`` runs; regenerate after an
-*intentional* pipeline change with ``pytest tests/test_golden.py
---regen-golden`` and bump :data:`repro.cache.keys.PIPELINE_EPOCH` in
-the same commit (see docs/PERFORMANCE.md, "Invalidation rules").
+matches the committed ``tests/golden/*.json`` files for cold,
+store-backed ``figs_all()`` and warm (artifact-cache) runs; regenerate
+after an *intentional* pipeline change with ``pytest
+tests/test_golden.py --regen-golden`` and bump
+:data:`repro.cache.keys.PIPELINE_EPOCH` in the same commit (see
+docs/PERFORMANCE.md, "Invalidation rules").
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ the computation entirely.  Memoized results are never written back for
 datasets whose observable stream was modified (chaos experiments) or
 that carry a coverage model — those results are not a pure function of
 ``(scenario, seed, epoch)``.  The golden-trace suite
-(``tests/test_golden.py``) pins cold == warm == parallel bit-for-bit.
+(``tests/test_golden.py``) pins cold, store-backed and warm runs
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -60,8 +61,8 @@ from repro.telemetry.jobsnap import JobSnapshotFramework
 __all__ = ["TitanStudy", "FIGURES"]
 
 #: Every figure method of the study, in paper order — the unit of
-#: per-figure caching and of the ``figs_all`` fan-out.  (``figs16_19``
-#: is one method covering four paper figures.)
+#: per-figure caching and of the supervised runner's journal stages.
+#: (``figs16_19`` is one method covering four paper figures.)
 FIGURES: tuple[str, ...] = (
     "fig2",
     "fig3",
@@ -81,24 +82,6 @@ FIGURES: tuple[str, ...] = (
     "fig20",
     "fig21",
 )
-
-
-def _figure_remote(task: "tuple[Any, str, str]") -> "tuple[str, Any]":
-    """Worker-side ``figs_all`` task: warm-load the dataset from the
-    artifact store and compute (or fetch) one figure.
-
-    Module-level so it pickles across the spawn boundary; the store is
-    reopened by path in the worker.  A worker whose warm load misses
-    (e.g. a concurrent eviction) transparently resimulates — slower,
-    never wrong.
-    """
-    scenario, cache_root, name = task
-    from repro.cache import ArtifactStore, load_or_simulate
-
-    store = ArtifactStore(cache_root)
-    dataset, _warm = load_or_simulate(scenario, store)
-    study = TitanStudy(dataset, store=store)
-    return name, getattr(study, name)()
 
 
 @dataclass(frozen=True)
@@ -257,45 +240,8 @@ class TitanStudy:
 
             self.store.delete(artifact_key(self.dataset_key, f"fig/{name}"))
 
-    def figs_all(
-        self,
-        *,
-        n_workers: int = 1,
-        chunk_timeout_s: "float | None" = None,
-        heartbeat_timeout_s: "float | None" = None,
-    ) -> dict[str, Any]:
-        """Every figure of the paper, as ``{method name: result}``.
-
-        With ``n_workers > 1`` and a store attached, the figures fan
-        out over :func:`repro.parallel.parallel_map` worker processes:
-        the dataset layers are persisted once, each worker warm-loads
-        them and computes (and persists) its share of figures.  Without
-        a store the fan-out would ship a multi-gigabyte dataset pickle
-        to every worker, so the computation stays serial in-process.
-
-        ``chunk_timeout_s``/``heartbeat_timeout_s`` arm the pool's
-        watchdog so a wedged worker is killed and its figures retried
-        (see :func:`repro.parallel.pool.parallel_map`).
-        """
-        if n_workers > 1 and self._use_store:
-            from repro.cache import has_dataset, persist_dataset
-            from repro.parallel.pool import parallel_map
-
-            if not has_dataset(self.store, self.ds.scenario):
-                persist_dataset(self.store, self.ds)
-            todo = [name for name in FIGURES if name not in self._memo]
-            tasks = [
-                (self.ds.scenario, str(self.store.root), name)
-                for name in todo
-            ]
-            for name, result in parallel_map(
-                _figure_remote,
-                tasks,
-                n_workers=n_workers,
-                chunk_timeout_s=chunk_timeout_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
-            ):
-                self._memo[name] = result
+    def figs_all(self) -> dict[str, Any]:
+        """Every figure of the paper, as ``{method name: result}``."""
         return {name: getattr(self, name)() for name in FIGURES}
 
     @property

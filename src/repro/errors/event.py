@@ -324,7 +324,7 @@ class EventLogBuilder:
         every column receives the same number of values.  Raw appends
         bypass the spool check — streaming consumers bound memory by
         chunking their *input* instead (see
-        :func:`repro.telemetry.parallel_parse.parse_stream`).
+        :meth:`repro.telemetry.parser.ConsoleLogParser.parse_lines`).
         """
         return self._rows
 

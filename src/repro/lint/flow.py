@@ -478,11 +478,11 @@ class SpawnSafetyRule(ProjectRule):
     severity = Severity.ERROR
     rationale = (
         "Callables submitted to repro.parallel (parallel_map, "
-        "map_reduce, and through them figs_all) cross a spawn process "
-        "boundary by pickle. Lambdas, closures, locally-bound "
-        "callables and bound methods fail there — at best loudly at "
-        "dispatch, at worst only on the retry path a crashed worker "
-        "exercises. Submit module-level functions."
+        "map_reduce) cross a spawn process boundary by pickle. "
+        "Lambdas, closures, locally-bound callables and bound methods "
+        "fail there — at best loudly at dispatch, at worst only on the "
+        "retry path a crashed worker exercises. Submit module-level "
+        "functions."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:

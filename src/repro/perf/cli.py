@@ -21,10 +21,6 @@ def add_profile_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach ``profile``-specific options (shared options come from the
     caller's ``_add_common``)."""
     parser.add_argument(
-        "--parse-workers", type=int, default=0,
-        help="shard console parsing across this many worker processes "
-             "(0 = serial; results are identical either way)")
-    parser.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the breakdown as JSON instead of a table")
 
@@ -63,9 +59,7 @@ def cmd_profile(args) -> int:
     perf.enable()
     t0 = time.perf_counter()
     try:
-        dataset = TitanSimulation(
-            scenario, parse_workers=args.parse_workers
-        ).run()
+        dataset = TitanSimulation(scenario).run()
         # Touch every observable layer so each lazy stage runs exactly
         # once, in pipeline order.
         _ = dataset.console_text
@@ -85,12 +79,10 @@ def cmd_profile(args) -> int:
         print(json.dumps({
             "scenario": scenario.name,
             "seed": scenario.seed,
-            "parse_workers": int(args.parse_workers),
             "wall_s": wall_s,
             **snapshot,
         }, indent=2))
         return 0
-    print(f"scenario {scenario.name!r} seed {scenario.seed} "
-          f"parse_workers {args.parse_workers}")
+    print(f"scenario {scenario.name!r} seed {scenario.seed}")
     print(_render_table(snapshot, wall_s))
     return 0

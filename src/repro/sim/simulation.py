@@ -33,10 +33,9 @@ from repro.gpu.fleet import GPUFleet
 from repro.rng import RngTree
 from repro.sim.scenario import Scenario
 from repro.telemetry.console import ConsoleLogWriter
-from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.jobsnap import JobSnapshotFramework, JobSnapshotRecord
 from repro.telemetry.nvsmi import NvidiaSmi
-from repro.telemetry.parser import ParseStats
+from repro.telemetry.parser import ConsoleLogParser, ParseStats
 from repro.telemetry.raslog import NodeStateLog, RepairModel
 from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
@@ -88,10 +87,6 @@ class SimulationDataset:
     #: must never be written back under the clean scenario's content
     #: address.
     provenance: str = "simulated"
-    #: Worker processes for console parsing (0/1 = serial in-process).
-    #: Output is byte-identical at any worker count; this only trades
-    #: wall time — see :mod:`repro.telemetry.parallel_parse`.
-    parse_workers: int = 0
     _injection: Optional[InjectionResult] = field(default=None, repr=False)
     _fleet: Optional[GPUFleet] = field(default=None, repr=False)
     _thermal: Optional[ThermalModel] = field(default=None, repr=False)
@@ -130,10 +125,11 @@ class SimulationDataset:
     def console_text(self) -> str:
         """The console log as one string (materialized on first use)."""
         if self._console_text is None:
-            with perf.stage("telemetry.render"):
-                if self._console_shards is not None:
+            if self._console_shards is not None:
+                with perf.stage("cache.load"):
                     self._console_text = "".join(self._console_shards())
-                else:
+            else:
+                with perf.stage("telemetry.render"):
                     self._console_text = "\n".join([*self.console_lines(), ""])
         return self._console_text
 
@@ -155,10 +151,8 @@ class SimulationDataset:
         the cache's shard writer)."""
         if self._parsed is None:
             with perf.stage("telemetry.parse"):
-                log, stats = parse_stream(
-                    self.console_lines() if lines is None else lines,
-                    self.machine,
-                    n_workers=self.parse_workers,
+                log, stats = ConsoleLogParser(self.machine).parse_lines(
+                    self.console_lines() if lines is None else lines
                 )
             with perf.stage("telemetry.sort"):
                 self._parsed = (log.sorted_by_time(), stats)
@@ -267,17 +261,11 @@ class SimulationDataset:
 
 
 class TitanSimulation:
-    """Runs one scenario end to end.
+    """Runs one scenario end to end."""
 
-    ``parse_workers`` is forwarded to the produced dataset's lazy
-    console parse (see :mod:`repro.telemetry.parallel_parse`); it never
-    changes results, only wall time.
-    """
-
-    def __init__(self, scenario: Scenario, *, parse_workers: int = 0) -> None:
+    def __init__(self, scenario: Scenario) -> None:
         scenario.validate()
         self.scenario = scenario
-        self.parse_workers = int(parse_workers)
 
     def run(self) -> SimulationDataset:
         sc = self.scenario
@@ -317,7 +305,6 @@ class TitanSimulation:
             scenario=sc,
             machine=machine,
             trace=trace,
-            parse_workers=self.parse_workers,
             _injection=injection,
             _fleet=fleet,
             _thermal=thermal,

@@ -3,8 +3,8 @@
 Telemetry is written as whole-line-aligned shards plus a checksummed
 manifest (:func:`write_shards`) instead of one giant string, and read
 back one shard at a time as a line stream that
-:func:`repro.telemetry.parallel_parse.parse_stream` consumes.  The
-artifact store persists the console layer the same way.  See
+:meth:`repro.telemetry.parser.ConsoleLogParser.parse_lines` consumes.
+The artifact store persists the console layer the same way.  See
 docs/PERFORMANCE.md ("Memory").
 """
 

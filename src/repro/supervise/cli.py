@@ -44,17 +44,6 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
         "--out", type=Path, default=None,
         help="write the run's golden document (canonical JSON) here")
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="compute figures with this many supervised worker "
-             "processes (default: in-process)")
-    parser.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="S",
-        help="hard per-chunk deadline for worker supervision")
-    parser.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="S",
-        help="kill a worker whose chunk heartbeat stops advancing "
-             "for this long")
-    parser.add_argument(
         "--list-runs", action="store_true",
         help="list the run journals under the store and exit")
     parser.add_argument(
@@ -126,9 +115,6 @@ def cmd_run(args) -> int:
             store,
             resume=args.resume,
             run_id=args.run_id,
-            n_workers=args.jobs,
-            chunk_timeout_s=args.chunk_timeout,
-            heartbeat_timeout_s=args.heartbeat_timeout,
             progress=say,
         )
     except RunInterrupted as exc:

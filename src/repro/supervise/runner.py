@@ -132,7 +132,11 @@ def journal_path(store: Any, run_id: str) -> Path:
 
 
 def list_runs(store: Any) -> list[RunSummary]:
-    """Every run journal under the store, sorted by run id."""
+    """Every study-run journal under the store, sorted by run id.
+
+    Sweep journals share the directory but start with ``sweep_start``;
+    they are skipped here (``repro sweep status`` reports them).
+    """
     runs_dir = Path(store.root) / "runs"
     summaries: list[RunSummary] = []
     try:
@@ -141,6 +145,8 @@ def list_runs(store: Any) -> list[RunSummary]:
         return []
     for path in paths:
         records, _valid, problems = read_journal(path)
+        if records and records[0].type == "sweep_start":
+            continue
         summaries.append(
             RunSummary(
                 run_id=path.stem,
@@ -188,9 +194,6 @@ def run_study(
     *,
     resume: bool = False,
     run_id: Optional[str] = None,
-    n_workers: int = 1,
-    chunk_timeout_s: Optional[float] = None,
-    heartbeat_timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> RunReport:
     """Run (or resume) the supervised figure pipeline of ``scenario``.
@@ -260,13 +263,6 @@ def run_study(
 
             # -- figure stages ----------------------------------------------
             study = TitanStudy(dataset, store=store)
-            if n_workers > 1:
-                stop.check()
-                study.figs_all(
-                    n_workers=n_workers,
-                    chunk_timeout_s=chunk_timeout_s,
-                    heartbeat_timeout_s=heartbeat_timeout_s,
-                )
             for name in FIGURES:
                 _pause(stop, delay_s)
                 digest = figure_digest(study.figure(name))

@@ -36,6 +36,7 @@ import datetime as _dt
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.errors.event import EventLog, EventLogBuilder, STRUCTURE_CODES
 from repro.errors.xid import ErrorType
@@ -57,7 +58,12 @@ from repro.telemetry.timecodec import (
 from repro.topology.machine import TitanMachine
 from repro.units import datetime_to_timestamp
 
-__all__ = ["ConsoleLogParser", "ParseStats"]
+__all__ = ["ConsoleLogParser", "ParseStats", "PARSE_CHUNK_LINES"]
+
+#: Lines per parse batch: how many raw lines are resident at once while
+#: :meth:`ConsoleLogParser.parse_lines` drains a stream.  Results are
+#: identical at any value.
+PARSE_CHUNK_LINES: int = 131_072
 
 _STAMP_PATTERN = r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{6}"
 _CNAME_PATTERN = r"c\d+-\d+c\d+s\d+n\d+"
@@ -221,31 +227,32 @@ class ConsoleLogParser:
 
     # -- parsing -----------------------------------------------------------
 
-    def parse_lines(
-        self, lines: Iterable[str], *, first_line_no: int = 1
-    ) -> tuple[EventLog, ParseStats]:
+    def parse_lines(self, lines: Iterable[str]) -> tuple[EventLog, ParseStats]:
         """Parse an iterable of log lines.
 
         Returns the (unsorted — log-order) event log and statistics.
         Raises :class:`IngestionError` (strict mode) or
-        :class:`IngestionDegraded` (error budget exceeded).
-        ``first_line_no`` offsets the reported line numbers (strict
-        errors, quarantine records) so chunked parsing of a large log
-        attributes rejects to their true position in the whole stream.
+        :class:`IngestionDegraded` (error budget exceeded, judged on the
+        whole stream).  The iterator is drained
+        :data:`PARSE_CHUNK_LINES` lines at a time, each batch into its
+        own builder, so at most one batch of raw lines is resident; line
+        numbers count from the start of the stream.
         """
-        builder = EventLogBuilder()
+        parse_batch = (
+            self._parse_fast if self._etype_by_head else self._parse_slow
+        )
+        source = iter(lines)
         stats = ParseStats()
-        if self._etype_by_head:
-            self._parse_fast(lines, first_line_no, builder, stats)
-        else:
-            parse_one = self._parse_one
-            for line_no, raw in enumerate(lines, start=first_line_no):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                stats.total_lines += 1
-                parse_one(builder, stats, line_no, line)
-        log = builder.freeze()
+        logs: list[EventLog] = []
+        line_no = 1
+        while batch := tuple(islice(source, PARSE_CHUNK_LINES)):
+            builder = EventLogBuilder()
+            parse_batch(batch, line_no, builder, stats)
+            logs.append(builder.freeze())
+            line_no += len(batch)
+            # Release both before drawing the next: one batch resident.
+            del batch, builder
+        log = EventLog.concatenate(logs)
         if (
             self.error_budget is not None
             and stats.corrupt_fraction > self.error_budget
@@ -258,10 +265,27 @@ class ConsoleLogParser:
             )
         return log, stats
 
+    def _parse_slow(
+        self,
+        lines: Iterable[str],
+        start: int,
+        builder: EventLogBuilder,
+        stats: ParseStats,
+    ) -> None:
+        """Classify every line through :meth:`_parse_one` (``fast=False``
+        or a custom rule catalog)."""
+        parse_one = self._parse_one
+        for line_no, raw in enumerate(lines, start=start):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            stats.total_lines += 1
+            parse_one(builder, stats, line_no, line)
+
     def _parse_fast(
         self,
         lines: Iterable[str],
-        first_line_no: int,
+        start: int,
         builder: EventLogBuilder,
         stats: ParseStats,
     ) -> None:
@@ -307,7 +331,7 @@ class ConsoleLogParser:
         total = 0
         parsed = 0
         try:
-            for line_no, raw in enumerate(lines, start=first_line_no):
+            for line_no, raw in enumerate(lines, start=start):
                 line = raw.rstrip("\n")
                 if not line.strip():
                     continue

@@ -33,7 +33,6 @@ from repro.cache import (
     canonical_encode,
     canonical_json,
     dataset_key,
-    has_dataset,
     load_dataset,
     load_or_simulate,
     persist_dataset,
@@ -530,7 +529,7 @@ class TestPipeline:
 
     def test_cold_persists_all_layers(self, warm_store):
         store, _ = warm_store
-        assert has_dataset(store, SMOKE)
+        assert load_dataset(store, SMOKE) is not None
         dkey = dataset_key(SMOKE)
         assert all(key.startswith(dkey) for key in store.keys())
 
@@ -585,7 +584,6 @@ class TestPipeline:
         assert store.stats.corrupt_dropped == before + 1
         assert dataset.console_text == cold.console_text
         # ... and the recompute re-persisted the damaged layer.
-        assert has_dataset(store, SMOKE)
         assert load_dataset(store, SMOKE) is not None
 
     def test_modified_stream_never_persisted(self, warm_store):
@@ -614,7 +612,7 @@ class TestPipeline:
             ("trace", cold.trace, "pickle"),
         ):
             store.put(f"{dkey}/layer/{layer}", obj, kind)
-        assert not has_dataset(store, SMOKE)
+        assert not store.has(f"{dkey}/layer/console.manifest")
         assert load_dataset(store, SMOKE) is None
 
         _, warm = load_or_simulate(SMOKE, store)
@@ -676,7 +674,7 @@ class TestDegradationReuse:
         store = ArtifactStore(tmp_path)
         sc = Scenario.smoke(days=15.0, seed=11)
         curve_cold = run_degradation(sc, levels=(0.0, 0.01), store=store)
-        assert has_dataset(store, sc)
+        assert load_dataset(store, sc) is not None
         hits_before = store.stats.hits
         curve_warm = run_degradation(sc, levels=(0.0, 0.01), store=store)
         assert store.stats.hits > hits_before
@@ -695,8 +693,8 @@ class TestReplicaCache:
         sc = Scenario.smoke(days=15.0, seed=0)
         cold = run_replicas(sc, [5, 6], cache_dir=str(tmp_path))
         store = ArtifactStore(tmp_path)
-        assert has_dataset(store, sc.evolve(seed=5))
-        assert has_dataset(store, sc.evolve(seed=6))
+        assert load_dataset(store, sc.evolve(seed=5)) is not None
+        assert load_dataset(store, sc.evolve(seed=6)) is not None
         warm = run_replicas(sc, [5, 6], cache_dir=str(tmp_path))
         assert [r.statistics for r in cold] == [r.statistics for r in warm]
 

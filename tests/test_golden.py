@@ -7,11 +7,10 @@ is compared against the committed ``tests/golden/paper.json``:
 
 * **cold** — a store-less :class:`TitanStudy` straight off the session
   dataset;
-* **parallel** — ``figs_all(n_workers=2)`` fanning figure computation
-  out over spawned workers that warm-load the dataset from an artifact
-  store;
+* **store-backed** — ``figs_all()`` on a study attached to a freshly
+  persisted artifact store, writing every figure result into it;
 * **warm** — a fresh study whose dataset *and* figure results all come
-  back from the artifact store populated by the parallel run.
+  back from the artifact store populated by the store-backed run.
 
 All three must agree with the golden file on every figure digest
 (SHA-256 of the canonical ``float.hex`` encoding — bit-equality of
@@ -60,25 +59,23 @@ def cold_document(paper_dataset):
 
 
 @pytest.fixture(scope="module")
-def parallel_document(paper_dataset, golden_store):
-    """``figs_all(n_workers=2)`` over a freshly persisted store.
+def stored_document(paper_dataset, golden_store):
+    """``figs_all()`` over a freshly persisted store.
 
-    This both exercises the parallel fan-out (workers warm-load the
-    dataset by key) and populates the figure artifacts the warm run
-    reads back.
+    This populates the figure artifacts the warm run reads back.
     """
     persist_dataset(golden_store, paper_dataset)
     study = TitanStudy(paper_dataset, store=golden_store)
-    figs = study.figs_all(n_workers=2)
+    figs = study.figs_all()
     assert set(figs) == set(FIGURES)
     return golden_document(study)
 
 
 @pytest.fixture(scope="module")
-def warm_document(parallel_document, paper_dataset, golden_store):
+def warm_document(stored_document, paper_dataset, golden_store):
     """Everything — dataset layers and figures — read from the store."""
     cached = load_dataset(golden_store, paper_dataset.scenario)
-    assert cached is not None, "parallel run should have persisted layers"
+    assert cached is not None, "store-backed run should have persisted layers"
     assert cached.provenance == "cache"
     study = TitanStudy(cached, store=golden_store)
     doc = golden_document(study)
@@ -126,18 +123,18 @@ class TestAgainstGolden:
             + "\n(if intentional: --regen-golden and bump PIPELINE_EPOCH)"
         )
 
-    def test_parallel_matches_cold(self, cold_document, parallel_document):
-        assert golden_diff(cold_document, parallel_document) == []
+    def test_stored_matches_cold(self, cold_document, stored_document):
+        assert golden_diff(cold_document, stored_document) == []
 
     def test_warm_matches_cold(self, cold_document, warm_document):
         assert golden_diff(cold_document, warm_document) == []
 
     def test_documents_byte_identical(
-        self, cold_document, parallel_document, warm_document
+        self, cold_document, stored_document, warm_document
     ):
         """Stronger than golden_diff: the serialized JSON is identical."""
         cold = json.dumps(cold_document, sort_keys=True)
-        assert json.dumps(parallel_document, sort_keys=True) == cold
+        assert json.dumps(stored_document, sort_keys=True) == cold
         assert json.dumps(warm_document, sort_keys=True) == cold
 
 

@@ -28,7 +28,6 @@ from repro.telemetry.nvsmi_text import (
     parse_nvsmi_query,
     render_nvsmi_query,
 )
-from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.parser import ConsoleLogParser
 
 
@@ -330,43 +329,50 @@ class TestFastSlowEquivalence:
 
 
 class TestParallelParse:
-    """Chunked-parallel parsing must be observably identical to the
-    serial parser: same rows, stats, errors and quarantine contents.
-    ``chunk_lines=20`` forces real multi-batch sharding on test-sized
-    inputs."""
+    """A parse drained in many batches must be observably identical to
+    a one-batch parse: same rows, stats, errors and quarantine
+    contents.  Each test parses with the default batch size first, then
+    patches ``PARSE_CHUNK_LINES`` to 20 to force real multi-batch
+    parsing of test-sized inputs."""
 
-    def test_parallel_matches_serial(self, smoke_dataset, gpu_lines):
+    @staticmethod
+    def _batches_of_20(monkeypatch):
+        monkeypatch.setattr("repro.telemetry.parser.PARSE_CHUNK_LINES", 20)
+
+    def test_parallel_matches_serial(
+        self, smoke_dataset, gpu_lines, monkeypatch
+    ):
         lines = gpu_lines[:50] + ["@@garbage@@"] + gpu_lines[50:60]
-        serial_log, serial_stats = ConsoleLogParser(
-            smoke_dataset.machine
-        ).parse_lines(lines)
-        par_log, par_stats = parse_stream(
-            lines, smoke_dataset.machine, n_workers=2, chunk_lines=20
-        )
-        _assert_logs_equal(par_log, serial_log)
-        assert par_stats == serial_stats
+        parser = ConsoleLogParser(smoke_dataset.machine)
+        serial_log, serial_stats = parser.parse_lines(lines)
+        self._batches_of_20(monkeypatch)
+        batched_log, batched_stats = parser.parse_lines(lines)
+        _assert_logs_equal(batched_log, serial_log)
+        assert batched_stats == serial_stats
 
-    def test_torn_line_at_chunk_boundary(self, smoke_dataset, gpu_lines):
+    def test_torn_line_at_chunk_boundary(
+        self, smoke_dataset, gpu_lines, monkeypatch
+    ):
         # 40 lines in batches of 20 -> the batch boundary falls after
-        # index 19.  Tear the last line of the first chunk (a splice of two
-        # records, the classic torn-write shape): chunking must not
-        # change how the parser heals it, and the merged ParseStats
-        # must still partition the input.
+        # index 19.  Tear the last line of the first batch (a splice of
+        # two records, the classic torn-write shape): batching must not
+        # change how the parser heals it, and the ParseStats must still
+        # partition the input.
         base = gpu_lines[:40]
         lines = list(base)
         lines[19] = base[19][:25] + base[20]
-        serial_log, serial_stats = ConsoleLogParser(
-            smoke_dataset.machine
-        ).parse_lines(lines)
-        par_log, par_stats = parse_stream(
-            lines, smoke_dataset.machine, n_workers=2, chunk_lines=20
-        )
-        assert par_stats.resynced_lines == serial_stats.resynced_lines >= 1
-        assert par_stats.accounted == par_stats.total_lines == 40
-        _assert_logs_equal(par_log, serial_log)
-        assert par_stats == serial_stats
+        parser = ConsoleLogParser(smoke_dataset.machine)
+        serial_log, serial_stats = parser.parse_lines(lines)
+        self._batches_of_20(monkeypatch)
+        batched_log, batched_stats = parser.parse_lines(lines)
+        assert batched_stats.resynced_lines == serial_stats.resynced_lines >= 1
+        assert batched_stats.accounted == batched_stats.total_lines == 40
+        _assert_logs_equal(batched_log, serial_log)
+        assert batched_stats == serial_stats
 
-    def test_quarantine_merge_parity(self, smoke_dataset, gpu_lines):
+    def test_quarantine_merge_parity(
+        self, smoke_dataset, gpu_lines, monkeypatch
+    ):
         lines = []
         for i, line in enumerate(gpu_lines[:40]):
             lines.append(line)
@@ -376,55 +382,48 @@ class TestParallelParse:
         ConsoleLogParser(
             smoke_dataset.machine, quarantine=serial_sink
         ).parse_lines(lines)
-        par_sink = QuarantineSink(capacity=3)
-        parse_stream(
-            lines,
-            smoke_dataset.machine,
-            n_workers=2,
-            chunk_lines=20,
-            quarantine=par_sink,
-        )
-        assert par_sink.total == serial_sink.total
-        assert par_sink.counts == serial_sink.counts
-        assert par_sink.n_overflowed == serial_sink.n_overflowed
-        assert [r.line for r in par_sink.records] == [
+        self._batches_of_20(monkeypatch)
+        batched_sink = QuarantineSink(capacity=3)
+        ConsoleLogParser(
+            smoke_dataset.machine, quarantine=batched_sink
+        ).parse_lines(lines)
+        assert batched_sink.total == serial_sink.total
+        assert batched_sink.counts == serial_sink.counts
+        assert batched_sink.n_overflowed == serial_sink.n_overflowed
+        assert [r.line for r in batched_sink.records] == [
             r.line for r in serial_sink.records
         ]
 
-    def test_strict_raises_earliest_global_error(self, smoke_dataset, gpu_lines):
-        # Garbage in both chunks; the parallel strict error must carry
-        # the global line number of the *first* one, as a serial run
-        # would have raised.
+    def test_strict_raises_earliest_global_error(
+        self, smoke_dataset, gpu_lines, monkeypatch
+    ):
+        # Garbage in both batches; the batched strict error must carry
+        # the stream-wide line number of the *first* one, as a one-batch
+        # parse raises.
         lines = list(gpu_lines[:40])
         lines[25] = "@@late garbage@@"
         lines[4] = "@@early garbage@@"
+        parser = ConsoleLogParser(smoke_dataset.machine, strict=True)
         with pytest.raises(IngestionError) as serial_exc:
-            ConsoleLogParser(smoke_dataset.machine, strict=True).parse_lines(lines)
-        with pytest.raises(IngestionError) as par_exc:
-            parse_stream(
-                lines,
-                smoke_dataset.machine,
-                n_workers=2,
-                chunk_lines=20,
-                strict=True,
-            )
-        assert par_exc.value.line_no == serial_exc.value.line_no == 5
-        assert par_exc.value.category == serial_exc.value.category
+            parser.parse_lines(lines)
+        self._batches_of_20(monkeypatch)
+        with pytest.raises(IngestionError) as batched_exc:
+            parser.parse_lines(lines)
+        assert batched_exc.value.line_no == serial_exc.value.line_no == 5
+        assert batched_exc.value.category == serial_exc.value.category
 
-    def test_budget_evaluated_on_merged_stats(self, smoke_dataset, gpu_lines):
+    def test_budget_evaluated_on_merged_stats(
+        self, smoke_dataset, gpu_lines, monkeypatch
+    ):
+        # The first batch is clean and the second all corrupt: only the
+        # whole-stream fraction (0.5) decides against the 0.2 budget.
         lines = gpu_lines[:20] + ["@@corrupt@@"] * 20
+        parser = ConsoleLogParser(smoke_dataset.machine, error_budget=0.2)
         with pytest.raises(IngestionDegraded) as serial_exc:
-            ConsoleLogParser(
-                smoke_dataset.machine, error_budget=0.2
-            ).parse_lines(lines)
-        with pytest.raises(IngestionDegraded) as par_exc:
-            parse_stream(
-                lines,
-                smoke_dataset.machine,
-                n_workers=2,
-                chunk_lines=20,
-                error_budget=0.2,
-            )
-        assert par_exc.value.stats == serial_exc.value.stats
-        assert par_exc.value.fraction == serial_exc.value.fraction
-        _assert_logs_equal(par_exc.value.log, serial_exc.value.log)
+            parser.parse_lines(lines)
+        self._batches_of_20(monkeypatch)
+        with pytest.raises(IngestionDegraded) as batched_exc:
+            parser.parse_lines(lines)
+        assert batched_exc.value.stats == serial_exc.value.stats
+        assert batched_exc.value.fraction == serial_exc.value.fraction == 0.5
+        _assert_logs_equal(batched_exc.value.log, serial_exc.value.log)

@@ -7,12 +7,24 @@ instrumentation accumulates, and ``python -m repro profile`` surfaces
 the per-stage breakdown.
 """
 
+import dataclasses
 import json
 
 import pytest
 
 from repro import perf
+from repro.cache import ArtifactStore, load_dataset, persist_dataset
 from repro.perf.timers import _NULL_SPAN, PerfRegistry
+
+
+@pytest.fixture()
+def clean_perf():
+    """A disabled, empty module-level registry before and after."""
+    perf.disable()
+    perf.reset()
+    yield
+    perf.disable()
+    perf.reset()
 
 
 class TestRegistry:
@@ -85,15 +97,8 @@ class TestRegistry:
         assert reg.snapshot()["stages"]["a"]["calls"] == 1
 
 
+@pytest.mark.usefixtures("clean_perf")
 class TestModuleLevelRegistry:
-    @pytest.fixture(autouse=True)
-    def _clean_global(self):
-        perf.disable()
-        perf.reset()
-        yield
-        perf.disable()
-        perf.reset()
-
     def test_disabled_by_default(self):
         assert not perf.is_enabled()
         with perf.stage("idle"):
@@ -114,6 +119,35 @@ class TestModuleLevelRegistry:
         assert "after" not in snap["stages"]
 
 
+@pytest.mark.usefixtures("clean_perf")
+class TestConsoleTextBooking:
+    """``console_text`` books its time under the layer that did the work."""
+
+    @staticmethod
+    def _stages(dataset):
+        perf.enable()
+        dataset.console_text
+        perf.disable()
+        return perf.snapshot()["stages"]
+
+    def test_warm_load_books_cache_load(self, tmp_path, smoke_dataset):
+        store = ArtifactStore(tmp_path)
+        persist_dataset(store, smoke_dataset)
+        warm = load_dataset(store, smoke_dataset.scenario)
+        assert warm is not None and warm._console_text is None
+        stages = self._stages(warm)
+        assert list(stages) == ["cache.load"]
+        assert stages["cache.load"]["calls"] == 1
+        assert warm.console_text == smoke_dataset.console_text
+
+    def test_cold_render_books_telemetry_render(self, smoke_dataset):
+        cold = dataclasses.replace(smoke_dataset, _console_text=None)
+        stages = self._stages(cold)
+        assert list(stages) == ["telemetry.render"]
+        assert stages["telemetry.render"]["calls"] == 1
+        assert cold.console_text == smoke_dataset.console_text
+
+
 class TestProfileCli:
     def test_profile_smoke_json(self, capsys):
         from repro.cli import main
@@ -123,7 +157,6 @@ class TestProfileCli:
         )
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
-        assert doc["parse_workers"] == 0
         assert doc["wall_s"] > 0
         stages = doc["stages"]
         # The pipeline's load-bearing stages must all be present.

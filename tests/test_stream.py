@@ -28,7 +28,6 @@ from repro.cache.pipeline import (
     _console_shard_layer,
     _layer_key,
     dataset_key,
-    has_dataset,
     load_or_simulate,
 )
 from repro.stream import (
@@ -44,7 +43,6 @@ from repro.stream import (
 )
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
-from repro.telemetry.parallel_parse import parse_stream
 from repro.telemetry.ingestion import IngestionError
 from repro.telemetry.parser import ConsoleLogParser
 
@@ -56,6 +54,13 @@ def assert_logs_equal(a, b):
         np.testing.assert_array_equal(
             getattr(a, name), getattr(b, name), err_msg=f"column {name}"
         )
+
+
+def parse_in_batches(machine, lines, batch_lines, **kwargs):
+    """``ConsoleLogParser.parse_lines`` with ``batch_lines``-line batches."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.telemetry.parser.PARSE_CHUNK_LINES", batch_lines)
+        return ConsoleLogParser(machine, **kwargs).parse_lines(lines)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +145,9 @@ class TestShards:
         with pytest.raises(ShardCorruption):
             reassemble_text(tmp_path)
         with pytest.raises(ShardCorruption):
-            parse_stream(iter_shard_lines(tmp_path), smoke_dataset.machine)
+            ConsoleLogParser(smoke_dataset.machine).parse_lines(
+                iter_shard_lines(tmp_path)
+            )
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -162,24 +169,21 @@ class TestParseEquivalence:
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(
             console_lines
         )
-        chunked = parse_stream(
-            iter(console_lines), smoke_dataset.machine, chunk_lines=1000
+        chunked = parse_in_batches(
+            smoke_dataset.machine, iter(console_lines), 1000
         )
         assert_logs_equal(serial[0], chunked[0])
         assert serial[1] == chunked[1]
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("batch_lines", [1, 1024])
     def test_shard_parse_matches_serial(
-        self, tmp_path, smoke_dataset, console_lines, n_workers
+        self, tmp_path, smoke_dataset, console_lines, batch_lines
     ):
         lines = console_lines[:6000]
         write_shards(lines, tmp_path, max_lines_per_shard=1024)
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_stream(
-            iter_shard_lines(tmp_path),
-            smoke_dataset.machine,
-            n_workers=n_workers,
-            chunk_lines=1024,
+        sharded = parse_in_batches(
+            smoke_dataset.machine, iter_shard_lines(tmp_path), batch_lines
         )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
@@ -196,13 +200,14 @@ class TestParseEquivalence:
     def test_property_shard_round_trip(
         self, data, tmp_path_factory, smoke_dataset, console_lines
     ):
-        """Any line mix, any shard size: bytes and parse both identical.
+        """Any line mix, any shard and batch size: bytes and parse both
+        identical.
 
         Lines are drawn from real console records and printable
-        garbage; shard granularity spans the degenerate single-line
-        case.  The sharded parse must reproduce the serial parser's
-        log, statistics and quarantine verbatim, and the reassembled
-        bytes must equal the monolithic rendering.
+        garbage; shard and parse-batch granularity span the degenerate
+        single-line case.  The sharded, batched parse must reproduce
+        the one-batch parse's log and statistics verbatim, and the
+        reassembled bytes must equal the monolithic rendering.
         """
         pool = console_lines[:200]
         line = st.one_of(
@@ -216,6 +221,7 @@ class TestParseEquivalence:
         )
         lines = data.draw(st.lists(line, max_size=60))
         shard_size = data.draw(st.integers(min_value=1, max_value=50))
+        batch_lines = data.draw(st.integers(min_value=1, max_value=50))
         directory = tmp_path_factory.mktemp("prop-shards")
 
         manifest = write_shards(
@@ -226,8 +232,8 @@ class TestParseEquivalence:
         assert reassemble_text(directory) == expected_text
 
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        sharded = parse_stream(
-            iter_shard_lines(directory), smoke_dataset.machine
+        sharded = parse_in_batches(
+            smoke_dataset.machine, iter_shard_lines(directory), batch_lines
         )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
@@ -237,9 +243,7 @@ class TestParseEquivalence:
     ):
         lines = [gpu_record_lines[0]] * 5 + ["garbage GPU XID zzz"]
         with pytest.raises(IngestionError) as excinfo:
-            parse_stream(
-                iter(lines), smoke_dataset.machine, chunk_lines=2, strict=True
-            )
+            parse_in_batches(smoke_dataset.machine, iter(lines), 2, strict=True)
         assert excinfo.value.line_no == 6
 
 
@@ -294,9 +298,9 @@ class TestSeamRecovery:
         a, b = gpu_record_lines
         lines = [a, b, a + b, b, a]
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
-        for chunk_lines in (1, 2, 3):
-            chunked = parse_stream(
-                iter(lines), smoke_dataset.machine, chunk_lines=chunk_lines
+        for batch_lines in (1, 2, 3):
+            chunked = parse_in_batches(
+                smoke_dataset.machine, iter(lines), batch_lines
             )
             assert_logs_equal(serial[0], chunked[0])
             assert serial[1] == chunked[1]
@@ -360,7 +364,6 @@ class TestShardedCacheLayer:
         for shard in manifest.shards:
             assert store.has(_layer_key(dkey, shard.name))
         assert not store.has(_layer_key(dkey, "console"))
-        assert has_dataset(store, smoke_dataset.scenario)
 
         cached = load_dataset(store, smoke_dataset.scenario)
         assert cached is not None
@@ -391,17 +394,16 @@ class TestShardedCacheLayer:
         assert reloaded is not None
         assert reloaded.console_text == smoke_dataset.console_text
 
-    def test_missing_shard_fails_the_probe(
+    def test_missing_shard_fails_the_load(
         self, store, smoke_dataset, small_shards
     ):
         """Shard keys sort before the manifest, so an LRU evict can drop
-        a shard and keep every layer: the probe must see it."""
+        a shard and keep every layer: the load must see it."""
         persist_dataset(store, smoke_dataset)
         dkey = dataset_key(smoke_dataset.scenario)
         manifest = self._manifest(store, dkey)
         assert store.delete(_layer_key(dkey, manifest.shards[1].name))
         assert store.has(_layer_key(dkey, _CONSOLE_MANIFEST_LAYER))
-        assert not has_dataset(store, smoke_dataset.scenario)
         assert load_dataset(store, smoke_dataset.scenario) is None
 
     def test_cold_persist_renders_once(

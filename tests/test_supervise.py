@@ -7,8 +7,8 @@ Three layers, matching how the machinery fails in the field:
   torn-tail truncation), the fault plans and the graceful-shutdown
   guard — all in-process and cheap;
 * in-process runner tests: cold == resume byte-identity, corrupt
-  artifacts recomputed, explicit run-id mismatches refused, parallel
-  parity;
+  artifacts recomputed, explicit run-id mismatches refused, run
+  listing;
 * subprocess tests: a real ``python -m repro run`` SIGINT/SIGTERMed
   mid-flight (exit 130/143, valid journal, no staging debris, clean
   resume) and a small ``chaos-run`` sweep — SIGKILL, torn write and
@@ -403,14 +403,25 @@ class TestRunner:
         assert not report.resumed
         assert report.document_sha256
 
-    def test_parallel_run_matches_serial(self, tmp_path):
+    def test_list_runs_skips_sweep_journals(self, tmp_path):
+        # A finished sweep journals into the same runs/ directory but
+        # ends with sweep_end, never run_end: it is not a run.
+        from repro.sweep import SweepSpec, run_sweep, sweep_status
+
         scenario = _tiny_scenario()
-        serial = run_study(scenario, ArtifactStore(tmp_path / "a"))
-        parallel = run_study(
-            scenario, ArtifactStore(tmp_path / "b"), n_workers=2,
-            chunk_timeout_s=300.0,
+        store = ArtifactStore(tmp_path / "cache")
+        run_study(scenario, store)
+        spec = SweepSpec(
+            name="listed", base="smoke", seed=scenario.seed, days=3.0
         )
-        assert parallel.document_sha256 == serial.document_sha256
+        sweep = run_sweep(spec, store)
+        assert sweep_status(spec, store).complete
+        assert Path(sweep.journal_path).parent == (
+            journal_path(store, run_id_for(scenario)).parent
+        )
+        runs = list_runs(store)
+        assert [r.run_id for r in runs] == [run_id_for(scenario)]
+        assert runs[0].complete
 
     def test_interrupt_checked_at_barrier(self, tmp_path, monkeypatch):
         # Deliver SIGTERM before the run starts: the first barrier
