@@ -48,7 +48,7 @@ PIPELINE_EPOCH: int = 1
 
 #: Digest of the public API surface (function/class signatures) of the
 #: deterministic pipeline modules (sim, faults, workload, telemetry,
-#: chaos, cache, stream).  ``repro lint`` rule RL103 recomputes this and fails
+#: chaos, cache).  ``repro lint`` rule RL103 recomputes this and fails
 #: when the surface drifts without this constant — and, by policy,
 #: :data:`PIPELINE_EPOCH` — being revisited.  Regenerate with::
 #:
@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "bb978f509de3dc8b"
+PIPELINE_SURFACE: str = "e32f55e05a5a203e"
 
 
 def canonical_encode(obj: Any) -> Any:

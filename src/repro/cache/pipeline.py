@@ -30,7 +30,8 @@ Shards are written first and the manifest last, so a crash mid-persist
 leaves no manifest and the layer reads as absent.  No step holds the
 whole console log as one string, and a dataset persisted before it is
 parsed is parsed from the same pass that writes its shards, so the log
-is rendered once.
+is rendered once.  The store is the only writer and the only reader of
+console shards.
 
 :func:`load_or_simulate` rebuilds a dataset from these layers —
 skipping simulation, console rendering *and* parsing — or
@@ -52,7 +53,8 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from dataclasses import dataclass
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro import perf
@@ -63,12 +65,6 @@ from repro.sim.simulation import (
     SimulationDataset,
     TitanSimulation,
 )
-from repro.stream.shards import (
-    ShardCorruption,
-    ShardInfo,
-    ShardManifest,
-    iter_shard_payloads,
-)
 from repro.topology.machine import TitanMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -76,11 +72,23 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "DATASET_LAYERS",
+    "DEFAULT_SHARD_LINES",
     "GroundTruthUnavailable",
+    "ShardCorruption",
+    "ShardInfo",
+    "ShardManifest",
     "persist_dataset",
     "load_dataset",
     "load_or_simulate",
 ]
+
+#: Console lines per shard; ~100k lines is a few MB of text — large
+#: enough to amortize per-shard overhead, small enough that one
+#: resident shard never dominates peak RSS.
+DEFAULT_SHARD_LINES: int = 100_000
+
+#: Console manifest schema version.
+_MANIFEST_VERSION: int = 1
 
 #: Layer name of the console shard manifest.
 _CONSOLE_MANIFEST_LAYER = "console.manifest"
@@ -96,6 +104,67 @@ DATASET_LAYERS: tuple[tuple[str, str], ...] = (
 )
 
 
+class ShardCorruption(ValueError):
+    """A console shard failed validation against its manifest."""
+
+
+@dataclass(frozen=True)
+class ShardInfo:
+    """One shard's identity: name, line count, size and payload digest."""
+
+    name: str
+    lines: int
+    nbytes: int
+    sha256: str
+
+    def to_doc(self) -> dict[str, object]:
+        return {
+            "name": self.name,
+            "lines": self.lines,
+            "nbytes": self.nbytes,
+            "sha256": self.sha256,
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "ShardInfo":
+        return cls(
+            name=str(doc["name"]),
+            lines=int(doc["lines"]),
+            nbytes=int(doc["nbytes"]),
+            sha256=str(doc["sha256"]),
+        )
+
+
+@dataclass(frozen=True)
+class ShardManifest:
+    """The ordered shard list of one persisted console log."""
+
+    total_lines: int
+    total_bytes: int
+    shards: tuple[ShardInfo, ...]
+
+    def to_doc(self) -> dict[str, object]:
+        return {
+            "version": _MANIFEST_VERSION,
+            "total_lines": self.total_lines,
+            "total_bytes": self.total_bytes,
+            "shards": [s.to_doc() for s in self.shards],
+        }
+
+    @classmethod
+    def from_doc(cls, doc: Any) -> "ShardManifest":
+        if not isinstance(doc, dict):
+            raise ShardCorruption("console manifest is not an object")
+        version = int(doc.get("version", -1))
+        if version != _MANIFEST_VERSION:
+            raise ShardCorruption(f"unsupported manifest version {version}")
+        return cls(
+            total_lines=int(doc["total_lines"]),
+            total_bytes=int(doc["total_bytes"]),
+            shards=tuple(ShardInfo.from_doc(s) for s in doc["shards"]),
+        )
+
+
 def _layer_key(dkey: str, layer: str) -> str:
     return f"{dkey}/layer/{layer}"
 
@@ -109,22 +178,29 @@ def _put_console_shards(
 ) -> Iterator[str]:
     """Write ``lines`` as console shard artifacts, one at a time.
 
-    Yields each shard's payload text once it is stored and its
+    Each shard is the newline-terminated join of up to
+    :data:`DEFAULT_SHARD_LINES` whole lines, so the payloads concatenate
+    to the rendered log byte for byte; one shard's lines are resident
+    at a time.  Yields each payload once it is stored and its
     :class:`ShardInfo` is appended to ``shards``; the manifest is the
     caller's to write once the iterator is exhausted.
     """
-    for n_lines, text in iter_shard_payloads(lines):
+    source = iter(lines)
+    while batch := tuple(islice(source, DEFAULT_SHARD_LINES)):
+        text = "\n".join(batch) + "\n"
         payload = text.encode("utf-8")
         name = _console_shard_layer(len(shards))
         store.put(_layer_key(dkey, name), text, "text")
         shards.append(
             ShardInfo(
                 name=name,
-                lines=n_lines,
+                lines=len(batch),
                 nbytes=len(payload),
                 sha256=hashlib.sha256(payload).hexdigest(),
             )
         )
+        # Only the joined text stays resident while the consumer runs.
+        del batch, payload
         yield text
 
 
@@ -220,14 +296,17 @@ def _console_shard_source(
 
     Every shard is decoded (store checksums) and its payload
     re-digested against the manifest, one shard resident at a time.
-    Any missing or drifted shard degrades to a miss (``None``), and
-    the caller recomputes.  The returned source re-reads the shard
-    payloads through the checksummed ``store.get`` on every call.
+    Any missing, misnamed or drifted shard degrades to a miss
+    (``None``), and the caller recomputes.  The returned source
+    re-reads the shard payloads through the checksummed ``store.get``
+    on every call.
     """
     manifest = _console_manifest(doc)
     if manifest is None:
         return None
-    for shard in manifest.shards:
+    for index, shard in enumerate(manifest.shards):
+        if shard.name != _console_shard_layer(index):
+            return None
         payload = store.get(_layer_key(dkey, shard.name))
         if not isinstance(payload, str):
             return None

@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a scenario, dump artifacts")
     _add_common(p_sim)
     p_sim.add_argument("--log-out", type=Path, default=Path("console.log"))
-    p_sim.add_argument("--log-shards", type=Path, default=None,
-                       help="write the console log as whole-line shards + "
-                            "manifest into this directory instead of "
-                            "--log-out (bounded memory at any scale)")
     p_sim.add_argument("--nvsmi-out", type=Path, default=None,
                        help="also write the fleet nvidia-smi table (CSV)")
     p_sim.add_argument("--chaos-rate", type=float, default=0.0,
@@ -225,17 +221,12 @@ def cmd_simulate(args) -> int:
         dataset = dataset.with_console_text(result.text)
         print(f"chaos: corrupted {result.total_corrupted:,} of "
               f"{result.n_lines_in:,} lines at rate {args.chaos_rate}")
-    if args.log_shards is not None:
-        from repro.stream.shards import write_shards
-
-        manifest = write_shards(dataset.console_lines(), args.log_shards)
-        print(f"wrote {args.log_shards} ({len(manifest.shards)} shards, "
-              f"{manifest.total_lines:,} lines)")
-    else:
-        text = dataset.console_text
-        args.log_out.write_text(text)
-        print(f"wrote {args.log_out} "
-              f"({text.count(chr(10)):,} lines)")
+    n_lines = 0
+    with args.log_out.open("w", encoding="utf-8") as fh:
+        for line in dataset.console_lines():
+            fh.write(line + "\n")
+            n_lines += 1
+    print(f"wrote {args.log_out} ({n_lines:,} lines)")
     if args.nvsmi_out is not None:
         from repro.viz.csvout import write_rows_csv
 

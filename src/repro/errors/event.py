@@ -218,10 +218,9 @@ class EventLogBuilder:
     builder's peak footprint is one chunk of lists plus the (much
     denser) numpy chunks — the cascade fan-out at machine scale never
     holds millions of boxed Python ints.  Spooling is invisible to
-    callers: row indices returned by :meth:`add`/:meth:`append_raw`
-    stay global, ``len`` counts all rows, and :meth:`freeze`
-    concatenates chunks in order, producing arrays bit-identical to an
-    unspooled build.
+    callers: row indices returned by :meth:`add` stay global, ``len``
+    counts all rows, and :meth:`freeze` concatenates chunks in order,
+    producing arrays bit-identical to an unspooled build.
     """
 
     def __init__(self, *, spool_rows: int | None = None) -> None:
@@ -285,45 +284,15 @@ class EventLogBuilder:
         self._maybe_spool()
         return index
 
-    def append_raw(
-        self,
-        time: float,
-        gpu: int,
-        etype_code: int,
-        structure_code: int = -1,
-        job: int = -1,
-        aux: int = -1,
-        parent: int = -1,
-    ) -> int:
-        """Trusted-type fast append (parser hot path).
-
-        Like :meth:`add` but takes the already-encoded column values —
-        no enum/structure lookups, no defensive conversions.  Callers
-        own the invariants (``etype_code``/``structure_code`` valid,
-        ints actually ints); the telemetry parser's fast path is the
-        intended user.
-        """
-        rows = self._rows
-        rows["time"].append(time)
-        rows["gpu"].append(gpu)
-        rows["etype"].append(etype_code)
-        rows["structure"].append(structure_code)
-        rows["job"].append(job)
-        rows["parent"].append(parent)
-        rows["aux"].append(aux)
-        index = self._frozen_rows + len(rows["time"]) - 1
-        self._maybe_spool()
-        return index
-
     def raw_columns(self) -> dict[str, list]:
         """The live column lists, for trusted bulk appenders.
 
         The parser's hot loop binds each column's ``append`` once and
-        pushes already-encoded values directly, skipping the per-call
-        overhead of :meth:`append_raw`.  Callers own the invariant that
-        every column receives the same number of values.  Raw appends
-        bypass the spool check — streaming consumers bound memory by
-        chunking their *input* instead (see
+        pushes already-encoded values directly, skipping the per-event
+        lookups and conversions of :meth:`add`.  Callers own the
+        invariant that every column receives the same number of values.
+        Raw appends bypass the spool check — streaming consumers bound
+        memory by chunking their *input* instead (see
         :meth:`repro.telemetry.parser.ConsoleLogParser.parse_lines`).
         """
         return self._rows
@@ -363,39 +332,15 @@ class EventLogBuilder:
         """Adopt an already-frozen log as the next rows, zero-copy.
 
         The log's columns become a builder chunk directly (no list
-        round-trip); its ``parent`` indices are kept verbatim, so —
-        exactly as with :meth:`extend_unsorted` — they stay valid only
-        if the log's rows land at their original offsets (extend into
-        an empty builder) or parents are treated as opaque.
+        round-trip); its ``parent`` indices are kept verbatim, so they
+        stay valid only if the log's rows land at their original offsets
+        (extend into an empty builder) or parents are treated as opaque.
         """
         if len(log) == 0:
             return
         self._spool()  # preserve ordering of any pending list rows
         self._chunks.append(log)
         self._frozen_rows += len(log)
-
-    def extend_unsorted(self, log: EventLog) -> None:
-        """Bulk-append every row of ``log``, values and order preserved.
-
-        This is the bulk counterpart of re-adding a log row by row
-        (which costs one Python call plus per-field conversions per
-        event): all seven columns are extended in one shot.  ``parent``
-        indices are copied verbatim, so they stay valid only if
-        ``log``'s rows land at the same offsets — i.e. extend into an
-        empty builder (the cascade re-add) or treat parents as opaque.
-        No ordering is maintained; finalize with one
-        ``freeze().sorted_by_time()`` instead of keeping the rows
-        sorted incrementally.
-        """
-        rows = self._rows
-        rows["time"].extend(log.time.tolist())
-        rows["gpu"].extend(log.gpu.tolist())
-        rows["etype"].extend(log.etype.tolist())
-        rows["structure"].extend(log.structure.tolist())
-        rows["job"].extend(log.job.tolist())
-        rows["parent"].extend(log.parent.tolist())
-        rows["aux"].extend(log.aux.tolist())
-        self._maybe_spool()
 
     def add_many(
         self,

@@ -148,7 +148,7 @@ _WALL_CLOCK_CALLS: frozenset[str] = frozenset(
 #: the artifact store would break the content-address contract (same
 #: inputs ⇒ same bytes) that the golden-trace suite enforces.
 _DETERMINISTIC_DIRS: frozenset[str] = frozenset(
-    {"sim", "faults", "workload", "telemetry", "chaos", "cache", "stream"}
+    {"sim", "faults", "workload", "telemetry", "chaos", "cache"}
 )
 
 

@@ -19,22 +19,16 @@ import time as _time_module
 
 import pytest
 
+from repro.lint.rules import _DETERMINISTIC_DIRS
 from repro.sim import Scenario, default_dataset
 
-#: Package prefixes that must stay a pure function of (scenario, seed) —
-#: keep in sync with repro.lint.rules._DETERMINISTIC_DIRS.
-_DETERMINISTIC_PREFIXES = (
-    "repro.sim",
-    "repro.faults",
-    "repro.workload",
-    "repro.telemetry",
-    "repro.chaos",
-    "repro.cache",
-    "repro.stream",
+#: Package prefixes that must stay a pure function of (scenario, seed).
+_DETERMINISTIC_PREFIXES = tuple(
+    f"repro.{d}" for d in sorted(_DETERMINISTIC_DIRS)
 )
 
 _DETERMINISTIC_PATH_PARTS = tuple(
-    f"/repro/{p.split('.', 1)[1]}/" for p in _DETERMINISTIC_PREFIXES
+    f"/repro/{d}/" for d in sorted(_DETERMINISTIC_DIRS)
 )
 
 

@@ -71,6 +71,36 @@ class TestCommands:
         header = nvsmi.read_text().splitlines()[0]
         assert header == "slot,sbe,dbe,retired_pages,temp_c"
 
+    def test_log_out_is_the_rendered_log(self, tmp_path, capsys):
+        """Cold, first-cached and warm exports are the rendered log byte
+        for byte; a chaos export is the injector's corruption of it."""
+        from repro.chaos import ChaosConfig, CorruptionInjector
+        from repro.sim import Scenario, TitanSimulation
+        from repro.telemetry.console import ConsoleLogWriter
+
+        dataset = TitanSimulation(Scenario.smoke(seed=77, days=10)).run()
+        text = ConsoleLogWriter(dataset.machine).to_text(
+            dataset.injection.events
+        )
+        args = ["simulate", "--days", "10", "--seed", "77"]
+        store = str(tmp_path / "store")
+        for name, extra in (
+            ("cold.log", ["--no-cache"]),
+            ("first.log", ["--cache-dir", store]),
+            ("warm.log", ["--cache-dir", store]),
+        ):
+            log = tmp_path / name
+            assert main([*args, *extra, "--log-out", str(log)]) == 0
+            assert log.read_bytes() == text.encode()
+        out = capsys.readouterr().out
+        assert "cache: miss" in out and "cache: hit (warm)" in out
+
+        chaos = tmp_path / "chaos.log"
+        assert main([*args, "--no-cache", "--chaos-rate", "0.02",
+                     "--log-out", str(chaos)]) == 0
+        injector = CorruptionInjector(ChaosConfig.uniform(0.02), seed=77)
+        assert chaos.read_bytes() == injector.corrupt_text(text).text.encode()
+
     def test_figures_prints_tables(self, tmp_path, capsys):
         rc = main(["figures", *self.ARGS, "--outdir", str(tmp_path)])
         assert rc == 0

@@ -28,6 +28,7 @@ from repro.lint import (
     resolve_selection,
 )
 from repro.lint.engine import PARSE_ERROR_CODE, iter_python_files
+from repro.lint.rules import _DETERMINISTIC_DIRS
 
 
 def codes(findings):
@@ -686,9 +687,7 @@ class TestRL102:
 
 
 class TestRL103:
-    DET_DIRS = (
-        "sim", "faults", "workload", "telemetry", "chaos", "cache", "stream"
-    )
+    DET_DIRS = tuple(sorted(_DETERMINISTIC_DIRS))
 
     def _tree(self, tmp_path: Path, surface_line: str | None) -> Path:
         for d in self.DET_DIRS:
@@ -756,7 +755,12 @@ class TestRL103:
     def test_repo_surface_digest_is_current(self):
         # The committed PIPELINE_SURFACE matches the live tree; when this
         # fails, decide on a PIPELINE_EPOCH bump and re-record the digest.
-        result = lint_paths([_package_root()], select="RL103")
+        # A missing deterministic directory would make the rule skip
+        # itself as a partial lint, so every one must exist.
+        root = _package_root()
+        for d in self.DET_DIRS:
+            assert (root / d).is_dir(), f"no deterministic dir {d}/"
+        result = lint_paths([root], select="RL103")
         assert result.findings == ()
 
 

@@ -1,18 +1,18 @@
 """The streamed telemetry pipeline: shards, batched parse, cache layers.
 
 Everything here guards one contract: streaming is a *memory*
-optimization, never a semantic one.  Sharded renderings reassemble
-byte-identical to the whole text, batched parses of line streams and
-shard directories reproduce the serial parser's log, statistics and
-quarantine exactly, the sharded console cache layer round-trips under
-the dataset key, and a paper run whose console text is never
-materialized reproduces the committed golden digests bit for bit.  The
-bugfix satellites ride along: LRU eviction, the coverage edge clamp,
-fused-record seam recovery and the half-up fleet rounding.
+optimization, never a semantic one.  The console shards the artifact
+store writes concatenate byte-identical to the whole text, batched
+parses of line streams and of stored shards reproduce the serial
+parser's log, statistics and quarantine exactly, the sharded console
+cache layer round-trips under the dataset key (and any damaged or
+foreign manifest reads as a miss), and a paper run whose console text
+is never materialized reproduces the committed golden digests bit for
+bit.  The bugfix satellites ride along: LRU eviction, the coverage
+edge clamp, fused-record seam recovery and the half-up fleet rounding.
 """
 
 import dataclasses
-import functools
 import json
 import os
 from pathlib import Path
@@ -25,21 +25,14 @@ from hypothesis import strategies as st
 from repro.cache import ArtifactStore, load_dataset, persist_dataset
 from repro.cache.pipeline import (
     _CONSOLE_MANIFEST_LAYER,
-    _console_shard_layer,
-    _layer_key,
-    dataset_key,
-    load_or_simulate,
-)
-from repro.stream import (
-    MANIFEST_NAME,
     ShardCorruption,
     ShardManifest,
-    iter_shard_lines,
-    iter_shard_payloads,
-    read_manifest,
-    reassemble_text,
-    verify_shards,
-    write_shards,
+    _console_shard_layer,
+    _console_shard_source,
+    _layer_key,
+    _put_console_shards,
+    dataset_key,
+    load_or_simulate,
 )
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
@@ -47,6 +40,9 @@ from repro.telemetry.ingestion import IngestionError
 from repro.telemetry.parser import ConsoleLogParser
 
 _COLUMNS = ("time", "gpu", "etype", "structure", "job", "parent", "aux")
+
+#: Dataset key the shard-mechanics tests store their shards under.
+DKEY = "shardtest"
 
 
 def assert_logs_equal(a, b):
@@ -61,6 +57,41 @@ def parse_in_batches(machine, lines, batch_lines, **kwargs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.telemetry.parser.PARSE_CHUNK_LINES", batch_lines)
         return ConsoleLogParser(machine, **kwargs).parse_lines(lines)
+
+
+def put_shards(store, lines, shard_lines):
+    """Store ``lines`` as console shards of ``shard_lines`` lines each.
+
+    Returns the manifest the persist would write and the payloads the
+    writer yielded.
+    """
+    shards = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.cache.pipeline.DEFAULT_SHARD_LINES", shard_lines)
+        payloads = list(_put_console_shards(store, DKEY, lines, shards))
+    manifest = ShardManifest(
+        total_lines=sum(s.lines for s in shards),
+        total_bytes=sum(s.nbytes for s in shards),
+        shards=tuple(shards),
+    )
+    return manifest, payloads
+
+
+def load_shards(store, manifest):
+    """The verified shard source a warm load builds, or ``None``."""
+    return _console_shard_source(store, DKEY, manifest.to_doc())
+
+
+def stored_lines(store, manifest):
+    """Every line of the stored shards, read back as a warm load does."""
+    source = load_shards(store, manifest)
+    assert source is not None
+    return [line for payload in source() for line in payload.splitlines()]
+
+
+@pytest.fixture()
+def store(tmp_path):
+    return ArtifactStore(tmp_path / "store")
 
 
 @pytest.fixture(scope="module")
@@ -84,79 +115,60 @@ def gpu_record_lines(smoke_dataset, console_lines):
 
 
 # ---------------------------------------------------------------------------
-# Shard round-trip mechanics
+# Console shard mechanics
 # ---------------------------------------------------------------------------
 
 
 class TestShards:
-    def test_empty_stream(self, tmp_path):
-        manifest = write_shards([], tmp_path)
+    def test_empty_stream(self, store):
+        manifest, payloads = put_shards(store, [], 4)
         assert manifest.total_lines == 0
         assert manifest.shards == ()
-        assert (tmp_path / MANIFEST_NAME).exists()
-        assert reassemble_text(tmp_path) == ""
-        assert list(iter_shard_lines(tmp_path)) == []
+        assert payloads == []
+        assert stored_lines(store, manifest) == []
 
-    def test_single_line_shards(self, tmp_path):
-        manifest = write_shards(
-            ["a", "bb", "ccc"], tmp_path, max_lines_per_shard=1
-        )
+    def test_single_line_shards(self, store):
+        manifest, payloads = put_shards(store, iter(["a", "bb", "ccc"]), 1)
         assert [s.lines for s in manifest.shards] == [1, 1, 1]
-        assert reassemble_text(tmp_path) == "a\nbb\nccc\n"
-        assert list(iter_shard_lines(tmp_path)) == ["a", "bb", "ccc"]
+        assert [s.name for s in manifest.shards] == [
+            _console_shard_layer(i) for i in range(3)
+        ]
+        assert payloads == ["a\n", "bb\n", "ccc\n"]
+        assert stored_lines(store, manifest) == ["a", "bb", "ccc"]
 
-    def test_manifest_round_trip(self, tmp_path):
-        written = write_shards(
-            [f"line {i}" for i in range(10)], tmp_path, max_lines_per_shard=4
+    def test_manifest_round_trip(self, store):
+        lines = [f"line {i}" for i in range(10)]
+        manifest, payloads = put_shards(store, lines, 4)
+        assert ShardManifest.from_doc(manifest.to_doc()) == manifest
+        assert manifest.total_lines == 10
+        assert [s.lines for s in manifest.shards] == [4, 4, 2]
+        assert payloads[-1] == "line 8\nline 9\n"
+        assert manifest.total_bytes == len("".join(payloads))
+        assert stored_lines(store, manifest) == lines
+
+    def test_torn_final_shard_detected(self, store, smoke_dataset):
+        lines = [f"line {i}" for i in range(8)]
+
+        def tear_last_shard(manifest):
+            key = _layer_key(DKEY, manifest.shards[-1].name)
+            victim = store._path(key)
+            victim.write_bytes(victim.read_bytes()[:-3])
+
+        manifest, _ = put_shards(store, lines, 4)
+        tear_last_shard(manifest)
+        assert load_shards(store, manifest) is None  # torn before the load
+
+        manifest, _ = put_shards(store, lines, 4)
+        source = load_shards(store, manifest)
+        assert source is not None
+        tear_last_shard(manifest)  # torn after the load
+        loaded = dataclasses.replace(
+            smoke_dataset, _console_text=None, _console_shards=source
         )
-        assert read_manifest(tmp_path) == written
-        assert written.total_lines == 10
-        assert [s.lines for s in written.shards] == [4, 4, 2]
-        assert verify_shards(tmp_path) == []
-
-    def test_payload_chunking_preserves_lines(self):
-        chunks = list(
-            iter_shard_payloads(iter(["x", "y", "z"]), max_lines_per_shard=2)
-        )
-        assert chunks == [(2, "x\ny\n"), (1, "z\n")]
-
-    def test_invalid_shard_size(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_shards(["a"], tmp_path, max_lines_per_shard=0)
-
-    def test_garbled_shard_detected(self, tmp_path):
-        manifest = write_shards(
-            [f"line {i}" for i in range(8)], tmp_path, max_lines_per_shard=4
-        )
-        victim = tmp_path / manifest.shards[1].name
-        payload = bytearray(victim.read_bytes())
-        payload[0] ^= 0xFF
-        victim.write_bytes(bytes(payload))
-        assert verify_shards(tmp_path) == [manifest.shards[1].name]
-        with pytest.raises(ShardCorruption):
-            list(iter_shard_lines(tmp_path))
-
-    def test_torn_final_shard_detected(self, tmp_path, smoke_dataset):
-        manifest = write_shards(
-            [f"line {i}" for i in range(8)], tmp_path, max_lines_per_shard=4
-        )
-        victim = tmp_path / manifest.shards[-1].name
-        victim.write_bytes(victim.read_bytes()[:-3])
-        with pytest.raises(ShardCorruption):
-            reassemble_text(tmp_path)
         with pytest.raises(ShardCorruption):
             ConsoleLogParser(smoke_dataset.machine).parse_lines(
-                iter_shard_lines(tmp_path)
+                loaded.console_lines()
             )
-
-    def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            read_manifest(tmp_path)
-
-    def test_unreadable_manifest(self, tmp_path):
-        (tmp_path / MANIFEST_NAME).write_text("not json {")
-        with pytest.raises(ShardCorruption):
-            read_manifest(tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +189,15 @@ class TestParseEquivalence:
 
     @pytest.mark.parametrize("batch_lines", [1, 1024])
     def test_shard_parse_matches_serial(
-        self, tmp_path, smoke_dataset, console_lines, batch_lines
+        self, store, smoke_dataset, console_lines, batch_lines
     ):
         lines = console_lines[:6000]
-        write_shards(lines, tmp_path, max_lines_per_shard=1024)
+        manifest, _ = put_shards(store, lines, 1024)
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
         sharded = parse_in_batches(
-            smoke_dataset.machine, iter_shard_lines(tmp_path), batch_lines
+            smoke_dataset.machine,
+            iter(stored_lines(store, manifest)),
+            batch_lines,
         )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
@@ -207,7 +221,7 @@ class TestParseEquivalence:
         garbage; shard and parse-batch granularity span the degenerate
         single-line case.  The sharded, batched parse must reproduce
         the one-batch parse's log and statistics verbatim, and the
-        reassembled bytes must equal the monolithic rendering.
+        stored shards must concatenate to the monolithic rendering.
         """
         pool = console_lines[:200]
         line = st.one_of(
@@ -222,18 +236,18 @@ class TestParseEquivalence:
         lines = data.draw(st.lists(line, max_size=60))
         shard_size = data.draw(st.integers(min_value=1, max_value=50))
         batch_lines = data.draw(st.integers(min_value=1, max_value=50))
-        directory = tmp_path_factory.mktemp("prop-shards")
+        store = ArtifactStore(tmp_path_factory.mktemp("prop-shards"))
 
-        manifest = write_shards(
-            lines, directory, max_lines_per_shard=shard_size
-        )
+        manifest, _ = put_shards(store, lines, shard_size)
         assert manifest.total_lines == len(lines)
         expected_text = "\n".join(lines) + "\n" if lines else ""
-        assert reassemble_text(directory) == expected_text
+        assert "".join(load_shards(store, manifest)()) == expected_text
 
         serial = ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
         sharded = parse_in_batches(
-            smoke_dataset.machine, iter_shard_lines(directory), batch_lines
+            smoke_dataset.machine,
+            iter(stored_lines(store, manifest)),
+            batch_lines,
         )
         assert_logs_equal(serial[0], sharded[0])
         assert serial[1] == sharded[1]
@@ -269,15 +283,12 @@ class TestSeamRecovery:
         assert_logs_equal(log, reference)
 
     def test_lost_newline_at_shard_boundary(
-        self, tmp_path, smoke_dataset, console_lines
+        self, store, smoke_dataset, console_lines
     ):
         """Reassembling shards whose boundary newline was dropped must
         not lose the two records it fuses."""
         lines = console_lines[:400]
-        manifest = write_shards(lines, tmp_path, max_lines_per_shard=200)
-        payloads = [
-            (tmp_path / shard.name).read_text() for shard in manifest.shards
-        ]
+        _, payloads = put_shards(store, lines, 200)
         assert len(payloads) == 2
         fused_text = payloads[0][:-1] + payloads[1]  # newline torn at the seam
         fused_lines = fused_text.splitlines()
@@ -337,16 +348,9 @@ class TestStreamedSimulation:
 
 class TestShardedCacheLayer:
     @pytest.fixture()
-    def store(self, tmp_path):
-        return ArtifactStore(tmp_path / "store")
-
-    @pytest.fixture()
     def small_shards(self, monkeypatch):
         """Persist the smoke log's ~53k lines as several shards."""
-        monkeypatch.setattr(
-            "repro.cache.pipeline.iter_shard_payloads",
-            functools.partial(iter_shard_payloads, max_lines_per_shard=10_000),
-        )
+        monkeypatch.setattr("repro.cache.pipeline.DEFAULT_SHARD_LINES", 10_000)
 
     @staticmethod
     def _manifest(store, dkey):
@@ -393,6 +397,44 @@ class TestShardedCacheLayer:
         reloaded = load_dataset(store, smoke_dataset.scenario)
         assert reloaded is not None
         assert reloaded.console_text == smoke_dataset.console_text
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda doc: [1, 2, 3],
+            lambda doc: "console.000000",
+            lambda doc: {**doc, "version": 99},
+            lambda doc: {k: v for k, v in doc.items() if k != "shards"},
+        ],
+        ids=["list", "string", "version-99", "no-shards"],
+    )
+    def test_unreadable_manifest_is_a_miss(self, store, smoke_dataset, damage):
+        """A damaged or stale manifest degrades to a miss, never raises."""
+        dkey = persist_dataset(store, smoke_dataset)
+        key = _layer_key(dkey, _CONSOLE_MANIFEST_LAYER)
+        store.put(key, damage(store.get(key)), "json")
+        assert load_dataset(store, smoke_dataset.scenario) is None
+
+    @pytest.mark.parametrize(
+        ("name", "copy_payload"),
+        [("../escape", False), ("parsed", False), ("console.000007", True)],
+        ids=["escape", "parsed", "console.000007"],
+    )
+    def test_foreign_shard_name_is_a_miss(
+        self, store, smoke_dataset, name, copy_payload
+    ):
+        """Shard i must be named ``console.{i:06d}``: a manifest naming
+        any other artifact is a miss, even one holding the right bytes."""
+        dkey = persist_dataset(store, smoke_dataset)
+        key = _layer_key(dkey, _CONSOLE_MANIFEST_LAYER)
+        doc = store.get(key)
+        first = doc["shards"][0]
+        if copy_payload:
+            payload = store.get(_layer_key(dkey, first["name"]))
+            store.put(_layer_key(dkey, name), payload, "text")
+        first["name"] = name
+        store.put(key, doc, "json")
+        assert load_dataset(store, smoke_dataset.scenario) is None
 
     def test_missing_shard_fails_the_load(
         self, store, smoke_dataset, small_shards
@@ -448,14 +490,13 @@ class TestShardedCacheLayer:
 
 
 class TestWriterShards:
-    def test_console_shards_match_to_text(self, tmp_path, smoke_dataset):
+    def test_console_shards_match_to_text(self, store, smoke_dataset):
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.injection.events
-        manifest = write_shards(
-            writer.lines(events), tmp_path, max_lines_per_shard=7_000
-        )
+        manifest, payloads = put_shards(store, writer.lines(events), 7_000)
         assert len(manifest.shards) >= 2
-        assert reassemble_text(tmp_path) == writer.to_text(events)
+        assert "".join(payloads) == writer.to_text(events)
+        assert list(load_shards(store, manifest)()) == payloads
 
 
 # ---------------------------------------------------------------------------
