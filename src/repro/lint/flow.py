@@ -460,13 +460,7 @@ class SeedFlowRule(ProjectRule):
 # --------------------------------------------------------------------------
 
 #: Entry points that ship callables across the spawn boundary.
-_POOL_FUNCS: frozenset[str] = frozenset({"parallel_map", "map_reduce"})
-
-#: (callable-argument positions, keyword names) checked per pool entry.
-_POOL_CALLABLE_ARGS: dict[str, tuple[tuple[int, ...], tuple[str, ...]]] = {
-    "parallel_map": ((0,), ("fn",)),
-    "map_reduce": ((0, 2), ("fn", "reduce_fn")),
-}
+_POOL_FUNCS: frozenset[str] = frozenset({"parallel_map"})
 
 
 @register
@@ -477,8 +471,8 @@ class SpawnSafetyRule(ProjectRule):
     name = "spawn-safety"
     severity = Severity.ERROR
     rationale = (
-        "Callables submitted to repro.parallel (parallel_map, "
-        "map_reduce) cross a spawn process boundary by pickle. "
+        "Callables submitted to repro.parallel (parallel_map) cross "
+        "a spawn process boundary by pickle. "
         "Lambdas, closures, locally-bound callables and bound methods "
         "fail there — at best loudly at dispatch, at worst only on the "
         "retry path a crashed worker exercises. Submit module-level "
@@ -520,16 +514,10 @@ class SpawnSafetyRule(ProjectRule):
             base = dotted.split(".")[-1]
             if base not in _POOL_FUNCS:
                 continue
-            positions, keywords = _POOL_CALLABLE_ARGS[base]
             candidates: list[ast.expr] = []
-            for pos in positions:
-                if len(call.args) > pos and not any(
-                    isinstance(a, ast.Starred) for a in call.args[: pos + 1]
-                ):
-                    candidates.append(call.args[pos])
-            for kw in call.keywords:
-                if kw.arg in keywords:
-                    candidates.append(kw.value)
+            if call.args and not isinstance(call.args[0], ast.Starred):
+                candidates.append(call.args[0])
+            candidates += [kw.value for kw in call.keywords if kw.arg == "fn"]
             for cand in candidates:
                 problem = self._unpicklable(project, mod, cand, scope)
                 if problem is not None:

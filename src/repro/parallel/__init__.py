@@ -7,24 +7,21 @@ derives its streams from an independent ``SeedSequence`` (the guarantee
 :mod:`repro.rng` is built on), in the same spirit as rank-per-replica
 MPI campaigns.
 
-:mod:`pool` provides the process-pool primitives (``parallel_map``,
-``map_reduce``); :mod:`replicas` runs whole-scenario replica studies and
-aggregates per-statistic confidence intervals.
+:mod:`pool` provides the process-pool map (``parallel_map``);
+:mod:`replicas` runs whole-scenario replica studies and aggregates
+per-statistic confidence intervals.
 """
 
-from repro.parallel.pool import map_reduce, parallel_map
+from repro.parallel.pool import parallel_map
 from repro.parallel.replicas import (
     ReplicaSummary,
     replica_confidence_intervals,
     run_replicas,
-    summarize_dataset,
 )
 
 __all__ = [
     "parallel_map",
-    "map_reduce",
     "ReplicaSummary",
     "run_replicas",
-    "summarize_dataset",
     "replica_confidence_intervals",
 ]

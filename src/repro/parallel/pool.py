@@ -1,28 +1,28 @@
-"""Process-pool map primitives with crash *and hang* resilience.
+"""Process-pool map with crash *and hang* resilience.
 
-Thin, dependency-free wrappers over :mod:`concurrent.futures` with the
+A thin, dependency-free wrapper over :mod:`concurrent.futures` with the
 discipline HPC codes need:
 
-* work functions must be **module-level picklable callables** (enforced
-  early with a clear error instead of a deep pickle traceback) — and so
-  must reducers, which graduate to remote execution in tree reductions;
+* the work function must be a **module-level picklable callable**
+  (enforced early with a clear error instead of a deep pickle
+  traceback);
 * ``n_workers <= 1`` degrades to serial execution in-process, so tests
-  and small runs pay no fork cost and tracebacks stay readable;
-* work is dispatched in **chunks** that are individually retried: a
-  worker crash (OOM kill, segfault — the exact failure mode a
-  fleet-scale replica sweep hits) fails only its chunk, which is
-  resubmitted to a fresh pool with exponential backoff (capped at
-  ``max_backoff_s``); after ``max_retries`` attempts the surviving
-  chunks fall back to serial in-process execution, so a deterministic
-  error in the work function still surfaces with a clean traceback;
-* with ``chunk_timeout_s``/``heartbeat_timeout_s`` set, a **watchdog**
-  supervises in-flight chunks through per-chunk heartbeat files
-  (:mod:`repro.supervise.watchdog`): a worker that *wedges* — past its
-  hard deadline, or running but no longer advancing — is SIGKILLed and
-  its chunk resubmitted under the same retry/backoff path.  A chunk
-  still hanging on its final attempt raises :class:`ChunkTimeout`
-  rather than entering the serial fallback (which would hang the
-  parent on a deterministic hang);
+  and small runs pay no spawn cost and tracebacks stay readable;
+* every item is its own task, and at most ``n_workers`` are in flight:
+  the next item is submitted only as one finishes, so a caller that
+  aborts (its ``on_result`` raises) waits only for the items already
+  running;
+* a failed item — ``fn`` raised, or its worker died (OOM kill,
+  segfault: the failure mode a fleet-scale replica sweep hits) — is
+  retried on a fresh pool; after :data:`MAX_RETRIES` retries the
+  surviving items run serially in-process, so a deterministic error in
+  the work function still surfaces with a clean traceback;
+* with ``timeout_s`` set, a **watchdog** gives every item one deadline,
+  counted from its start marker (:mod:`repro.supervise.watchdog`): a
+  worker that *wedges* is SIGKILLed and its item retried like a crash.
+  An item still hanging on its final attempt raises
+  :class:`ChunkTimeout` rather than entering the serial fallback (which
+  would hang the parent on a deterministic hang);
 * results preserve input order regardless of completion order.
 """
 
@@ -31,17 +31,22 @@ from __future__ import annotations
 import concurrent.futures as cf
 import multiprocessing as mp
 import pickle
-import shutil
 import tempfile
 import time
+from collections import deque
 from collections.abc import Callable, Sequence
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Optional, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-__all__ = ["parallel_map", "map_reduce", "ChunkTimeout"]
+__all__ = ["parallel_map", "ChunkTimeout", "MAX_RETRIES"]
+
+#: Fresh-pool retries of a failed item before it runs serially
+#: in-process (read at call time, so tests can patch it).
+MAX_RETRIES = 2
 
 #: Bounds on the watchdog's poll interval (seconds).
 _MIN_POLL_S = 0.05
@@ -53,138 +58,116 @@ _KILL_SETTLE_S = 30.0
 
 
 class ChunkTimeout(TimeoutError):
-    """A chunk still hung after exhausting its supervised retries."""
+    """An item still hung after exhausting its supervised retries."""
 
-    def __init__(self, chunk_indices: Sequence[int], reason: str) -> None:
-        self.chunk_indices = tuple(chunk_indices)
+    def __init__(self, indices: Sequence[int], timeout_s: float) -> None:
+        self.indices = tuple(indices)
+        self.timeout_s = timeout_s
         super().__init__(
-            f"chunk(s) {list(self.chunk_indices)} hung ({reason}) and "
-            "did not recover within the retry budget"
+            f"item(s) {list(self.indices)} hung (timeout_s={timeout_s}) "
+            "and did not recover within the retry budget"
         )
 
 
-def _check_picklable(fn: Callable, role: str = "work function") -> None:
+def _check_picklable(fn: Callable) -> None:
     try:
         pickle.dumps(fn)
     except Exception as exc:
         raise ValueError(
-            f"{role} {fn!r} is not picklable; use a module-level "
+            f"work function {fn!r} is not picklable; use a module-level "
             "function (lambdas and closures cannot cross process "
             "boundaries)"
         ) from exc
 
 
-def _run_chunk(fn: Callable[[T], R], chunk: list[T]) -> list[R]:
-    """Worker-side: apply ``fn`` to one chunk of items."""
-    return [fn(item) for item in chunk]
+def _run_item(fn: Callable[[T], R], item: T, marker: str) -> R:
+    """Worker-side: mark the item started, then apply ``fn`` to it."""
+    from repro.supervise.watchdog import mark_started
+
+    mark_started(marker)
+    return fn(item)
 
 
-def _run_chunk_hb(
-    fn: Callable[[T], R], chunk: list[T], hb_path: str
-) -> list[R]:
-    """Worker-side: like :func:`_run_chunk`, heartbeating per item.
-
-    The beacon is written at chunk start (so the parent can tell
-    "picked up" from "still queued") and after every completed item;
-    content is a bare progress counter — the parent supplies the clock.
-    """
-    from repro.supervise.watchdog import ChunkHeartbeat
-
-    beacon = ChunkHeartbeat(hb_path)
-    beacon.start()
-    out: list[R] = []
-    for n_done, item in enumerate(chunk, start=1):
-        out.append(fn(item))
-        beacon.beat(n_done)
-    return out
-
-
-def _chunked(items: list, chunk_len: int) -> list[list]:
-    return [items[i:i + chunk_len] for i in range(0, len(items), chunk_len)]
-
-
-def _poll_interval(
-    chunk_timeout_s: Optional[float], heartbeat_timeout_s: Optional[float]
-) -> float:
-    shortest = min(
-        t for t in (chunk_timeout_s, heartbeat_timeout_s) if t is not None
-    )
-    return min(_MAX_POLL_S, max(_MIN_POLL_S, shortest / 5.0))
-
-
-def _watched_round(
-    pool: cf.ProcessPoolExecutor,
+def _pool_round(
     fn: Callable[[T], R],
-    chunks: list[list[T]],
+    items: list[T],
     pending: list[int],
-    hb_dir: Path,
-    results: dict[int, list[R]],
-    *,
-    chunk_timeout_s: Optional[float],
-    heartbeat_timeout_s: Optional[float],
-    emit: Optional[Callable[[int], None]] = None,
-) -> tuple[list[int], set[int]]:
-    """One supervised submission round: ``(failed chunks, hung subset)``.
+    n_workers: int,
+    timeout_s: Optional[float],
+    finish: Callable[[int, R], None],
+) -> tuple[list[int], list[int]]:
+    """One fresh pool's pass over ``pending``: ``(unfinished, hung)``.
 
-    Completed chunks land in ``results``.  On the first hang the whole
-    worker pool is SIGKILLed (a wedged worker cannot be reclaimed any
-    other way) and every unfinished chunk is resubmitted by the caller;
-    only chunks the watchdog actually classified as hung are reported
-    in the hung subset — the rest are collateral of the shared pool.
+    Finished items are handed to ``finish``.  An item whose ``fn``
+    raised is collected for the next round while the others go on.  A
+    dead worker breaks the whole pool, and a hang makes the round
+    SIGKILL it (a wedged worker cannot be reclaimed any other way):
+    either way no further item is submitted and every unfinished item
+    is returned for the next round.  Only items the watchdog actually
+    saw past their deadline are in the hung list — the rest are
+    collateral of the shared pool.
     """
     from repro.supervise.watchdog import ChunkWatch, kill_executor_workers
 
-    futures = {
-        pool.submit(_run_chunk_hb, fn, chunks[i], str(hb_dir / f"{i}.hb")): i
-        for i in pending
-    }
-    watches = {i: ChunkWatch(hb_dir / f"{i}.hb") for i in pending}
-    poll_s = _poll_interval(chunk_timeout_s, heartbeat_timeout_s)
-    failed: list[int] = []
-    hung: set[int] = set()
-    not_done: set = set(futures)
+    n_workers = min(n_workers, len(pending))
+    poll_s = (
+        None
+        if timeout_s is None
+        else min(_MAX_POLL_S, max(_MIN_POLL_S, timeout_s / 5.0))
+    )
+    queue = deque(pending)
+    in_flight: dict[cf.Future, int] = {}
+    watches: dict[int, ChunkWatch] = {}
+    retry: list[int] = []
+    hung: list[int] = []
 
     def harvest(done: "set[cf.Future]") -> None:
         for future in done:
-            index = futures[future]
+            index = in_flight.pop(future)
             try:
-                results[index] = future.result()
-            except Exception:
-                if index not in failed:
-                    failed.append(index)
+                value = future.result()
+            except Exception:  # fn raised, or the worker died
+                retry.append(index)
             else:
-                if emit is not None:
-                    emit(index)
+                finish(index, value)
 
-    while not_done:
-        done, not_done = cf.wait(
-            not_done, timeout=poll_s, return_when=cf.FIRST_COMPLETED
-        )
-        harvest(done)
-        if not not_done:
-            break
-        now = time.monotonic()
-        for future in not_done:
-            index = futures[future]
-            verdict = watches[index].is_hung(
-                now,
-                chunk_timeout_s=chunk_timeout_s,
-                heartbeat_timeout_s=heartbeat_timeout_s,
+    with tempfile.TemporaryDirectory(
+        prefix="repro-items-"
+    ) as marker_dir, cf.ProcessPoolExecutor(
+        max_workers=n_workers,
+        mp_context=mp.get_context("spawn"),  # fork-safety with numpy/BLAS threads
+    ) as pool:
+        while queue or in_flight:
+            while queue and len(in_flight) < n_workers:
+                marker = str(Path(marker_dir) / str(queue[0]))
+                try:
+                    future = pool.submit(_run_item, fn, items[queue[0]], marker)
+                except BrokenProcessPool:
+                    break  # a worker died: drain, then retry on a fresh pool
+                index = queue.popleft()
+                in_flight[future] = index
+                watches[index] = ChunkWatch(marker)
+            if not in_flight:
+                break
+            done, _ = cf.wait(
+                in_flight, timeout=poll_s, return_when=cf.FIRST_COMPLETED
             )
-            if verdict is not None:
-                hung.add(index)
-        if hung:
-            # Reclaim the wedged workers; the executor marks every
-            # in-flight future broken, so the settle wait terminates.
-            kill_executor_workers(pool)
-            done, not_done = cf.wait(not_done, timeout=_KILL_SETTLE_S)
             harvest(done)
-            for future in not_done:
-                index = futures[future]
-                if index not in results and index not in failed:
-                    failed.append(index)
-            break
-    return failed, hung
+            if timeout_s is None:
+                continue
+            now = time.monotonic()
+            hung = [
+                index
+                for index in in_flight.values()
+                if watches[index].is_hung(now, timeout_s=timeout_s)
+            ]
+            if hung:
+                # The executor marks every in-flight future broken once
+                # its workers die, so the settle wait terminates.
+                kill_executor_workers(pool)
+                harvest(cf.wait(in_flight, timeout=_KILL_SETTLE_S).done)
+                break
+    return sorted([*retry, *in_flight.values(), *queue]), hung
 
 
 def parallel_map(
@@ -192,178 +175,62 @@ def parallel_map(
     items: Sequence[T],
     *,
     n_workers: int = 1,
-    chunksize: int = 1,
-    max_retries: int = 2,
-    backoff_s: float = 0.0,
-    max_backoff_s: float = 30.0,
-    chunk_timeout_s: Optional[float] = None,
-    heartbeat_timeout_s: Optional[float] = None,
+    timeout_s: Optional[float] = None,
     on_result: Optional[Callable[[int, R], None]] = None,
 ) -> list[R]:
     """Apply ``fn`` to every item, optionally across processes.
 
     Results are returned in input order.  ``n_workers <= 1`` runs
-    serially in-process (supervision does not apply there).  Failed
-    chunks (worker crash *or* an exception from ``fn``) are resubmitted
-    to a fresh pool up to ``max_retries`` times, sleeping
-    ``min(backoff_s * 2**attempt, max_backoff_s)`` between rounds;
-    chunks still failing then run serially in-process — transient
+    serially in-process (supervision does not apply there).  Each item
+    is its own task; a failed item (worker crash *or* an exception from
+    ``fn``) is retried on a fresh pool up to :data:`MAX_RETRIES` times,
+    and items still failing then run serially in-process — transient
     failures heal, deterministic ones surface with a readable
     traceback.
 
-    ``chunk_timeout_s`` (hard per-chunk deadline) and/or
-    ``heartbeat_timeout_s`` (max time between per-item progress beats)
-    arm the watchdog: hung chunks are killed and retried like crashes,
-    except a chunk hung on its *final* attempt raises
-    :class:`ChunkTimeout` — a deterministic hang must never be handed
-    to the serial fallback, which could block the parent forever.
+    ``timeout_s`` arms the watchdog: an item running longer than that
+    (counted from its start marker, so a new worker's start-up time is
+    not charged) is killed and retried like a crash, except an item
+    hung on its *final* attempt raises :class:`ChunkTimeout` — a
+    deterministic hang must never be handed to the serial fallback,
+    which could block the parent forever.  It must be positive.
 
     ``on_result`` streams completions back to the *parent* process as
     they arrive: it is called exactly once per item, with
     ``(item index, result)``, in completion order (input order when
-    serial).  A chunk that fails and is later retried reports its items
-    only on the attempt that finally succeeds — callbacks never observe
-    a result that subsequently disappears, which is what lets callers
-    journal each item as durable the moment they see it.  Exceptions
-    from the callback propagate to the caller.
+    serial), and only on the attempt that finally succeeds — callbacks
+    never observe a result that subsequently disappears, which is what
+    lets callers journal each item as durable the moment they see it.
+    An exception from the callback stops the map: no further item is
+    submitted, and it propagates once the items already running finish.
     """
+    if timeout_s is not None and not timeout_s > 0:  # also rejects NaN
+        raise ValueError(
+            f"timeout_s must be a positive number of seconds, got {timeout_s!r}"
+        )
     items = list(items)
-    if n_workers <= 1 or len(items) <= 1:
-        out: list[R] = []
-        for i, item in enumerate(items):
-            value = fn(item)
-            out.append(value)
-            if on_result is not None:
-                on_result(i, value)
-        return out
-    _check_picklable(fn)
-    n_workers = min(n_workers, len(items))
-    chunk_len = max(1, int(chunksize))
-    chunks = _chunked(items, chunk_len)
-    emitted: set[int] = set()
-    # A raising callback aborts the map; the holder lets the retry
-    # loop's broad pool-failure handler tell "the callback raised"
-    # apart from "the pool broke" and re-raise instead of retrying.
-    callback_error: list[BaseException] = []
+    results: dict[int, R] = {}
 
-    def emit(chunk_index: int) -> None:
-        """Report one completed chunk's items upward, at most once."""
-        if on_result is None or chunk_index in emitted or callback_error:
-            return
-        emitted.add(chunk_index)
-        base = chunk_index * chunk_len
-        try:
-            for offset, value in enumerate(results[chunk_index]):
-                on_result(base + offset, value)
-        except BaseException as exc:
-            callback_error.append(exc)
-            raise
-    ctx = mp.get_context("spawn")  # fork-safety with numpy/BLAS threads
-    supervised = chunk_timeout_s is not None or heartbeat_timeout_s is not None
-    hb_dir = Path(tempfile.mkdtemp(prefix="repro-hb-")) if supervised else None
+    def finish(index: int, value: R) -> None:
+        results[index] = value
+        if on_result is not None:
+            on_result(index, value)
 
-    results: dict[int, list[R]] = {}
-    pending = list(range(len(chunks)))
-    hung_last: set[int] = set()
-    try:
-        for attempt in range(max_retries + 1):
+    pending = list(range(len(items)))
+    if n_workers > 1 and len(items) > 1:
+        _check_picklable(fn)
+        hung: list[int] = []
+        for _attempt in range(MAX_RETRIES + 1):
             if not pending:
                 break
-            if attempt > 0 and backoff_s > 0.0:
-                time.sleep(min(backoff_s * 2 ** (attempt - 1), max_backoff_s))
-            hung_last = set()
-            failed: list[int] = []
-            try:
-                with cf.ProcessPoolExecutor(
-                    max_workers=min(n_workers, len(pending)), mp_context=ctx
-                ) as pool:
-                    if supervised:
-                        failed, hung_last = _watched_round(
-                            pool, fn, chunks, pending, hb_dir, results,
-                            chunk_timeout_s=chunk_timeout_s,
-                            heartbeat_timeout_s=heartbeat_timeout_s,
-                            emit=emit,
-                        )
-                    else:
-                        futures = {
-                            pool.submit(_run_chunk, fn, chunks[i]): i
-                            for i in pending
-                        }
-                        for future in cf.as_completed(futures):
-                            i = futures[future]
-                            try:
-                                results[i] = future.result()
-                            except Exception:
-                                # fn raised, or the worker died and the
-                                # pool is broken: either way this chunk
-                                # gets another shot in a fresh pool (or
-                                # serially, at the end).
-                                failed.append(i)
-                            else:
-                                emit(i)
-            except Exception:
-                if callback_error:
-                    raise callback_error[0]
-                # Pool setup/teardown itself failed; everything
-                # unfinished is retried.
-                failed = [i for i in pending if i not in results]
-            pending = sorted(failed)
-    finally:
-        if hb_dir is not None:
-            shutil.rmtree(hb_dir, ignore_errors=True)
-
-    still_hung = sorted(hung_last & set(pending))
-    if still_hung:
-        reason = (
-            f"chunk_timeout_s={chunk_timeout_s}"
-            if chunk_timeout_s is not None
-            else f"heartbeat_timeout_s={heartbeat_timeout_s}"
-        )
-        raise ChunkTimeout(still_hung, reason)
-
-    # Serial fallback: last resort for chunks that never succeeded.
-    for i in pending:
-        results[i] = _run_chunk(fn, chunks[i])
-        emit(i)
-    return [value for i in range(len(chunks)) for value in results[i]]
-
-
-def map_reduce(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    reduce_fn: Callable[[R, R], R],
-    *,
-    n_workers: int = 1,
-    max_retries: int = 2,
-    backoff_s: float = 0.0,
-    max_backoff_s: float = 30.0,
-    chunk_timeout_s: Optional[float] = None,
-    heartbeat_timeout_s: Optional[float] = None,
-) -> R:
-    """Map then fold: ``reduce_fn(reduce_fn(r0, r1), r2) ...``.
-
-    Raises on an empty input — there is no identity element to return.
-    The reducer is validated for picklability alongside the work
-    function: today it folds in-process, but a reducer that cannot
-    cross a process boundary is a latent bug for distributed folds and
-    fails fast here.  Supervision options pass straight through to
-    :func:`parallel_map`.
-    """
-    if n_workers > 1 and len(items) > 1:
-        _check_picklable(reduce_fn, role="reduce function")
-    results = parallel_map(
-        fn,
-        items,
-        n_workers=n_workers,
-        max_retries=max_retries,
-        backoff_s=backoff_s,
-        max_backoff_s=max_backoff_s,
-        chunk_timeout_s=chunk_timeout_s,
-        heartbeat_timeout_s=heartbeat_timeout_s,
-    )
-    if not results:
-        raise ValueError("map_reduce over an empty input")
-    acc = results[0]
-    for result in results[1:]:
-        acc = reduce_fn(acc, result)
-    return acc
+            pending, hung = _pool_round(
+                fn, items, pending, n_workers, timeout_s, finish
+            )
+        still_hung = sorted(set(hung) & set(pending))
+        if still_hung:
+            raise ChunkTimeout(still_hung, timeout_s)
+    # Serial execution: the whole map when n_workers <= 1, else the
+    # last resort for items no pool round finished.
+    for index in pending:
+        finish(index, fn(items[index]))
+    return [results[index] for index in range(len(items))]

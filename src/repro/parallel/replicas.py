@@ -15,11 +15,10 @@ import numpy as np
 
 from repro.parallel.pool import parallel_map
 from repro.sim.scenario import Scenario
-from repro.sim.simulation import SimulationDataset, TitanSimulation
+from repro.sim.simulation import TitanSimulation
 
 __all__ = [
     "ReplicaSummary",
-    "summarize_dataset",
     "run_replicas",
     "replica_confidence_intervals",
 ]
@@ -36,22 +35,11 @@ class ReplicaSummary:
         return self.statistics[key]
 
 
-def summarize_dataset(dataset: SimulationDataset) -> dict[str, float]:
-    """Reduce one dataset to the headline statistics of the study.
-
-    Thin wrapper over :func:`repro.core.observations.headline_statistics`
-    — the *single* definition shared with the observation scorecard and
-    the golden-trace suite — kept here for backward compatibility and
-    as the picklable worker-side entry point.
-    """
+def _run_one(task: "tuple[Scenario, str | None]") -> ReplicaSummary:
+    """Worker-side: one replica, warm from the artifact cache if given."""
     from repro.core.observations import headline_statistics
     from repro.core.study import TitanStudy
 
-    return headline_statistics(TitanStudy(dataset))
-
-
-def _run_one(task: "tuple[Scenario, str | None]") -> ReplicaSummary:
-    """Worker-side: one replica, warm from the artifact cache if given."""
     scenario, cache_dir = task
     if cache_dir is not None:
         from repro.cache import ArtifactStore, load_or_simulate
@@ -60,7 +48,8 @@ def _run_one(task: "tuple[Scenario, str | None]") -> ReplicaSummary:
     else:
         dataset = TitanSimulation(scenario).run()
     return ReplicaSummary(
-        seed=scenario.seed, statistics=summarize_dataset(dataset)
+        seed=scenario.seed,
+        statistics=headline_statistics(TitanStudy(dataset)),
     )
 
 

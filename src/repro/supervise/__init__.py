@@ -12,9 +12,9 @@ to the repository's own multi-minute analysis pipeline:
   crashed run is a valid prefix, never a corrupt state;
 * :mod:`signals` — SIGINT/SIGTERM handling that converts interrupts
   into clean, journal-consistent exits at the next barrier;
-* :mod:`watchdog` — heartbeat files and hang detection used by
-  :func:`repro.parallel.pool.parallel_map` to kill and resubmit
-  *wedged* (not just crashed) workers;
+* :mod:`watchdog` — per-item start markers and one deadline per item,
+  used by :func:`repro.parallel.pool.parallel_map` to kill and
+  resubmit *wedged* (not just crashed) workers;
 * :mod:`runner` — the supervised ``python -m repro run`` pipeline:
   journals every figure as a barrier and resumes from any prefix,
   byte-identically to a cold run (locked by the golden suite);
@@ -44,9 +44,9 @@ from repro.supervise.journal import (
 )
 from repro.supervise.signals import GracefulShutdown, RunInterrupted
 from repro.supervise.watchdog import (
-    ChunkHeartbeat,
     ChunkWatch,
     kill_executor_workers,
+    mark_started,
 )
 
 __all__ = [
@@ -57,7 +57,7 @@ __all__ = [
     "read_journal",
     "GracefulShutdown",
     "RunInterrupted",
-    "ChunkHeartbeat",
     "ChunkWatch",
     "kill_executor_workers",
+    "mark_started",
 ]

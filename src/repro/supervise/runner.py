@@ -218,8 +218,13 @@ def run_study(
     delay_s = _stage_delay()
 
     with GracefulShutdown() as stop:
-        journal, resumed = _open_journal(
-            path, dkey, rid, resume=resume, explicit_id=run_id is not None,
+        journal, resumed = open_or_resume_journal(
+            path,
+            start_type="run_start",
+            identity_field="dataset_key",
+            identity=dkey,
+            resume=resume,
+            explicit_id=run_id is not None,
             fault_hook=hook,
         )
         try:
@@ -357,25 +362,3 @@ def open_or_resume_journal(
                 "to resume a different run under an explicit --run-id"
             )
     return RunJournal.create(path, fault_hook=fault_hook), False
-
-
-def _open_journal(
-    path: Path,
-    dkey: str,
-    rid: str,
-    *,
-    resume: bool,
-    explicit_id: bool,
-    fault_hook: Any,
-) -> tuple[RunJournal, bool]:
-    """The study runner's journal-open: identity is the dataset key."""
-    del rid  # identity lives in the dataset key, not the display id
-    return open_or_resume_journal(
-        path,
-        start_type="run_start",
-        identity_field="dataset_key",
-        identity=dkey,
-        resume=resume,
-        explicit_id=explicit_id,
-        fault_hook=fault_hook,
-    )

@@ -1,157 +1,71 @@
-"""Heartbeat files and hang detection for supervised worker pools.
+"""Start markers and hang detection for supervised worker pools.
 
 A worker that *crashes* already fails fast — its future raises and the
-pool's retry path resubmits the chunk.  A worker that *wedges* (NFS
+pool's retry path resubmits the item.  A worker that *wedges* (NFS
 stall, deadlocked extension, livelocked loop) is worse: the future
 never completes and an unsupervised ``result()`` blocks forever.  This
 module supplies the pieces :func:`repro.parallel.pool.parallel_map`
 uses to close that gap:
 
-* :class:`ChunkHeartbeat` — worker side: one tiny file per chunk,
-  atomically rewritten with the number of items completed (written at
-  chunk start and after every item).  Content only, no timestamps —
-  the *parent* owns the clock, so workers stay free of wall-clock
-  reads;
-* :class:`ChunkWatch` — parent side: tracks when a chunk's heartbeat
-  first appeared and when it last advanced, against the parent's
-  monotonic clock, and classifies the chunk as past its hard deadline
-  (``chunk_timeout_s``) or stalled (``heartbeat_timeout_s``: total
-  runtime is fine, but no per-item progress);
+* :func:`mark_started` — worker side: one empty marker file per item,
+  created as the item starts.  It tells a running item from a queued
+  one, so a new worker's start-up time (spawn plus imports) is never
+  charged to the item's deadline, and it names the item running right
+  now.  No timestamps — the *parent* owns the clock, so workers stay
+  free of wall-clock reads;
+* :class:`ChunkWatch` — parent side: notes when an item's marker first
+  appeared, against the parent's monotonic clock, and says whether the
+  item has run past its deadline;
 * :func:`kill_executor_workers` — SIGKILL every worker process of a
   :class:`~concurrent.futures.ProcessPoolExecutor`; the only reliable
-  way to reclaim a wedged worker, after which unfinished chunks are
+  way to reclaim a wedged worker, after which unfinished items are
   resubmitted to a fresh pool.
 
 This module lives outside the deterministic subtree on purpose:
-supervision reads real time (``time.monotonic``) while the supervised
-work stays a pure function of ``(scenario, seed, epoch)``.
+supervision reads real time (the parent's ``time.monotonic``) while
+the supervised work stays a pure function of ``(scenario, seed,
+epoch)``.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Optional
 
 __all__ = [
-    "ChunkHeartbeat",
+    "mark_started",
     "ChunkWatch",
-    "ManualClock",
-    "read_heartbeat",
     "kill_executor_workers",
 ]
 
 
-class ManualClock:
-    """A hand-cranked monotonic clock for deterministic watchdog tests.
-
-    Drop-in for ``time.monotonic`` wherever a clock callable is
-    accepted: calling it returns the current reading, and the test
-    advances it explicitly — no sleeping, no racing the scheduler.
-    """
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    def __call__(self) -> float:
-        return self._now
-
-    def advance(self, dt: float) -> float:
-        """Move time forward by ``dt`` seconds; returns the new reading."""
-        if dt < 0:
-            raise ValueError("a monotonic clock cannot go backwards")
-        self._now += dt
-        return self._now
-
-
-class ChunkHeartbeat:
-    """Worker-side progress beacon: one atomically-replaced counter file."""
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-
-    def start(self) -> None:
-        """Mark the chunk as started (progress 0)."""
-        self._write(0)
-
-    def beat(self, n_done: int) -> None:
-        """Record ``n_done`` items completed so far."""
-        self._write(n_done)
-
-    def _write(self, value: int) -> None:
-        tmp = self.path.with_name(self.path.name + ".w")
-        tmp.write_text(str(int(value)))
-        os.replace(tmp, self.path)
-
-
-def read_heartbeat(path: str | Path) -> Optional[int]:
-    """The chunk's progress counter, or ``None`` if not started yet."""
-    try:
-        return int(Path(path).read_text())
-    except (OSError, ValueError):
-        return None
+def mark_started(path: str | Path) -> None:
+    """Worker side: record that the item owning ``path`` has started."""
+    Path(path).touch()
 
 
 class ChunkWatch:
-    """Parent-side hang detector for one in-flight chunk.
+    """Parent-side hang detector for one in-flight item.
 
-    Feed it the parent's monotonic ``now`` on every poll; it reads the
-    heartbeat file and answers whether the chunk is hung.  A chunk
-    whose heartbeat has not appeared yet is *queued*, not hung — it
-    gets resubmitted for free when a genuinely hung chunk forces the
-    round to be killed.
+    Feed it the parent's monotonic ``now`` on every poll; it checks the
+    item's start marker and answers whether the item is hung.  The
+    deadline counts from the first poll that sees the marker.  An item
+    whose marker has not appeared yet is *queued*, not hung — it gets
+    resubmitted for free when a genuinely hung item forces the round to
+    be killed.
     """
 
-    def __init__(
-        self,
-        hb_path: str | Path,
-        *,
-        clock: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.hb_path = Path(hb_path)
-        #: The monotonic time source consulted when ``is_hung`` is
-        #: called without an explicit ``now`` (tests inject a
-        #: :class:`ManualClock` here to make classification exact).
-        self.clock: Callable[[], float] = (
-            clock if clock is not None else time.monotonic
-        )
+    def __init__(self, marker: str | Path) -> None:
+        self.marker = Path(marker)
         self._started_at: Optional[float] = None
-        self._last_value: Optional[int] = None
-        self._last_advance: Optional[float] = None
 
-    def is_hung(
-        self,
-        now: Optional[float] = None,
-        *,
-        chunk_timeout_s: Optional[float] = None,
-        heartbeat_timeout_s: Optional[float] = None,
-    ) -> Optional[str]:
-        """``None`` while healthy, else ``"deadline"`` or ``"stalled"``."""
-        if now is None:
-            now = self.clock()
-        value = read_heartbeat(self.hb_path)
-        if value is None:
-            return None  # queued: the worker has not picked it up yet
+    def is_hung(self, now: float, *, timeout_s: float) -> bool:
+        """Whether the item has run longer than ``timeout_s`` by ``now``."""
         if self._started_at is None:
+            if not self.marker.exists():
+                return False  # queued: the worker has not picked it up yet
             self._started_at = now
-            self._last_value = value
-            self._last_advance = now
-        elif value != self._last_value:
-            self._last_value = value
-            self._last_advance = now
-        if (
-            chunk_timeout_s is not None
-            and now - self._started_at > chunk_timeout_s
-        ):
-            return "deadline"
-        if (
-            heartbeat_timeout_s is not None
-            and self._last_advance is not None
-            and now - self._last_advance > heartbeat_timeout_s
-        ):
-            return "stalled"
-        return None
+        return now - self._started_at > timeout_s
 
 
 def kill_executor_workers(executor: object) -> int:

@@ -19,6 +19,16 @@ from pathlib import Path
 __all__ = ["add_sweep_arguments", "cmd_sweep"]
 
 
+def _timeout_seconds(text: str) -> float:
+    """``--timeout``: a positive number of seconds (NaN rejected too)."""
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number of seconds, got {text!r}"
+        )
+    return value
+
+
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--preset", type=str, default="smoke",
@@ -54,11 +64,9 @@ def add_sweep_arguments(parser: argparse.ArgumentParser) -> None:
         "--jobs", type=int, default=1,
         help="shard points over this many supervised worker processes")
     p_run.add_argument(
-        "--chunk-timeout", type=float, default=None, metavar="S",
-        help="hard per-point deadline for worker supervision")
-    p_run.add_argument(
-        "--heartbeat-timeout", type=float, default=None, metavar="S",
-        help="kill a worker whose heartbeat stops advancing this long")
+        "--timeout", type=_timeout_seconds, default=None, metavar="S",
+        help="per-point deadline under --jobs: a worker running one point "
+             "longer is killed and the point retried")
     p_run.add_argument(
         "--out", type=Path, default=None,
         help="write the sensitivity table (canonical JSON) here")
@@ -107,6 +115,7 @@ def _sweep_store(args):
 
 
 def _cmd_sweep_run(args) -> int:
+    from repro.parallel.pool import ChunkTimeout
     from repro.supervise.chaosrun import RUN_IO_ERROR_EXIT
     from repro.supervise.journal import JournalError
     from repro.supervise.runner import document_json
@@ -131,8 +140,7 @@ def _cmd_sweep_run(args) -> int:
             resume=args.resume,
             run_id=args.run_id,
             n_workers=args.jobs,
-            chunk_timeout_s=args.chunk_timeout,
-            heartbeat_timeout_s=args.heartbeat_timeout,
+            timeout_s=args.timeout,
             progress=say,
         )
     except RunInterrupted as exc:
@@ -145,6 +153,13 @@ def _cmd_sweep_run(args) -> int:
     except JournalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ChunkTimeout as exc:
+        # Before OSError: a TimeoutError is an OSError, not journal I/O.
+        print(f"error: sweep point(s) {list(exc.indices)} still hung past "
+              f"--timeout {args.timeout:g} s on the final attempt; the "
+              "journal is still a valid prefix — rerun with --resume once "
+              "the underlying problem is fixed", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: journal write failed: {exc}; "
               "the journal is still a valid prefix — rerun with --resume "

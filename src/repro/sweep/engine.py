@@ -13,11 +13,11 @@ discipline of :mod:`repro.supervise.runner` one level up:
   after the table artifact itself is durable.
 
 Points are sharded over :func:`repro.parallel.pool.parallel_map`
-workers (chunk size 1: every point is an independently retried,
-watchdog-supervised unit).  Workers only touch the content-addressed
-store; the parent alone appends to the journal, via the pool's
-streaming ``on_result`` callback, so journal barriers — including the
-fault injection of ``REPRO_PROCFAULT`` — stay single-writer.
+workers (every point is an independently retried, watchdog-supervised
+item).  Workers only touch the content-addressed store; the parent
+alone appends to the journal, via the pool's streaming ``on_result``
+callback, so journal barriers — including the fault injection of
+``REPRO_PROCFAULT`` — stay single-writer.
 
 On resume, journaled points are *verified*: the summary artifact is
 re-read and its SHA-256 checked against the journaled digest.  A
@@ -303,20 +303,22 @@ def run_sweep(
     resume: bool = False,
     run_id: Optional[str] = None,
     n_workers: int = 1,
-    chunk_timeout_s: Optional[float] = None,
-    heartbeat_timeout_s: Optional[float] = None,
+    timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> SweepRunReport:
     """Run (or resume) one sweep spec to a complete sensitivity table.
 
     Raises :class:`~repro.supervise.signals.RunInterrupted` on a
-    SIGINT/SIGTERM handled at a point barrier and lets journal write
-    failures propagate — in both cases the journal on disk is a valid
-    prefix and a later ``resume=True`` call completes the sweep.
+    SIGINT/SIGTERM handled at a point barrier, lets journal write
+    failures propagate, and raises
+    :class:`~repro.parallel.pool.ChunkTimeout` (naming grid point
+    indices) when a point is still hung past ``timeout_s`` on its final
+    attempt — in every case the journal on disk is a valid prefix and a
+    later ``resume=True`` call completes the sweep.
     """
     from repro.cache.keys import PIPELINE_EPOCH
     from repro.chaos.procfault import injector_from_env
-    from repro.parallel.pool import parallel_map
+    from repro.parallel.pool import ChunkTimeout, parallel_map
 
     spec.validate()
     say = progress if progress is not None else lambda _msg: None
@@ -428,15 +430,17 @@ def run_sweep(
                         f"{' [warm]' if result['warm'] else ''}"
                     )
 
-                parallel_map(
-                    _compute_point,
-                    items,
-                    n_workers=n_workers,
-                    chunksize=1,
-                    chunk_timeout_s=chunk_timeout_s,
-                    heartbeat_timeout_s=heartbeat_timeout_s,
-                    on_result=on_point,
-                )
+                try:
+                    parallel_map(
+                        _compute_point,
+                        items,
+                        n_workers=n_workers,
+                        timeout_s=timeout_s,
+                        on_result=on_point,
+                    )
+                except ChunkTimeout as exc:
+                    hung = [pending[i] for i in exc.indices]
+                    raise ChunkTimeout(hung, exc.timeout_s) from exc
 
             # -- assemble + persist the table, then close the journal -------
             _pause(stop, delay_s)

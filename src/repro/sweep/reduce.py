@@ -88,10 +88,6 @@ class SensitivityReducer:
         self._docs[index] = doc
 
     @property
-    def n_added(self) -> int:
-        return len(self._docs)
-
-    @property
     def missing(self) -> list[int]:
         return [
             i for i in range(self.spec.n_points) if i not in self._docs

@@ -697,11 +697,3 @@ class TestReplicaCache:
         assert load_dataset(store, sc.evolve(seed=6)) is not None
         warm = run_replicas(sc, [5, 6], cache_dir=str(tmp_path))
         assert [r.statistics for r in cold] == [r.statistics for r in warm]
-
-    def test_summarize_matches_headline_statistics(self, smoke_dataset):
-        from repro.core import TitanStudy, headline_statistics
-        from repro.parallel import summarize_dataset
-
-        assert summarize_dataset(smoke_dataset) == headline_statistics(
-            TitanStudy(smoke_dataset)
-        )

@@ -546,7 +546,7 @@ class TestRL100:
 
 
 class TestRL101:
-    IMP = "from repro.parallel.pool import parallel_map, map_reduce\n"
+    IMP = "from repro.parallel.pool import parallel_map\n"
 
     def test_lambda_is_flagged(self):
         src = self.IMP + "def f(xs):\n    return parallel_map(lambda x: x, xs)\n"
@@ -594,17 +594,6 @@ class TestRL101:
         out = lint_source(src, select="RL101")
         assert codes(out) == ["RL101"]
         assert "bound method" in out[0].message
-
-    def test_map_reduce_checks_both_callables(self):
-        src = self.IMP + (
-            "def work(x):\n"
-            "    return x\n"
-            "def f(xs):\n"
-            "    return map_reduce(work, xs, lambda a, b: a + b)\n"
-        )
-        out = lint_source(src, select="RL101")
-        assert codes(out) == ["RL101"]
-        assert "map_reduce" in out[0].message
 
     def test_fn_keyword_is_checked(self):
         src = self.IMP + (

@@ -3,18 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.core import TitanStudy, headline_statistics
 from repro.core.report import (
     render_bar,
     render_heatmap,
     render_monthly_series,
     render_table,
 )
-from repro.parallel.pool import map_reduce, parallel_map
+from repro.parallel.pool import parallel_map
 from repro.parallel.replicas import (
     ReplicaSummary,
     replica_confidence_intervals,
     run_replicas,
-    summarize_dataset,
 )
 from repro.sim import Scenario
 from repro.viz.csvout import write_grid_csv, write_rows_csv, write_series_csv
@@ -22,10 +22,6 @@ from repro.viz.csvout import write_grid_csv, write_rows_csv, write_series_csv
 
 def _square(x):  # module-level: picklable
     return x * x
-
-
-def _add(a, b):
-    return a + b
 
 
 class TestPool:
@@ -43,20 +39,13 @@ class TestPool:
     def test_lambda_fine_serially(self):
         assert parallel_map(lambda x: x + 1, [1], n_workers=1) == [2]
 
-    def test_map_reduce(self):
-        assert map_reduce(_square, [1, 2, 3], _add) == 14
-
-    def test_map_reduce_empty(self):
-        with pytest.raises(ValueError):
-            map_reduce(_square, [], _add)
-
     def test_single_item_stays_serial(self):
         assert parallel_map(_square, [5], n_workers=8) == [25]
 
 
 class TestReplicas:
     def test_summarize_smoke(self, smoke_dataset):
-        stats = summarize_dataset(smoke_dataset)
+        stats = headline_statistics(TitanStudy(smoke_dataset))
         assert stats["dbe_total"] > 0
         assert 0 <= stats["sbe_fraction"] < 0.05
         assert "spearman_core_hours" in stats

@@ -8,22 +8,22 @@ clean traceback from the serial fallback.
 
 The watchdog integration tests use the same sentinel pattern with
 workers that block on an event that never fires: a transiently hung
-worker must be SIGKILLed and its chunk retried; a deterministically
-hung chunk must raise :class:`~repro.parallel.pool.ChunkTimeout`
-instead of blocking the parent in the serial fallback.  The
-deadline-vs-stalled *classification* itself is tested against a
-:class:`~repro.supervise.watchdog.ManualClock` — hand-cranked time,
-no sleeps, no scheduler races.
+worker must be SIGKILLed and its item retried; a deterministically
+hung item must raise :class:`~repro.parallel.pool.ChunkTimeout`
+instead of blocking the parent in the serial fallback.  The deadline
+decision itself is tested against explicit ``now`` readings — no
+sleeps, no scheduler races.
 """
 
 import os
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.parallel.pool import ChunkTimeout, map_reduce, parallel_map
-from repro.supervise.watchdog import ChunkHeartbeat, ChunkWatch, ManualClock
+from repro.parallel.pool import ChunkTimeout, parallel_map
+from repro.supervise.watchdog import ChunkWatch, mark_started
 
 #: Far longer than any test timeout: a worker blocking this long is
 #: "hung forever" unless the watchdog reclaims it.
@@ -37,10 +37,6 @@ def _block_forever():
 
 def _double(x):
     return 2 * x
-
-
-def _add(a, b):
-    return a + b
 
 
 def _flaky(item):
@@ -85,42 +81,45 @@ def _hang_always(item):
     return 2 * x
 
 
-def _second_item_hangs_once(item):
-    """First item returns fast; the second hangs on the first attempt.
+def _slow_logged(item):
+    """Leave one file per item that ran, then take half a second."""
+    x, outdir = item
+    Path(outdir, str(x)).touch()
+    time.sleep(0.5)
+    return x
 
-    Exercises the *stalled-heartbeat* detector: the chunk's heartbeat
-    appears and advances once, then stops while the total runtime is
-    still within any reasonable deadline.
-    """
-    x, sentinel = item
-    if x % 2 == 1 and not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("1")
-        _block_forever()
-    return 2 * x
+
+class _Abort(Exception):
+    pass
+
+
+def _abort(_index, _value):
+    raise _Abort("caller gave up")
 
 
 class TestRetry:
     def test_transient_exception_heals(self, tmp_path):
         items = [(i, str(tmp_path / f"s{i}")) for i in range(3)]
-        out = parallel_map(_flaky, items, n_workers=2, max_retries=2)
+        out = parallel_map(_flaky, items, n_workers=2)
         assert out == [0, 2, 4]
 
     def test_worker_crash_heals(self, tmp_path):
         items = [(i, str(tmp_path / f"c{i}")) for i in range(2)]
-        out = parallel_map(_crash_once, items, n_workers=2, max_retries=2)
+        out = parallel_map(_crash_once, items, n_workers=2)
         assert out == [0, 2]
 
-    def test_deterministic_error_surfaces(self):
+    def test_deterministic_error_surfaces(self, monkeypatch):
         """After retries, the serial fallback re-raises cleanly."""
+        monkeypatch.setattr("repro.parallel.pool.MAX_RETRIES", 1)
         with pytest.raises(ValueError, match="bad item"):
-            parallel_map(_always_bad, [1, 2], n_workers=2, max_retries=1)
+            parallel_map(_always_bad, [1, 2], n_workers=2)
 
-    def test_serial_fallback_heals_late_transient(self, tmp_path):
-        # max_retries=0: the pool gets one shot, the serial fallback
-        # must still rescue the chunk.
+    def test_serial_fallback_heals_late_transient(self, tmp_path, monkeypatch):
+        # No retries: the pool gets one shot, the serial fallback must
+        # still rescue the items.
+        monkeypatch.setattr("repro.parallel.pool.MAX_RETRIES", 0)
         items = [(i, str(tmp_path / f"f{i}")) for i in range(2)]
-        out = parallel_map(_flaky, items, n_workers=2, max_retries=0)
+        out = parallel_map(_flaky, items, n_workers=2)
         assert out == [0, 2]
 
 
@@ -129,9 +128,7 @@ class TestMapSemantics:
         assert parallel_map(_double, [1, 2, 3]) == [2, 4, 6]
 
     def test_order_preserved_with_chunks(self):
-        out = parallel_map(
-            _double, list(range(7)), n_workers=2, chunksize=3
-        )
+        out = parallel_map(_double, list(range(7)), n_workers=2)
         assert out == [2 * i for i in range(7)]
 
     def test_lambda_rejected_in_parallel(self):
@@ -141,162 +138,53 @@ class TestMapSemantics:
     def test_empty_input(self):
         assert parallel_map(_double, [], n_workers=4) == []
 
+    def test_raising_callback_stops_submission(self, tmp_path):
+        # Twelve half-second items on two workers and a callback that
+        # raises on the first result: nothing new is submitted after
+        # it, so only the items already running finish, not all twelve.
+        items = [(i, str(tmp_path)) for i in range(12)]
+        with pytest.raises(_Abort):
+            parallel_map(_slow_logged, items, n_workers=2, on_result=_abort)
+        assert len(os.listdir(tmp_path)) <= 3
+
 
 class TestWatchdog:
-    """Hang detection: deadlines, stalled heartbeats, ChunkTimeout."""
+    """Hang detection: one deadline per item, ChunkTimeout."""
 
     def test_hung_worker_killed_and_retried(self, tmp_path):
         items = [(i, str(tmp_path / f"h{i}")) for i in range(4)]
-        out = parallel_map(
-            _hang_once, items, n_workers=2, chunk_timeout_s=1.5
-        )
+        out = parallel_map(_hang_once, items, n_workers=2, timeout_s=1.5)
         assert out == [0, 2, 4, 6]
 
-    def test_deterministic_hang_raises_chunk_timeout(self, tmp_path):
+    def test_deterministic_hang_raises_chunk_timeout(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.parallel.pool.MAX_RETRIES", 0)
         items = [(i, str(tmp_path / f"d{i}")) for i in range(3)]
-        with pytest.raises(ChunkTimeout, match="hung"):
-            parallel_map(
-                _hang_always,
-                items,
-                n_workers=2,
-                max_retries=0,
-                chunk_timeout_s=1.0,
-            )
+        with pytest.raises(ChunkTimeout, match="hung") as info:
+            parallel_map(_hang_always, items, n_workers=2, timeout_s=1.0)
+        assert info.value.indices == (1,)
 
-    def test_stalled_heartbeat_killed_and_retried(self, tmp_path):
-        # The chunk starts fine (item 0 beats), then stalls on item 1:
-        # only the heartbeat detector can see this, and the retry heals.
-        items = [(i, str(tmp_path / f"s{i}")) for i in range(2)]
-        out = parallel_map(
-            _second_item_hangs_once,
-            items,
-            n_workers=2,
-            chunksize=2,
-            heartbeat_timeout_s=1.0,
-        )
-        assert out == [0, 2]
-
-    def test_backoff_capped(self, tmp_path):
-        # backoff_s=30 with an aggressive cap must not sleep 30s.
-        items = [(i, str(tmp_path / f"b{i}")) for i in range(2)]
-        t0 = time.monotonic()
-        out = parallel_map(
-            _flaky,
-            items,
-            n_workers=2,
-            max_retries=2,
-            backoff_s=30.0,
-            max_backoff_s=0.2,
-        )
-        assert out == [0, 2]
-        assert time.monotonic() - t0 < 20.0
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_nonpositive_or_nan_timeout_rejected(self, bad):
+        with pytest.raises(ValueError, match="timeout_s"):
+            parallel_map(_double, [1, 2], n_workers=2, timeout_s=bad)
 
 
 class TestWatchdogClassification:
-    """Deadline-vs-stalled decisions against a hand-cranked clock.
-
-    These replace the old wall-clock "steady but slow worker" test:
-    instead of racing real 0.3 s sleeps against a 0.45 s heartbeat
-    window (flaky under load), the clock is advanced explicitly and
-    every classification is exact.
-    """
-
-    def _watch(self, tmp_path):
-        hb = ChunkHeartbeat(tmp_path / "c.hb")
-        clock = ManualClock()
-        return hb, clock, ChunkWatch(tmp_path / "c.hb", clock=clock)
-
-    def test_steady_progress_never_killed(self, tmp_path):
-        # Each item takes longer than the heartbeat window would allow
-        # for silence, but per-item beats keep arriving: total runtime
-        # vastly exceeds the window, classification stays healthy.
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        for item in range(10):
-            clock.advance(0.3)
-            assert (
-                watch.is_hung(heartbeat_timeout_s=0.45) is None
-            ), f"killed at item {item}"
-            hb.beat(item + 1)
-
-    def test_silence_past_window_is_stalled(self, tmp_path):
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        assert watch.is_hung(heartbeat_timeout_s=0.45) is None
-        clock.advance(0.45)  # exactly at the window: not yet hung
-        assert watch.is_hung(heartbeat_timeout_s=0.45) is None
-        clock.advance(0.001)  # strictly past it: stalled
-        assert watch.is_hung(heartbeat_timeout_s=0.45) == "stalled"
-
-    def test_progress_resets_the_stall_window(self, tmp_path):
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        watch.is_hung(heartbeat_timeout_s=1.0)
-        clock.advance(0.9)
-        hb.beat(1)
-        assert watch.is_hung(heartbeat_timeout_s=1.0) is None
-        clock.advance(0.9)  # 1.8s total, 0.9s since the beat
-        assert watch.is_hung(heartbeat_timeout_s=1.0) is None
-        clock.advance(0.2)  # 1.1s since the beat
-        assert watch.is_hung(heartbeat_timeout_s=1.0) == "stalled"
-
-    def test_progress_does_not_extend_the_deadline(self, tmp_path):
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        watch.is_hung(chunk_timeout_s=2.0)
-        for item in range(4):
-            clock.advance(0.6)
-            hb.beat(item + 1)
-        # 2.4s of steady progress: healthy by heartbeat, dead by deadline.
-        assert watch.is_hung(chunk_timeout_s=2.0) == "deadline"
-
-    def test_deadline_outranks_stall_when_both_exceeded(self, tmp_path):
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        watch.is_hung(chunk_timeout_s=1.0, heartbeat_timeout_s=1.0)
-        clock.advance(5.0)
-        assert (
-            watch.is_hung(chunk_timeout_s=1.0, heartbeat_timeout_s=1.0)
-            == "deadline"
-        )
+    """The deadline decision against explicit ``now`` readings."""
 
     def test_queued_chunk_never_hung(self, tmp_path):
-        # No heartbeat file yet: the worker has not picked the chunk
-        # up, so no amount of elapsed time means "hung".
-        clock = ManualClock()
-        watch = ChunkWatch(tmp_path / "missing.hb", clock=clock)
-        clock.advance(1e9)
-        assert watch.is_hung(chunk_timeout_s=0.001) is None
+        # No start marker yet: the worker has not picked the item up,
+        # so no amount of elapsed time means "hung".
+        watch = ChunkWatch(tmp_path / "missing")
+        assert not watch.is_hung(0.0, timeout_s=0.001)
+        assert not watch.is_hung(1e9, timeout_s=0.001)
 
     def test_explicit_now_still_wins(self, tmp_path):
-        # The pool passes its own monotonic reading; an injected clock
-        # must not shadow an explicit ``now``.
-        hb, clock, watch = self._watch(tmp_path)
-        hb.start()
-        watch.is_hung(100.0, chunk_timeout_s=5.0)
-        clock.advance(1e6)  # ignored: explicit now is authoritative
-        assert watch.is_hung(101.0, chunk_timeout_s=5.0) is None
-        assert watch.is_hung(106.0, chunk_timeout_s=5.0) == "deadline"
-
-    def test_manual_clock_is_monotonic(self):
-        clock = ManualClock(start=7.0)
-        assert clock() == 7.0
-        assert clock.advance(1.5) == 8.5
-        with pytest.raises(ValueError, match="backwards"):
-            clock.advance(-0.1)
-
-
-class TestMapReduce:
-    def test_parallel_fold(self):
-        assert map_reduce(_double, [1, 2, 3, 4], _add, n_workers=2) == 20
-
-    def test_reducer_picklability_validated(self):
-        with pytest.raises(ValueError, match="reduce function"):
-            map_reduce(_double, [1, 2, 3], lambda a, b: a + b, n_workers=2)
-
-    def test_lambda_reducer_fine_serially(self):
-        assert map_reduce(_double, [1, 2, 3], lambda a, b: a + b) == 12
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            map_reduce(_double, [], _add)
+        # The pool passes its own monotonic reading; the deadline
+        # counts from the first reading that saw the marker, and a
+        # reading exactly at the deadline is not past it yet.
+        mark_started(tmp_path / "item")
+        watch = ChunkWatch(tmp_path / "item")
+        assert not watch.is_hung(100.0, timeout_s=5.0)
+        assert not watch.is_hung(105.0, timeout_s=5.0)
+        assert watch.is_hung(105.001, timeout_s=5.0)

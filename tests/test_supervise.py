@@ -54,12 +54,7 @@ from repro.supervise.runner import (
     run_study,
 )
 from repro.supervise.signals import interrupt_exit_code
-from repro.supervise.watchdog import (
-    ChunkHeartbeat,
-    ChunkWatch,
-    ManualClock,
-    read_heartbeat,
-)
+from repro.supervise.watchdog import ChunkWatch, mark_started
 
 _SRC_DIR = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -271,52 +266,15 @@ class TestSignals:
 
 
 class TestWatchdogPrimitives:
-    def test_heartbeat_round_trip(self, tmp_path):
-        hb = ChunkHeartbeat(tmp_path / "c.hb")
-        assert read_heartbeat(tmp_path / "c.hb") is None
-        hb.start()
-        assert read_heartbeat(tmp_path / "c.hb") == 0
-        hb.beat(5)
-        assert read_heartbeat(tmp_path / "c.hb") == 5
-
     def test_queued_chunk_never_hung(self, tmp_path):
-        watch = ChunkWatch(tmp_path / "missing.hb")
-        assert watch.is_hung(1e9, chunk_timeout_s=0.001) is None
+        watch = ChunkWatch(tmp_path / "missing")
+        assert not watch.is_hung(1e9, timeout_s=0.001)
 
     def test_deadline_classification(self, tmp_path):
-        hb = ChunkHeartbeat(tmp_path / "c.hb")
-        hb.start()
-        watch = ChunkWatch(tmp_path / "c.hb")
-        assert watch.is_hung(100.0, chunk_timeout_s=5.0) is None
-        hb.beat(1)  # progress does not extend a hard deadline
-        assert watch.is_hung(106.0, chunk_timeout_s=5.0) == "deadline"
-
-    def test_stall_classification_resets_on_progress(self, tmp_path):
-        hb = ChunkHeartbeat(tmp_path / "c.hb")
-        hb.start()
-        watch = ChunkWatch(tmp_path / "c.hb")
-        assert watch.is_hung(100.0, heartbeat_timeout_s=2.0) is None
-        hb.beat(1)
-        assert watch.is_hung(103.0, heartbeat_timeout_s=2.0) is None
-        assert watch.is_hung(105.5, heartbeat_timeout_s=2.0) == "stalled"
-
-    def test_injected_clock_drives_classification(self, tmp_path):
-        # ``is_hung()`` with no explicit ``now`` falls back to the
-        # injected clock; cranking it reproduces deadline/stall
-        # verdicts without any real elapsed time.
-        hb = ChunkHeartbeat(tmp_path / "c.hb")
-        hb.start()
-        clock = ManualClock(start=50.0)
-        watch = ChunkWatch(tmp_path / "c.hb", clock=clock)
-        assert watch.is_hung(chunk_timeout_s=5.0) is None
-        clock.advance(4.0)
-        assert watch.is_hung(chunk_timeout_s=5.0) is None
-        clock.advance(1.5)
-        assert watch.is_hung(chunk_timeout_s=5.0) == "deadline"
-
-    def test_default_clock_is_monotonic_time(self, tmp_path):
-        watch = ChunkWatch(tmp_path / "c.hb")
-        assert watch.clock is time.monotonic
+        mark_started(tmp_path / "item")
+        watch = ChunkWatch(tmp_path / "item")
+        assert not watch.is_hung(100.0, timeout_s=5.0)
+        assert watch.is_hung(106.0, timeout_s=5.0)
 
 
 # ---------------------------------------------------------------------------

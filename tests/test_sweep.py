@@ -15,6 +15,7 @@ already honors one level down, lifted to whole scenario points:
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -471,6 +472,43 @@ class TestReducerAndCli:
 
         assert main(["sweep", "run", "--no-cache"]) == 2
         assert "artifact store" in capsys.readouterr().err
+
+    def test_cli_hung_point_reports_timeout(self, tmp_path, capsys, monkeypatch):
+        from repro.cli import main
+
+        # A fresh store (warm summaries finish inside any deadline) and
+        # no retries: whichever point starts first runs past the deadline
+        # on its only attempt, which is a timeout, not a journal failure.
+        monkeypatch.setattr("repro.parallel.pool.MAX_RETRIES", 0)
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(
+            json.dumps(_tiny("cli-hang", scales=(1.0, 2.0)).to_doc())
+        )
+        rc = main([
+            "sweep", "run", "--spec", str(specfile),
+            "--cache-dir", str(tmp_path / "cache"),
+            "--jobs", "2", "--timeout", "0.05", "--quiet",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        hung = re.search(r"point\(s\) \[([0-9, ]+)\] still hung", err)
+        assert hung and set(hung.group(1).split(", ")) <= {"0", "1"}
+        assert "--timeout 0.05" in err
+        assert "--resume" in err
+        assert "journal write failed" not in err
+
+    @pytest.mark.parametrize("bad", ["0", "-1", "nan"])
+    def test_cli_rejects_nonpositive_timeout(self, tmp_path, capsys, bad):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main([
+                "sweep", "run", "--cache-dir", str(tmp_path),
+                "--jobs", "2", "--timeout", bad,
+            ])
+        assert info.value.code == 2
+        assert "--timeout" in capsys.readouterr().err
+        assert not list(tmp_path.glob("runs/*.jsonl"))
 
     def test_cli_report_before_run_fails_cleanly(self, store, capsys):
         from repro.cli import main
