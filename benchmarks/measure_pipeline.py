@@ -389,7 +389,7 @@ def _measure_sweep(seed: int) -> dict:
         warm = run_sweep(spec, store)
         warm_s = time.perf_counter() - t0
         print(f"sweep warm rerun     {warm_s:8.2f} s")
-    identical = warm.table_sha256 == cold.table_sha256
+    identical = warm.document_sha256 == cold.document_sha256
     speedup = cold_s / warm_s if warm_s > 0 else float("inf")
     return {
         "n_points": spec.n_points,
@@ -401,7 +401,7 @@ def _measure_sweep(seed: int) -> dict:
         "pass": bool(
             identical
             and speedup >= _SWEEP_MIN_SPEEDUP
-            and all(p.warm for p in warm.points)
+            and all(u.warm for u in warm.units)
         ),
     }
 

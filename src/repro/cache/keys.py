@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "e32f55e05a5a203e"
+PIPELINE_SURFACE: str = "a9350fdd613efa71"
 
 
 def canonical_encode(obj: Any) -> Any:

@@ -16,9 +16,9 @@ fatal") are continuously exercised instead of assumed:
   and record the corruption level at which each paper Observation
   first flips;
 * :mod:`procfault` — process-level faults (SIGKILL at a journal
-  barrier, torn journal writes, injected ENOSPC) for the supervised
-  runner's crash/resume contract, swept by ``repro chaos-run``
-  (:mod:`repro.supervise.chaosrun`).
+  barrier, torn journal writes, injected ENOSPC) for the crash/resume
+  contract of journaled runs (``repro run``, ``repro sweep run``),
+  swept by ``repro chaos-run`` (:mod:`repro.supervise.chaosrun`).
 
 The defensive counterparts live with the parsers:
 :mod:`repro.telemetry.ingestion` (strict/lenient modes, error budgets,

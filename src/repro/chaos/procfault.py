@@ -1,13 +1,14 @@
 """Process-level fault injection at journal barriers.
 
 The telemetry chaos toolkit (:mod:`repro.chaos.modes`) damages the
-*data*; this module damages the *process*.  A supervised run
-(:mod:`repro.supervise.runner`) commits one journal record per
-completed stage, and each commit is a **barrier** — exactly the
-instants a production pipeline is most likely to die at (checkpoint
-write, metadata update, disk full).  ``repro chaos-run`` sweeps a
-fault over every barrier and asserts that resume-after-crash
-reproduces the cold run byte-identically.
+*data*; this module damages the *process*.  A journaled run
+(:mod:`repro.supervise.runner`: ``repro run`` or ``repro sweep run``)
+commits one journal record per completed stage or grid point, and each
+commit is a **barrier** — exactly the instants a production pipeline
+is most likely to die at (checkpoint write, metadata update, disk
+full).  ``repro chaos-run`` sweeps a fault over every barrier of such a
+command and asserts that resume-after-crash reproduces the cold run
+byte-identically.
 
 Three fault modes, all deterministic functions of the plan (no RNG,
 no clock):

@@ -16,8 +16,9 @@ Commands
 ``run``           crash-safe supervised pipeline run: every stage is
                   journaled into the artifact store; ``--resume``
                   continues a killed/interrupted run byte-identically
-``chaos-run``     process-fault sweep: kill/tear/ENOSPC a real ``run``
-                  subprocess at every journal barrier and prove the
+``chaos-run``     process-fault sweep: kill/tear/ENOSPC a journaled
+                  command (``run`` by default, or ``sweep run``) in a
+                  real subprocess at every journal barrier and prove the
                   resume reproduces the cold document byte-for-byte
 
 Every analysis command accepts ``--seed`` and ``--cache-dir``: with a
@@ -51,11 +52,21 @@ def _scenario(args) -> "Scenario":
     return Scenario.smoke(seed=args.seed, days=args.days)
 
 
+def _positive_finite(text: str) -> float:
+    """Argument type of ``--days`` and ``sweep run --timeout``."""
+    value = float(text)
+    if not 0.0 < value < float("inf"):  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number, got {text!r}"
+        )
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20131001)
     p.add_argument("--full", action="store_true",
                    help="run the full 21-month paper scenario")
-    p.add_argument("--days", type=float, default=60.0,
+    p.add_argument("--days", type=_positive_finite, default=60.0,
                    help="window length for the default quick scenario")
     p.add_argument("--cache-dir", type=Path, default=None,
                    help="content-addressed artifact store to reuse "
@@ -193,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos_run = sub.add_parser(
         "chaos-run",
-        help="sweep process faults over the run journal's barriers and "
-             "verify byte-identical resume",
+        help="sweep process faults over a journaled command's barriers "
+             "and verify byte-identical resume",
     )
     add_chaos_run_arguments(p_chaos_run)
 

@@ -198,10 +198,6 @@ class EventLog:
 
     # -- small conveniences used throughout core/ --------------------------------
 
-    def etype_enum(self) -> list[ErrorType]:
-        """Per-row ErrorType objects (object list; avoid in hot paths)."""
-        return [from_code(int(c)) for c in self.etype]
-
     def count_by_type(self) -> dict[ErrorType, int]:
         codes, counts = np.unique(self.etype, return_counts=True)
         return {from_code(int(c)): int(n) for c, n in zip(codes, counts)}

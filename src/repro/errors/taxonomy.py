@@ -7,8 +7,6 @@ vs driver-caused, crashing vs benign, isolated vs cascading.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors.xid import Cause, ErrorType
 
 __all__ = [
@@ -16,9 +14,6 @@ __all__ = [
     "driver_caused",
     "crashes_application",
     "isolated_types",
-    "type_mask",
-    "APPLICATION_XIDS",
-    "DRIVER_ONLY_XIDS",
 ]
 
 
@@ -36,21 +31,6 @@ def crashes_application(etype: ErrorType) -> bool:
     return etype.crashes
 
 
-#: Types NVIDIA's documentation attributes (possibly) to the user app.
-APPLICATION_XIDS: tuple[ErrorType, ...] = tuple(
-    t for t in ErrorType if application_caused(t)
-)
-
-#: Types whose only listed non-thermal cause is the driver.
-DRIVER_ONLY_XIDS: tuple[ErrorType, ...] = tuple(
-    t
-    for t in ErrorType
-    if driver_caused(t)
-    and not application_caused(t)
-    and Cause.HARDWARE not in t.causes
-)
-
-
 def isolated_types() -> tuple[ErrorType, ...]:
     """Types the paper finds to occur in isolation (no repeats within
     the 300-second correlation window): Off-the-bus, XID 38, XID 48
@@ -62,9 +42,3 @@ def isolated_types() -> tuple[ErrorType, ...]:
         ErrorType.DBE,
         ErrorType.ECC_PAGE_RETIREMENT,
     )
-
-
-def type_mask(etypes: np.ndarray, members: tuple[ErrorType, ...]) -> np.ndarray:
-    """Boolean mask of rows whose type code is in ``members``."""
-    codes = np.asarray([t.code for t in members], dtype=np.int16)
-    return np.isin(np.asarray(etypes), codes)

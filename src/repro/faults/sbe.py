@@ -118,10 +118,6 @@ class SbeInjector:
             * trace.gpu_util
         )
 
-    def _device_structure_or_other(self, n: int) -> np.ndarray:
-        """Boolean mask: which of ``n`` SBEs hit device memory."""
-        return self.rng.random(n) < self.rates.sbe_device_memory_share
-
     def _apply_device_sbes(
         self,
         slot: int,

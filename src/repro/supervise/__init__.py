@@ -15,12 +15,17 @@ to the repository's own multi-minute analysis pipeline:
 * :mod:`watchdog` — per-item start markers and one deadline per item,
   used by :func:`repro.parallel.pool.parallel_map` to kill and
   resubmit *wedged* (not just crashed) workers;
-* :mod:`runner` — the supervised ``python -m repro run`` pipeline:
-  journals every figure as a barrier and resumes from any prefix,
-  byte-identically to a cold run (locked by the golden suite);
-* :mod:`chaosrun` — the process-level chaos sweep behind
+* :mod:`runner` — the journaled-run protocol
+  (:class:`~repro.supervise.runner.JournaledRun`) shared by
+  ``python -m repro run`` (:func:`~repro.supervise.runner.run_study`)
+  and ``repro sweep run``: every unit is a barrier, and any prefix
+  resumes byte-identically to a cold run (locked by the golden suite);
+* :mod:`cli` — the CLI surface of every journaled command (flags, exit
+  codes, success lines);
+* :mod:`chaosrun` — the process-level chaos harness behind
   ``python -m repro chaos-run``: SIGKILL / torn-write / ENOSPC at every
-  journal barrier, asserting resume-after-crash ≡ cold run.
+  journal barrier of any journaled command, asserting
+  resume-after-crash ≡ cold run.
 
 Wall-clock and signal code is deliberately **outside** the
 deterministic subtree (``repro.lint`` ``_DETERMINISTIC_DIRS``), like

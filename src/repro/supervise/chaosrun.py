@@ -1,18 +1,22 @@
-"""The process-level chaos sweep behind ``python -m repro chaos-run``.
+"""The process-level chaos harness behind ``python -m repro chaos-run``.
 
-For every selected ``(fault mode, journal barrier)`` pair this driver
-launches a **real subprocess** running ``python -m repro run`` with
-:data:`~repro.chaos.procfault.PROCFAULT_ENV` armed, lets the injected
-fault kill (or cleanly fail) it at the exact barrier, then launches a
-second subprocess with ``--resume`` and no fault, and asserts:
+The harness faults any journaled command (``repro run`` by default, or
+``repro sweep run``).  It first runs the command cold as a reference,
+and reads the reference's journal to learn how many barriers the
+command crosses.  Then, for every selected ``(fault mode, journal
+barrier)`` pair, it launches a **real subprocess** running the command
+with :data:`~repro.chaos.procfault.PROCFAULT_ENV` armed, lets the
+injected fault kill (or cleanly fail) it at the exact barrier, then
+launches a second subprocess with ``--resume`` and no fault, and
+asserts:
 
 1. the faulted process died the way the mode promises (SIGKILL for
    ``kill``/``torn``, a clean non-zero exit for ``enospc``);
 2. the resumed process exits 0; and
-3. the resumed run's ``--out`` document is **byte-identical** to a
-   reference cold run's.
+3. the resumed run's ``--out`` document is **byte-identical** to the
+   reference run's.
 
-Each fault point gets a private cache directory, so every crash is
+Each fault point gets a private ``--cache-dir``, so every crash is
 exercised against genuinely cold state — the resume must survive on the
 journal plus whatever artifacts the dead process managed to persist.
 
@@ -24,6 +28,7 @@ flushed that was not already fsynced.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import subprocess
@@ -33,28 +38,17 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from repro.chaos.procfault import FAULT_MODES, PROCFAULT_ENV, FaultPlan
+from repro.supervise.cli import RUN_IO_ERROR_EXIT
+from repro.supervise.runner import summarize_journal
 
 __all__ = [
     "FaultPointResult",
-    "SweepReport",
-    "count_barriers",
-    "run_sweep",
+    "FaultSweepReport",
+    "run_fault_sweep",
 ]
 
 #: ``subprocess`` return code of a SIGKILLed child.
 _RC_SIGKILLED = -int(signal.SIGKILL)
-
-#: Exit code ``repro run`` uses for journal I/O failures (e.g. ENOSPC).
-RUN_IO_ERROR_EXIT = 1
-
-
-def count_barriers(n_figures: Optional[int] = None) -> int:
-    """Journal barriers in one full run: start + dataset + figures + end."""
-    if n_figures is None:
-        from repro.core.study import FIGURES
-
-        n_figures = len(FIGURES)
-    return n_figures + 3
 
 
 @dataclass(frozen=True)
@@ -65,9 +59,14 @@ class FaultPointResult:
     barrier: int
     fault_rc: Optional[int]
     resume_rc: Optional[int]
+    #: The resumed document equals the reference (``None``: never
+    #: compared, because an earlier step failed).
     identical: Optional[bool]
-    ok: bool
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.identical is True
 
     @property
     def label(self) -> str:
@@ -75,10 +74,9 @@ class FaultPointResult:
 
 
 @dataclass(frozen=True)
-class SweepReport:
+class FaultSweepReport:
     """Everything ``repro chaos-run`` asserted, for display and CI."""
 
-    scenario_argv: tuple[str, ...]
     n_barriers: int
     reference_sha256: str
     results: tuple[FaultPointResult, ...]
@@ -141,68 +139,82 @@ def _expected_fault(mode: str, rc: int) -> Optional[str]:
     return None
 
 
-def run_sweep(
-    scenario_argv: Sequence[str],
+def run_fault_sweep(
+    command: Sequence[str],
     workdir: str | Path,
     *,
     modes: Sequence[str] = FAULT_MODES,
     barriers: Optional[Iterable[int]] = None,
     timeout_s: float = 600.0,
     progress: Optional[Callable[[str], None]] = None,
-) -> SweepReport:
+) -> FaultSweepReport:
     """Sweep every ``(mode, barrier)`` fault point; see the module doc.
 
-    ``scenario_argv`` is the scenario part of a ``repro run`` command
-    line (e.g. ``["--days", "20", "--seed", "7"]``); ``barriers``
-    defaults to every journal barrier of a full run.
+    ``command`` is a journaled ``repro`` command line without
+    ``--cache-dir``/``--out`` (e.g. ``["run", "--days", "20"]``).
+    ``barriers`` defaults to every barrier of the reference run's
+    journal.  An index outside that journal, or a command that writes
+    no journal, raises :class:`ValueError`.
     """
-    import hashlib
-
     say = progress if progress is not None else lambda _msg: None
     workdir = Path(workdir)
-    barrier_list = (
-        list(range(count_barriers())) if barriers is None else
-        sorted(set(int(b) for b in barriers))
-    )
 
-    # Reference cold run: the byte-exact document every resume must match.
+    def argv(point_dir: Path) -> list[str]:
+        return [
+            *command,
+            "--cache-dir", str(point_dir / "cache"),
+            "--out", str(point_dir / "document.json"),
+        ]
+
+    # Reference cold run: the byte-exact document every resume must
+    # match, and the journal that counts the command's barriers.
     ref_dir = workdir / "reference"
-    ref_out = ref_dir / "document.json"
-    ref_argv = [
-        "run", *scenario_argv,
-        "--cache-dir", str(ref_dir / "cache"), "--out", str(ref_out),
-    ]
-    say(f"reference: repro {' '.join(ref_argv)}")
-    ref = _run_cli(ref_argv, _pipeline_env(None), timeout_s)
+    say(f"reference: repro {' '.join(argv(ref_dir))}")
+    ref = _run_cli(argv(ref_dir), _pipeline_env(None), timeout_s)
     if ref.returncode != 0:
         raise RuntimeError(
             f"reference run failed (rc {ref.returncode}):\n{ref.stderr}"
         )
-    ref_bytes = ref_out.read_bytes()
+    journals = sorted((ref_dir / "cache" / "runs").glob("*.jsonl"))
+    if len(journals) != 1:
+        raise ValueError(
+            f"reference run wrote {len(journals)} journals, not one: "
+            f"`repro {' '.join(command)}` is not a journaled command"
+        )
+    n_barriers = summarize_journal(journals[0]).n_records
+    barrier_list = (
+        list(range(n_barriers)) if barriers is None else
+        sorted(set(int(b) for b in barriers))
+    )
+    outside = [b for b in barrier_list if not 0 <= b < n_barriers]
+    if outside:
+        raise ValueError(
+            f"barrier(s) {outside} outside the reference run's journal "
+            f"(barriers 0-{n_barriers - 1})"
+        )
+    ref_bytes = (ref_dir / "document.json").read_bytes()
     ref_sha = hashlib.sha256(ref_bytes).hexdigest()
-    say(f"reference document sha256 {ref_sha[:12]} ({len(ref_bytes)} bytes)")
+    say(f"reference document sha256 {ref_sha[:12]} ({len(ref_bytes)} bytes, "
+        f"{n_barriers} journal barriers)")
 
     results: list[FaultPointResult] = []
     for mode in modes:
         for barrier in barrier_list:
-            plan = FaultPlan(mode=mode, barrier=barrier)
             point_dir = workdir / f"{mode}-{barrier:02d}"
-            out = point_dir / "document.json"
-            argv = [
-                "run", *scenario_argv,
-                "--cache-dir", str(point_dir / "cache"), "--out", str(out),
-            ]
             result = _fault_point(
-                plan, argv, out, ref_bytes, timeout_s=timeout_s
+                FaultPlan(mode=mode, barrier=barrier),
+                argv(point_dir),
+                point_dir / "document.json",
+                ref_bytes,
+                timeout_s=timeout_s,
             )
             results.append(result)
             status = "ok" if result.ok else f"FAIL ({result.detail})"
             say(f"{result.label}: fault rc {result.fault_rc}, "
                 f"resume rc {result.resume_rc}, "
                 f"identical {result.identical} -> {status}")
-    return SweepReport(
-        scenario_argv=tuple(scenario_argv),
-        n_barriers=count_barriers(),
+    return FaultSweepReport(
+        n_barriers=n_barriers,
         reference_sha256=ref_sha,
         results=tuple(results),
     )
@@ -217,44 +229,43 @@ def _fault_point(
     timeout_s: float,
 ) -> FaultPointResult:
     """Execute one faulted-run/resume pair and judge it."""
+
+    def judged(
+        detail: str,
+        fault_rc: Optional[int] = None,
+        resume_rc: Optional[int] = None,
+        identical: Optional[bool] = None,
+    ) -> FaultPointResult:
+        return FaultPointResult(
+            plan.mode, plan.barrier, fault_rc, resume_rc, identical, detail
+        )
+
     try:
         faulted = _run_cli(argv, _pipeline_env(plan), timeout_s)
     except subprocess.TimeoutExpired:
-        return FaultPointResult(
-            plan.mode, plan.barrier, None, None, None, False,
-            "faulted run timed out",
-        )
+        return judged("faulted run timed out")
     problem = _expected_fault(plan.mode, faulted.returncode)
     if problem is not None:
-        return FaultPointResult(
-            plan.mode, plan.barrier, faulted.returncode, None, None, False,
-            problem,
-        )
+        return judged(problem, faulted.returncode)
     try:
         resumed = _run_cli(
             [*argv, "--resume"], _pipeline_env(None), timeout_s
         )
     except subprocess.TimeoutExpired:
-        return FaultPointResult(
-            plan.mode, plan.barrier, faulted.returncode, None, None, False,
-            "resume timed out",
-        )
+        return judged("resume timed out", faulted.returncode)
     if resumed.returncode != 0:
         tail = resumed.stderr.strip().splitlines()
-        return FaultPointResult(
-            plan.mode, plan.barrier, faulted.returncode, resumed.returncode,
-            None, False,
+        return judged(
             "resume failed: " + (tail[-1] if tail else "no stderr"),
+            faulted.returncode, resumed.returncode,
         )
     try:
         identical = out.read_bytes() == ref_bytes
     except OSError:
-        return FaultPointResult(
-            plan.mode, plan.barrier, faulted.returncode, resumed.returncode,
-            None, False, "resume wrote no document",
+        return judged(
+            "resume wrote no document", faulted.returncode, resumed.returncode
         )
-    return FaultPointResult(
-        plan.mode, plan.barrier, faulted.returncode, resumed.returncode,
-        identical, identical,
+    return judged(
         "" if identical else "resumed document differs from cold reference",
+        faulted.returncode, resumed.returncode, identical,
     )

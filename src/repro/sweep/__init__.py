@@ -10,9 +10,6 @@ sensitivity table and the paper-style MTBF-vs-node-count projection.
 """
 
 from repro.sweep.engine import (
-    PointStatus,
-    SweepRunReport,
-    SweepStatus,
     load_sweep_table,
     point_summary_doc,
     run_sweep,
@@ -45,9 +42,6 @@ __all__ = [
     "table_key",
     "point_summary_doc",
     "load_sweep_table",
-    "PointStatus",
-    "SweepRunReport",
-    "SweepStatus",
     "SensitivityReducer",
     "scaling_projection",
     "render_sensitivity",

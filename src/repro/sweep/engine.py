@@ -1,11 +1,10 @@
 """The sharded sweep engine behind ``python -m repro sweep``.
 
-Executes the full grid of a :class:`~repro.sweep.spec.SweepSpec` with a
-journaled barrier after every *point*, mirroring the per-stage
-discipline of :mod:`repro.supervise.runner` one level up:
+Executes the full grid of a :class:`~repro.sweep.spec.SweepSpec` as a
+journaled run (:class:`repro.supervise.runner.JournaledRun`) whose
+units are the grid points:
 
-* ``sweep_start`` — the spec (identity: its content key), grid size,
-  pipeline epoch and journal version;
+* ``sweep_start`` — the spec (identity: its content key) and grid size;
 * one ``point`` record per grid point — the point's summary document
   is durable in the artifact store (atomic write + fsync) *before* the
   record commits, so a journaled point always has its artifact;
@@ -19,10 +18,10 @@ alone appends to the journal, via the pool's streaming ``on_result``
 callback, so journal barriers — including the fault injection of
 ``REPRO_PROCFAULT`` — stay single-writer.
 
-On resume, journaled points are *verified*: the summary artifact is
-re-read and its SHA-256 checked against the journaled digest.  A
+On resume, journaled points are *verified* first: the summary artifact
+is re-read and its SHA-256 checked against the journaled digest.  A
 missing/corrupt/mismatched artifact demotes the point back to pending
-and a corrective ``recomputed`` record is appended after the rerun —
+and a corrective ``recomputed`` record is committed after the rerun —
 the same invalidate-and-recompute contract the study runner applies to
 figure stages.  Because every point's summary is content-addressed by
 ``sweep_point_key``, a warm rerun (journal gone, store intact) reuses
@@ -33,28 +32,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Callable, Optional
 
-from repro.supervise.journal import JOURNAL_VERSION, read_journal
 from repro.supervise.runner import (
-    _pause,
-    _stage_delay,
+    JournaledRun,
+    RunReport,
+    RunSummary,
+    UnitStatus,
     document_json,
     journal_path,
-    open_or_resume_journal,
+    summarize_journal,
 )
-from repro.supervise.signals import GracefulShutdown
 from repro.sweep.grid import SweepPoint, expand
 from repro.sweep.reduce import SensitivityReducer
 from repro.sweep.spec import SweepSpec
 
 __all__ = [
     "SWEEP_DOC_VERSION",
-    "PointStatus",
-    "SweepRunReport",
-    "SweepStatus",
     "sweep_id_for",
     "summary_key",
     "table_key",
@@ -68,62 +62,9 @@ __all__ = [
 SWEEP_DOC_VERSION = 1
 
 
-@dataclass(frozen=True)
-class PointStatus:
-    """How one grid point was satisfied during this invocation."""
-
-    index: int
-    label: str
-    key: str
-    #: ``computed`` (fresh work, journaled), ``verified`` (journaled
-    #: earlier, artifact digest re-checked), or ``recomputed``
-    #: (journal/store disagreed; point redone and re-journaled).
-    action: str
-    digest: str
-    #: The summary artifact was already warm in the store (no physics
-    #: was recomputed even though the point was journaled fresh).
-    warm: bool = False
-
-
-@dataclass(frozen=True)
-class SweepRunReport:
-    """The outcome of one sweep run (or resume)."""
-
-    run_id: str
-    sweep_key: str
-    journal_path: str
-    resumed: bool
-    truncated_tail: bool
-    points: tuple[PointStatus, ...]
-    table: dict[str, Any]
-    table_sha256: str
-
-    @property
-    def n_computed(self) -> int:
-        return sum(1 for p in self.points if p.action != "verified")
-
-    @property
-    def n_verified(self) -> int:
-        return sum(1 for p in self.points if p.action == "verified")
-
-
-@dataclass(frozen=True)
-class SweepStatus:
-    """One sweep journal's progress, for ``repro sweep status``."""
-
-    run_id: str
-    path: str
-    exists: bool
-    sweep_key: str
-    n_points: int
-    n_done: int
-    complete: bool
-    torn_tail: bool
-
-
 def sweep_id_for(spec: SweepSpec) -> str:
     """Deterministic run id: one journal per spec content key."""
-    return f"sweep-{spec.key()[:16]}"
+    return JournaledRun.derived_id("sweep", spec.key())
 
 
 def summary_key(point_key: str) -> str:
@@ -305,10 +246,12 @@ def run_sweep(
     n_workers: int = 1,
     timeout_s: Optional[float] = None,
     progress: Optional[Callable[[str], None]] = None,
-) -> SweepRunReport:
+) -> RunReport:
     """Run (or resume) one sweep spec to a complete sensitivity table.
 
-    Raises :class:`~repro.supervise.signals.RunInterrupted` on a
+    The report's units are the grid points, named by label, in grid
+    order; its document is the table.  Raises
+    :class:`~repro.supervise.signals.RunInterrupted` on a
     SIGINT/SIGTERM handled at a point barrier, lets journal write
     failures propagate, and raises
     :class:`~repro.parallel.pool.ChunkTimeout` (naming grid point
@@ -316,159 +259,84 @@ def run_sweep(
     attempt — in every case the journal on disk is a valid prefix and a
     later ``resume=True`` call completes the sweep.
     """
-    from repro.cache.keys import PIPELINE_EPOCH
-    from repro.chaos.procfault import injector_from_env
     from repro.parallel.pool import ChunkTimeout, parallel_map
 
     spec.validate()
     say = progress if progress is not None else lambda _msg: None
     points = expand(spec)
-    skey = spec.key()
-    rid = run_id if run_id is not None else sweep_id_for(spec)
-    path = journal_path(store, rid)
-    hook = injector_from_env()
-    delay_s = _stage_delay()
+    spec_doc = spec.to_doc()
+    start = {"spec": spec_doc, "n_points": len(points)}
+    with JournaledRun(
+        "sweep", store, spec.key(), run_id=run_id, resume=resume, start=start
+    ) as session:
+        reducer = SensitivityReducer(spec)
+        units: dict[int, UnitStatus] = {}
 
-    with GracefulShutdown() as stop:
-        journal, resumed = open_or_resume_journal(
-            path,
-            start_type="sweep_start",
-            identity_field="sweep_key",
-            identity=skey,
-            resume=resume,
-            explicit_id=run_id is not None,
-            fault_hook=hook,
+        # -- verify journaled points against the store ----------------------
+        for point in points:
+            rec = session.done.get(point.index)
+            if rec is None:
+                continue
+            payload = (
+                _reusable_summary(store, summary_key(point.key))
+                if rec.get("key") == point.key
+                else None
+            )
+            digest = rec.get("digest")
+            if payload is not None and _digest(payload) == digest:
+                reducer.add(point.index, json.loads(payload.decode("utf-8")))
+                units[point.index] = UnitStatus(point.label, "verified", digest)
+            else:
+                # Journal and store disagree (corrupted, swapped or
+                # vanished artifact): drop it and redo the point.
+                store.delete(summary_key(point.key))
+        pending = [p.index for p in points if p.index not in units]
+        say(
+            f"sweep {session.run_id}: {len(units)} verified, "
+            f"{len(pending)} to run"
         )
-        try:
-            if journal.next_seq == 0:
-                journal.append(
-                    "sweep_start",
-                    run_id=rid,
-                    sweep_key=skey,
-                    epoch=int(PIPELINE_EPOCH),
-                    journal_version=JOURNAL_VERSION,
-                    spec=spec.to_doc(),
-                    n_points=len(points),
-                )
-            done = {
-                int(rec.get("index")): rec
-                for rec in journal.of_type("point")
-                if rec.get("index") is not None
-            }
-            prior_end = journal.last("sweep_end")
 
-            reducer = SensitivityReducer(spec)
-            statuses: dict[int, PointStatus] = {}
-            stale: set[int] = set()
-
-            # -- verify journaled points against the store ------------------
-            for point in points:
-                rec = done.get(point.index)
-                if rec is None:
-                    continue
-                payload = (
-                    _reusable_summary(store, summary_key(point.key))
-                    if rec.get("key") == point.key
-                    else None
-                )
-                digest = rec.get("digest")
-                if payload is not None and _digest(payload) == digest:
-                    reducer.add(
-                        point.index, json.loads(payload.decode("utf-8"))
-                    )
-                    statuses[point.index] = PointStatus(
-                        point.index,
-                        point.label,
-                        point.key,
-                        "verified",
-                        digest,
-                    )
-                else:
-                    # Journal and store disagree (corrupted, swapped or
-                    # vanished artifact): drop it and redo the point.
-                    store.delete(summary_key(point.key))
-                    stale.add(point.index)
-            pending = [
-                p.index for p in points if p.index not in statuses
-            ]
+        # -- shard the pending points, journaling at each barrier -----------
+        def on_point(_item_index: int, result: dict[str, Any]) -> None:
+            session.barrier()
+            index = result["index"]
+            action = session.commit(
+                index, key=result["key"], digest=result["sha256"]
+            )
+            reducer.add(index, result["doc"])
+            label = points[index].label
+            units[index] = UnitStatus(
+                label, action, result["sha256"], result["warm"]
+            )
             say(
-                f"sweep {rid}: {len(statuses)} verified, "
-                f"{len(pending)} to run"
+                f"point {index} ({label}): {action}"
+                f"{' [warm]' if result['warm'] else ''}"
             )
 
-            # -- shard the pending points, journaling at each barrier -------
-            if pending:
-                spec_doc = spec.to_doc()
-                items = [
-                    (str(store.root), spec_doc, index) for index in pending
-                ]
-
-                def on_point(_item_index: int, result: dict[str, Any]) -> None:
-                    index = result["index"]
-                    _pause(stop, delay_s)
-                    recomputed = index in stale
-                    extra = {"recomputed": True} if recomputed else {}
-                    journal.append(
-                        "point",
-                        index=index,
-                        key=result["key"],
-                        digest=result["sha256"],
-                        **extra,
-                    )
-                    reducer.add(index, result["doc"])
-                    action = "recomputed" if recomputed else "computed"
-                    statuses[index] = PointStatus(
-                        index,
-                        points[index].label,
-                        result["key"],
-                        action,
-                        result["sha256"],
-                        warm=result["warm"],
-                    )
-                    say(
-                        f"point {index} ({points[index].label}): {action}"
-                        f"{' [warm]' if result['warm'] else ''}"
-                    )
-
-                try:
-                    parallel_map(
-                        _compute_point,
-                        items,
-                        n_workers=n_workers,
-                        timeout_s=timeout_s,
-                        on_result=on_point,
-                    )
-                except ChunkTimeout as exc:
-                    hung = [pending[i] for i in exc.indices]
-                    raise ChunkTimeout(hung, exc.timeout_s) from exc
-
-            # -- assemble + persist the table, then close the journal -------
-            _pause(stop, delay_s)
-            table = reducer.table()
-            payload = document_json(table).encode("utf-8")
-            table_sha = _digest(payload)
-            store.put_bytes(table_key(spec), payload, "json")
-            if prior_end is None or prior_end.get("table_sha256") != table_sha:
-                journal.append(
-                    "sweep_end",
-                    table_sha256=table_sha,
-                    n_points=len(points),
-                )
-            say(f"sweep_end: table {table_sha[:12]}")
-            return SweepRunReport(
-                run_id=rid,
-                sweep_key=skey,
-                journal_path=str(path),
-                resumed=resumed,
-                truncated_tail=journal.truncated_tail,
-                points=tuple(
-                    statuses[p.index] for p in points
-                ),
-                table=table,
-                table_sha256=table_sha,
+        items = [(str(store.root), spec_doc, index) for index in pending]
+        try:
+            parallel_map(
+                _compute_point,
+                items,
+                n_workers=n_workers,
+                timeout_s=timeout_s,
+                on_result=on_point,
             )
-        finally:
-            journal.close()
+        except ChunkTimeout as exc:
+            hung = [pending[i] for i in exc.indices]
+            raise ChunkTimeout(hung, exc.timeout_s) from exc
+
+        # -- persist the table, then seal it in the journal -----------------
+        session.barrier()
+        table = reducer.table()
+        store.put_bytes(
+            table_key(spec), document_json(table).encode("utf-8"), "json"
+        )
+        report = session.finish(
+            table, [units[p.index] for p in points], n_points=len(points)
+        )
+    say(f"sweep_end: table {report.document_sha256[:12]}")
+    return report
 
 
 def load_sweep_table(
@@ -489,37 +357,10 @@ def load_sweep_table(
     return json.loads(payload.decode("utf-8")), payload
 
 
-def sweep_status(spec: SweepSpec, store: Any, run_id: Optional[str] = None) -> SweepStatus:
-    """Progress of a sweep's journal without touching any physics."""
+def sweep_status(
+    spec: SweepSpec, store: Any, run_id: Optional[str] = None
+) -> Optional[RunSummary]:
+    """Progress of a sweep's journal without touching any physics;
+    ``None`` before its first run."""
     rid = run_id if run_id is not None else sweep_id_for(spec)
-    path = journal_path(store, rid)
-    if not Path(path).exists():
-        return SweepStatus(
-            run_id=rid,
-            path=str(path),
-            exists=False,
-            sweep_key=spec.key(),
-            n_points=spec.n_points,
-            n_done=0,
-            complete=False,
-            torn_tail=False,
-        )
-    records, _valid, problems = read_journal(path)
-    n_points = spec.n_points
-    for rec in records:
-        if rec.type == "sweep_start":
-            n_points = int(rec.get("n_points", n_points))
-            break
-    indices = {
-        rec.get("index") for rec in records if rec.type == "point"
-    }
-    return SweepStatus(
-        run_id=rid,
-        path=str(path),
-        exists=True,
-        sweep_key=spec.key(),
-        n_points=n_points,
-        n_done=len(indices),
-        complete=any(rec.type == "sweep_end" for rec in records),
-        torn_tail=bool(problems),
-    )
+    return summarize_journal(journal_path(store, rid))

@@ -583,8 +583,3 @@ class ConsoleLogParser:
 
     def parse_text(self, text: str) -> tuple[EventLog, ParseStats]:
         return self.parse_lines(text.splitlines())
-
-
-def structure_code(structure: MemoryStructure | None) -> int:
-    """Columnar code for a structure (−1 for None)."""
-    return -1 if structure is None else STRUCTURE_CODES[structure]

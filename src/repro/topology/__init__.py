@@ -28,7 +28,6 @@ from repro.topology.location import (
 )
 from repro.topology.machine import N_COMPUTE_NODES, N_SERVICE_NODES, TitanMachine
 from repro.topology.torus import GeminiTorus, folded_order, folded_rank
-from repro.topology.allocation import allocation_order
 from repro.topology.routing import average_pairwise_hops, link_load, route
 from repro.topology.thermal import ThermalModel
 
@@ -49,7 +48,6 @@ __all__ = [
     "GeminiTorus",
     "folded_order",
     "folded_rank",
-    "allocation_order",
     "route",
     "average_pairwise_hops",
     "link_load",

@@ -36,6 +36,7 @@ from repro.chaos.procfault import (
     ProcessFaultInjector,
     plan_from_env,
 )
+from repro.core.study import FIGURES
 from repro.sim import Scenario
 from repro.supervise import (
     GracefulShutdown,
@@ -44,7 +45,7 @@ from repro.supervise import (
     RunJournal,
     read_journal,
 )
-from repro.supervise.chaosrun import count_barriers, run_sweep
+from repro.supervise.chaosrun import run_fault_sweep
 from repro.supervise.runner import (
     STAGE_DELAY_ENV,
     document_json,
@@ -288,10 +289,10 @@ class TestRunner:
         store = ArtifactStore(tmp_path / "cache")
         cold = run_study(scenario, store)
         assert not cold.resumed
-        assert cold.n_computed == len(cold.stages)
+        assert cold.n_computed == len(cold.units)
         warm = run_study(scenario, store, resume=True)
         assert warm.resumed
-        assert warm.n_verified == len(warm.stages)
+        assert warm.n_verified == len(warm.units)
         assert warm.document_sha256 == cold.document_sha256
         assert document_json(warm.document) == document_json(cold.document)
 
@@ -304,10 +305,12 @@ class TestRunner:
         assert Path(report.journal_path) == journal_path(store, rid)
         records, _bytes, problems = read_journal(report.journal_path)
         assert problems == []
-        assert records[0].type == "run_start"
+        assert len(records) == len(FIGURES) + 3
+        assert [r.type for r in records] == [
+            "run_start", *["stage"] * (len(FIGURES) + 1), "run_end",
+        ]
         assert records[0].get("dataset_key") == dataset_key(scenario)
-        assert records[-1].type == "run_end"
-        assert len(records) == count_barriers()
+        assert records[-1].get("document_sha256") == report.document_sha256
         runs = list_runs(store)
         assert [r.run_id for r in runs] == [rid]
         assert runs[0].complete and not runs[0].torn_tail
@@ -335,7 +338,7 @@ class TestRunner:
         key = artifact_key(dataset_key(scenario), "fig/fig5")
         store.put(key, {"bogus": 1}, "pickle")
         resumed = run_study(scenario, store, resume=True)
-        actions = {s.name: s.action for s in resumed.stages}
+        actions = {u.name: u.action for u in resumed.units}
         assert actions["fig5"] == "recomputed"
         assert actions["fig2"] == "verified"
         assert resumed.document_sha256 == cold.document_sha256
@@ -455,7 +458,7 @@ class TestInterruptSubprocess:
         assert journal_path(store, rid) == jpath
         records, _bytes, problems = read_journal(jpath)
         assert problems == []
-        assert 0 < len(records) < count_barriers()
+        assert 0 < len(records) < len(FIGURES) + 3
 
         resumed = subprocess.run(
             [*_run_argv(cache, out), "--resume"],
@@ -473,14 +476,14 @@ class TestChaosSweep:
     def test_representative_fault_points(self, tmp_path):
         """kill/torn/enospc at an early and the final barrier, each in a
         real subprocess, resumes byte-identically (CI sweeps them all)."""
-        report = run_sweep(
-            ["--days", "3", "--seed", "7"],
+        report = run_fault_sweep(
+            ["run", "--days", "3", "--seed", "7"],
             tmp_path / "sweep",
             modes=FAULT_MODES,
-            barriers=(1, count_barriers() - 1),
+            barriers=(1, len(FIGURES) + 2),
             timeout_s=300.0,
         )
-        assert report.n_barriers == count_barriers()
+        assert report.n_barriers == len(FIGURES) + 3
         assert report.ok, [
             (f.label, f.detail) for f in report.failures
         ]
@@ -525,3 +528,58 @@ class TestCli:
         rc = main(["chaos-run", "--modes", "nuke"])
         assert rc == 2
         assert "nuke" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("days", ["0", "-5", "nan", "inf"])
+    def test_run_rejects_bad_days_before_journaling(
+        self, tmp_path, capsys, days
+    ):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--cache-dir", str(tmp_path), "--days", days])
+        assert info.value.code == 2
+        assert "--days" in capsys.readouterr().err
+        assert not list(tmp_path.glob("runs/*.jsonl"))
+
+    def test_observations_rejects_empty_window(self):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as info:
+            main(["observations", "--days", "0"])
+        assert info.value.code == 2
+
+    def test_chaos_run_rejects_negative_barrier_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.cli import main
+
+        calls = []
+        monkeypatch.setattr(
+            "repro.supervise.chaosrun._run_cli",
+            lambda *args, **kwargs: calls.append(args),
+        )
+        workdir = tmp_path / "chaos"
+        rc = main([
+            "chaos-run", "--barriers", "1,-1", "--workdir", str(workdir),
+        ])
+        assert rc == 2
+        assert "--barriers" in capsys.readouterr().err
+        assert calls == [] and not workdir.exists()
+
+    def test_chaos_run_rejects_barrier_past_the_journal(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        rc = main([
+            "chaos-run", "--modes", "kill", "--barriers", "25",
+            "--workdir", str(tmp_path / "chaos"),
+            "run", "--days", "3", "--seed", "7",
+        ])
+        assert rc == 2
+        last = len(FIGURES) + 2
+        assert (
+            f"barrier(s) [25] outside the reference run's journal "
+            f"(barriers 0-{last})"
+        ) in capsys.readouterr().err
+        assert not (tmp_path / "chaos" / "kill-25").exists()

@@ -16,14 +16,13 @@ import dataclasses
 import json
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 from repro.cache import ArtifactStore, dataset_key, scenario_fingerprint
-from repro.supervise.journal import JournalError
+from repro.chaos.procfault import FAULT_MODES
+from repro.supervise.chaosrun import run_fault_sweep
+from repro.supervise.journal import JournalError, read_journal
 from repro.sweep import (
     RateMultipliers,
     SweepSpec,
@@ -40,8 +39,6 @@ from repro.sweep.reduce import (
     write_table_csv,
 )
 from repro.units import DAY
-
-_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _tiny(name, **overrides):
@@ -247,30 +244,38 @@ class TestEngine:
         spec = _spec12()
         cold = run_sweep(spec, store, n_workers=2)
         assert not cold.resumed
-        assert len(cold.points) == 12
+        assert cold.key == spec.key()
+        assert len(cold.units) == 12
         assert cold.n_computed == 12
-        assert [p.index for p in cold.points] == list(range(12))
-        assert len(cold.table["rows"]) == 12
-        assert cold.table["anchor_index"] == 0
+        assert [u.name for u in cold.units] == [p.label for p in expand(spec)]
+        assert len(cold.document["rows"]) == 12
+        assert cold.document["anchor_index"] == 0
+        records, _bytes, problems = read_journal(cold.journal_path)
+        assert problems == []
+        assert [r.type for r in records] == [
+            "sweep_start", *["point"] * 12, "sweep_end",
+        ]
+        assert records[0].get("sweep_key") == spec.key()
+        assert records[-1].get("table_sha256") == cold.document_sha256
 
         # resume: every journaled point verifies against the store
         warm = run_sweep(spec, store, resume=True)
         assert warm.resumed
         assert warm.n_verified == 12 and warm.n_computed == 0
-        assert warm.table_sha256 == cold.table_sha256
+        assert warm.document_sha256 == cold.document_sha256
 
         # journal gone, store intact: summaries reused byte-for-byte
         os.unlink(cold.journal_path)
         rerun = run_sweep(spec, store, n_workers=2)
         assert not rerun.resumed
-        assert all(p.warm for p in rerun.points)
-        assert rerun.table_sha256 == cold.table_sha256
+        assert all(u.warm for u in rerun.units)
+        assert rerun.document_sha256 == cold.document_sha256
 
         table, payload = load_sweep_table(spec, store)
-        assert table == cold.table
+        assert table == cold.document
         import hashlib
 
-        assert hashlib.sha256(payload).hexdigest() == cold.table_sha256
+        assert hashlib.sha256(payload).hexdigest() == cold.document_sha256
 
     def test_corrupted_summary_recomputed_on_resume(self, store):
         from repro.sweep.engine import summary_key
@@ -281,10 +286,9 @@ class TestEngine:
         path = store._path(summary_key(victim.key))
         path.write_bytes(path.read_bytes()[: 40])  # torn container
         healed = run_sweep(spec, store, resume=True)
-        actions = {p.index: p.action for p in healed.points}
-        assert actions[0] == "verified"
-        assert actions[1] == "recomputed"
-        assert healed.table_sha256 == cold.table_sha256
+        actions = [u.action for u in healed.units]
+        assert actions == ["verified", "recomputed"]
+        assert healed.document_sha256 == cold.document_sha256
 
     def test_availability_section_requires_flag(self, store):
         plain = _tiny("avail-off")
@@ -293,8 +297,8 @@ class TestEngine:
         b = run_sweep(truth, store)
         # ground truth is folded into the summary address: no collision
         assert expand(plain)[0].key != expand(truth)[0].key
-        assert a.table["rows"][0]["availability"] is None
-        avail = b.table["rows"][0]["availability"]
+        assert a.document["rows"][0]["availability"] is None
+        avail = b.document["rows"][0]["availability"]
         assert 0.0 < avail["availability"] <= 1.0
         assert avail["n_outages"] >= 0
         assert "mttr_hours_by_cause" in avail
@@ -302,7 +306,7 @@ class TestEngine:
     def test_corruption_axis_degrades_observables(self, store):
         spec = _tiny("corr", corruptions=(0.0, 0.2))
         report = run_sweep(spec, store)
-        clean, dirty = report.table["rows"]
+        clean, dirty = report.document["rows"]
         assert clean["is_anchor"] and not dirty["is_anchor"]
         docs = [
             json.loads(
@@ -327,51 +331,28 @@ class TestEngine:
 
         specfile = tmp_path / "spec.json"
         specfile.write_text(json.dumps(spec.to_doc()))
-        cache = tmp_path / "cache"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(_SRC) + os.pathsep + env.get(
-            "PYTHONPATH", ""
+        report = run_fault_sweep(
+            ["sweep", "run", "--spec", str(specfile), "--quiet"],
+            tmp_path / "chaos",
+            modes=FAULT_MODES,
+            barriers=(1,),
+            timeout_s=600.0,
         )
-        env.pop("REPRO_CACHE_DIR", None)
-        argv = [
-            sys.executable, "-m", "repro", "sweep", "run",
-            "--spec", str(specfile), "--cache-dir", str(cache), "--quiet",
-        ]
-        killed = subprocess.run(
-            argv,
-            env={**env, "REPRO_PROCFAULT": "kill:1"},
-            capture_output=True,
-            text=True,
-            timeout=600,
-        )
-        assert killed.returncode == -9, killed.stderr
-        resumed = subprocess.run(
-            argv + ["--resume"],
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=600,
-            check=True,
-        )
-        sha = [
-            line.split()[-1]
-            for line in resumed.stdout.splitlines()
-            if line.startswith("table sha256")
-        ]
-        assert sha == [cold.table_sha256]
-        _table, payload = load_sweep_table(spec, ArtifactStore(cache))
+        assert report.ok, [(f.label, f.detail) for f in report.failures]
+        assert report.n_barriers == 1 + spec.n_points + 1
+        assert report.reference_sha256 == cold.document_sha256
         _ref, ref_payload = load_sweep_table(spec, store)
-        assert payload == ref_payload
+        for mode in FAULT_MODES:
+            cache = ArtifactStore(tmp_path / "chaos" / f"{mode}-01" / "cache")
+            assert load_sweep_table(spec, cache)[1] == ref_payload
 
     def test_status_reporting(self, store):
         spec = _tiny("status-never-run", scales=(1.0, 4.0))
-        before = sweep_status(spec, store)
-        assert not before.exists and before.n_done == 0
-        assert before.n_points == 2
+        assert sweep_status(spec, store) is None
         done = _tiny("heal", scales=(1.0, 2.0))  # ran above
         after = sweep_status(done, store)
-        assert after.exists and after.complete
-        assert after.n_done == after.n_points == 2
+        assert after.kind == "sweep" and after.complete
+        assert after.n_units == done.n_points == 2
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +401,7 @@ class TestReducerAndCli:
     def test_scaling_projection_from_live_table(self, store):
         spec = _spec12()  # summaries are warm from TestEngine
         report = run_sweep(spec, store, resume=True)
-        projection = scaling_projection(report.table)
+        projection = scaling_projection(report.document)
         assert projection["titan_nodes"] == 18_688
         assert [r["scale"] for r in projection["rows"]] == [1.0, 2.0, 3.0]
         assert projection["rows"][0]["n_nodes"] == 18_688

@@ -62,14 +62,14 @@ class TestTitanAnchor:
         spec = _spec("golden")
         cold = run_sweep(spec, store)
         assert cold.n_computed == 1
-        row = cold.table["rows"][0]
+        row = cold.document["rows"][0]
         assert row["is_anchor"]
         assert row["dbe_mtbf_hours"] == golden["headline"]["dbe_mtbf_hours"]
         assert row["n_nodes"] == 18_688
 
         warm = run_sweep(spec, store, resume=True)
         assert warm.n_verified == 1 and warm.n_computed == 0
-        assert warm.table_sha256 == cold.table_sha256
+        assert warm.document_sha256 == cold.document_sha256
 
     def test_kill_resume_matches_a_clean_run(self, store, tmp_path):
         spec = _spec("golden-chaos")
@@ -108,7 +108,7 @@ class TestTitanAnchor:
         report = run_sweep(spec, store, resume=True)
         _table, clean = load_sweep_table(spec, store)
         assert clean == after_kill
-        assert report.table_sha256 == _sha(after_kill)
+        assert report.document_sha256 == _sha(after_kill)
 
 
 def _sha(payload: bytes) -> str:
