@@ -242,8 +242,6 @@ class EventLogBuilder:
         )
         self._chunks.append(chunk)
         self._frozen_rows += len(chunk)
-        # Clear in place: raw_columns() callers hold bound references
-        # to these exact list objects.
         for vals in self._rows.values():
             vals.clear()
 
@@ -279,19 +277,6 @@ class EventLogBuilder:
         index = self._frozen_rows + len(self._rows["time"]) - 1
         self._maybe_spool()
         return index
-
-    def raw_columns(self) -> dict[str, list]:
-        """The live column lists, for trusted bulk appenders.
-
-        The parser's hot loop binds each column's ``append`` once and
-        pushes already-encoded values directly, skipping the per-event
-        lookups and conversions of :meth:`add`.  Callers own the
-        invariant that every column receives the same number of values.
-        Raw appends bypass the spool check — streaming consumers bound
-        memory by chunking their *input* instead (see
-        :meth:`repro.telemetry.parser.ConsoleLogParser.parse_lines`).
-        """
-        return self._rows
 
     def add_children(
         self,

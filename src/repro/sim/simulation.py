@@ -35,7 +35,7 @@ from repro.sim.scenario import Scenario
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.jobsnap import JobSnapshotFramework, JobSnapshotRecord
 from repro.telemetry.nvsmi import NvidiaSmi
-from repro.telemetry.parser import ConsoleLogParser, ParseStats
+from repro.telemetry.parser import ConsoleLogParser, ParseStats, _split_lines
 from repro.telemetry.raslog import NodeStateLog, RepairModel
 from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
@@ -112,11 +112,12 @@ class SimulationDataset:
         Reads whichever source the dataset has: the resident text (a
         replaced stream, or a log already materialized), the artifact
         store's checksummed shards (a cache load), or a windowed render
-        of the injector's events.  The last two never hold the whole
-        log in memory.
+        of the injector's events.  Resident text is split one block at
+        a time; the other two sources never hold the whole log in
+        memory.
         """
         if self._console_text is not None:
-            return iter(self._console_text.splitlines())
+            return _split_lines(self._console_text)
         if self._console_shards is not None:
             return chain.from_iterable(map(str.splitlines, self._console_shards()))
         return ConsoleLogWriter(self.machine).lines(self.injection.events)

@@ -28,9 +28,11 @@ __all__ = ["render_event_line", "ConsoleLogWriter", "RENDER_CHUNK_ROWS"]
 
 #: Row granularity of the streaming render: timestamps vectorize one
 #: chunk at a time, so the writer never holds the whole stream's stamp
-#: strings at once.  Purely a memory knob — the rendered bytes are
-#: identical at any value.
-RENDER_CHUNK_ROWS: int = 131_072
+#: strings at once.  A parse that streams the render draws its batches
+#: while one window is live, so this matches the parse batch
+#: (:data:`repro.telemetry.parser.PARSE_CHUNK_LINES`).  Purely a memory
+#: knob — the rendered bytes are identical at any value.
+RENDER_CHUNK_ROWS: int = 16_384
 
 #: Short console phrasing per type (the SEC rules in sec.py must match).
 _PHRASES: dict[ErrorType, str] = {

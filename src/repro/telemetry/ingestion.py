@@ -45,8 +45,9 @@ class IngestionError(ValueError):
 
     def __reduce__(self):
         # Default exception pickling replays cls(*args) with the rendered
-        # message only, which breaks the 3-argument constructor; chunked
-        # parallel parsing ships these across process boundaries.
+        # message only, which breaks the 3-argument constructor; an
+        # exception a parallel_map worker raises is pickled back to the
+        # parent.
         return (IngestionError, (self.category, self.line_no, self.line))
 
 

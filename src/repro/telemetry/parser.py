@@ -8,6 +8,14 @@ with **no parent information** — reconstructing parent/child structure
 by time-filtering is the analysis toolkit's job, just as it was for the
 paper's authors.
 
+Two decoders share the work.  The *block decoder* encodes a whole parse
+batch once and decodes, column by column with numpy, every line that is
+byte-for-byte canonical writer output without an ``in <structure>``
+clause — nearly all of a real log.  Every other line goes, in line
+order, through the regex *reference* path (:meth:`ConsoleLogParser._parse_one`),
+which alone defines the accepted language; the block decoder only
+claims lines on which the two provably agree.
+
 Malformed or unclassifiable lines are counted, not fatal: a two-year
 console stream always contains noise, and the parse statistics are how
 operators notice new XIDs (Observation 5).  The parser is additionally
@@ -34,11 +42,15 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice
 
-from repro.errors.event import EventLog, EventLogBuilder, STRUCTURE_CODES
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from repro import perf
+from repro.errors.event import EventLog, EventLogBuilder
 from repro.errors.xid import ErrorType
 from repro.gpu.k20x import MemoryStructure
 from repro.telemetry.ingestion import (
@@ -47,23 +59,16 @@ from repro.telemetry.ingestion import (
     QuarantineSink,
 )
 from repro.telemetry.sec import SEC_RULES, SecRule, UnmatchedLine, classify_line
-from repro.telemetry.timecodec import (
-    _2D_VALUE,
-    _DAY_US_OF_DATE,
-    _SECONDS_PER_HOUR,
-    _SECONDS_PER_MINUTE,
-    _US_PER_SECOND,
-    parse_timestamp,
-)
 from repro.topology.machine import TitanMachine
-from repro.units import datetime_to_timestamp
+from repro.units import STUDY_EPOCH, datetime_to_timestamp
 
 __all__ = ["ConsoleLogParser", "ParseStats", "PARSE_CHUNK_LINES"]
 
 #: Lines per parse batch: how many raw lines are resident at once while
-#: :meth:`ConsoleLogParser.parse_lines` drains a stream.  Results are
+#: :meth:`ConsoleLogParser.parse_lines` drains a stream, and so the
+#: height of the block decoder's per-column temporaries.  Results are
 #: identical at any value.
-PARSE_CHUNK_LINES: int = 131_072
+PARSE_CHUNK_LINES: int = 16_384
 
 _STAMP_PATTERN = r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}\.\d{6}"
 _CNAME_PATTERN = r"c\d+-\d+c\d+s\d+n\d+"
@@ -80,24 +85,18 @@ _STRUCT_RE = re.compile(r" in (?P<structure>[a-z0-9_]+)(?: page 0x(?P<page>[0-9a
 _JOB_RE = re.compile(r"\[job=(?P<job>\d+)\]")
 
 _STRUCT_BY_NAME = {s.value: s for s in MemoryStructure}
-_STRUCT_CODE_BY_NAME = {s.value: STRUCTURE_CODES[s] for s in MemoryStructure}
 
 #: Largest integer the columnar int64 store accepts; anything bigger in
 #: a page/job field is corruption, not data.
 _MAX_INT_FIELD = 2**62
 
-#: Characters legal in a rendered page number (the writer emits
-#: ``%06x`` — lowercase hex, exactly what ``_STRUCT_RE`` accepts).
-_HEX_LOWER = "0123456789abcdef"
-
-#: Lazily built fast-path table: body-head string → etype code, for
+#: Lazily built block-decoder table: body-head string → etype code, for
 #: every constant head the writer can emit.  The map is derived by
-#: running :func:`classify_line` on each head, so the fast path
-#: classifies exactly as the catalog-ordered slow path does; any line
-#: that is not byte-for-byte canonical writer output — corruption,
-#: splices, unknown XIDs, non-GPU chatter, non-canonical cnames —
-#: falls through to the unchanged slow path, which remains the
-#: semantics reference.
+#: running :func:`classify_line` on each head, so the block decoder
+#: classifies exactly as the catalog-ordered reference path does; any
+#: line that is not byte-for-byte canonical writer output — corruption,
+#: splices, unknown XIDs, non-GPU chatter, non-canonical cnames — goes
+#: to the unchanged reference path.
 _FAST_HEADS: dict[str, int] | None = None
 
 
@@ -111,6 +110,200 @@ def _fast_heads() -> dict[str, int]:
             for head in _BODY_HEAD_BY_CODE.values()
         }
     return _FAST_HEADS
+
+
+def _split_lines(text: str, block: int = 1 << 16) -> Iterator[str]:
+    """``text.splitlines()``, split about ``block`` characters at a time.
+
+    Cuts fall only right after a ``"\\n"``, which ends a line under
+    every ``str.splitlines`` rule (``"\\r\\n"`` stays whole), so the
+    pieces' lines concatenate to exactly the whole text's — while only
+    one piece's line strings are alive at once.  Pieces stay small so
+    each one reuses the memory of the last: 1M-character pieces left
+    tens of MB of freed but resident heap behind a paper-scale parse.
+    """
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + block) + 1
+        if cut == 0:
+            cut = len(text)
+        yield from text[start:cut].splitlines()
+        start = cut
+
+
+#: Byte layout of a canonical stamp and the space after it: fixed
+#: separators at these offsets, ASCII digits at every other offset.
+_STAMP_SEP_AT = np.array([4, 7, 10, 13, 16, 19, 26])
+_STAMP_SEP = np.frombuffer(b"--T::. ", dtype=np.uint8)
+_STAMP_DIGIT_AT = np.setdiff1d(np.arange(26), _STAMP_SEP_AT)
+
+#: A job tag ``" [job=<digits>]"`` may end the line; 18 digits keep the
+#: value below the int64 guard, longer numerals take the reference path.
+_JOB_OPEN = np.frombuffer(b" [job=", dtype=np.uint8)
+_JOB_DIGITS = 18
+_JOB_WEIGHTS = 10 ** np.arange(_JOB_DIGITS - 1, -1, -1, dtype=np.int64)
+
+#: Microsecond totals this close to the epoch convert to float64
+#: exactly, so ``us / 1e6`` rounds as the reference's int division.
+_EXACT_US = 2**53
+_US_PER_SECOND = 1_000_000
+_EPOCH_ORDINAL = STUDY_EPOCH.toordinal()  # STUDY_EPOCH is midnight
+
+
+def _ascii_digits(window: np.ndarray) -> np.ndarray:
+    """Digit values of a uint8 window; non-digit bytes wrap above 9."""
+    return window - np.uint8(ord("0"))
+
+
+def _day_offsets(dates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Days since the epoch of each ``YYYYMMDD`` date, and whether
+    :class:`datetime.date` accepts it; each distinct date is checked
+    once."""
+    distinct, inverse = np.unique(dates, return_inverse=True)
+    days = np.zeros(len(distinct), dtype=np.int64)
+    valid = np.ones(len(distinct), dtype=bool)
+    for i, date in enumerate(distinct.tolist()):
+        try:
+            ordinal = _dt.date(
+                date // 10_000, date // 100 % 100, date % 100
+            ).toordinal()
+        except ValueError:
+            valid[i] = False
+        else:
+            days[i] = ordinal - _EPOCH_ORDINAL
+    return days[inverse], valid[inverse]
+
+
+def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bytes of ``buf`` from each offset in ``at``, one row each."""
+    return sliding_window_view(buf, width)[at]
+
+
+def _stamp_micros(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Microseconds since the epoch of the stamp at each offset, and
+    whether the stamp (and the space after it) is canonical."""
+    stamp = _windows(buf, start, 27)
+    ok = (stamp[:, _STAMP_SEP_AT] == _STAMP_SEP).all(axis=1)
+    digits = _ascii_digits(stamp[:, _STAMP_DIGIT_AT])
+    ok &= (digits <= 9).all(axis=1)
+    # 20 digits as 10 two-digit fields.
+    pairs = digits[:, 0::2].astype(np.int64) * 10 + digits[:, 1::2]
+    (year_hi, year_lo, month, day, hour, minute, second,
+     us_hi, us_mid, us_lo) = pairs.T
+    ok &= (hour < 24) & (minute < 60) & (second < 60)
+    dated = np.flatnonzero(ok)
+    date = ((year_hi * 100 + year_lo) * 100 + month) * 100 + day
+    days = np.zeros(len(start), dtype=np.int64)
+    days[dated], ok[dated] = _day_offsets(date[dated])
+    us = (((days * 24 + hour) * 60 + minute) * 60 + second) * _US_PER_SECOND
+    us += (us_hi * 100 + us_mid) * 100 + us_lo
+    ok &= np.abs(us) < _EXACT_US
+    return us, ok
+
+
+def _job_tags(buf: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The job of each line's trailing ``" [job=<digits>]"`` tag (-1
+    without one), and the offset where the tag (or the line) begins."""
+    digits = _ascii_digits(_windows(buf, end - _JOB_DIGITS - 1, _JOB_DIGITS))
+    is_digit = digits[:, ::-1] <= 9
+    n_digits = np.where(is_digit.all(axis=1), _JOB_DIGITS, is_digit.argmin(axis=1))
+    tag_start = end - n_digits - len(_JOB_OPEN) - 1
+    has_job = (buf[end - 1] == ord("]")) & (n_digits > 0)
+    has_job &= (_windows(buf, tag_start, len(_JOB_OPEN)) == _JOB_OPEN).all(axis=1)
+    in_job = np.arange(_JOB_DIGITS) >= _JOB_DIGITS - n_digits[:, None]
+    in_job &= has_job[:, None]
+    job = np.where(in_job, digits, 0) @ _JOB_WEIGHTS
+    return np.where(has_job, job, -1), np.where(has_job, tag_start, end)
+
+
+def _lookup(
+    keys: np.ndarray, lengths: np.ndarray, window: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Match the first ``length`` bytes of each window row in a table.
+
+    ``keys`` is a sorted fixed-width bytes array and ``lengths`` the
+    true length of each key.  Returns the key index of every row and
+    whether it matched; a fixed-width key pads with NUL, so a match
+    also requires equal lengths (``b"c0-0c0s0n0\\x00"`` is no cname).
+    """
+    width = keys.dtype.itemsize
+    prefix = np.tri(width + 1, width, -1, dtype=np.uint8)  # row n: n ones
+    probe = window[:, :width] * prefix[np.clip(length, 0, width)]
+    probe = probe.view(keys.dtype)[:, 0]
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return at, (keys[at] == probe) & (lengths[at] == length)
+
+
+class _BlockDecoder:
+    """Vectorized decoder of a batch's byte-for-byte canonical lines.
+
+    A line is *claimed* only when every byte of it checks out: a
+    26-byte stamp of ASCII digits and fixed separators with hour < 24,
+    minute < 60, second < 60, a date :class:`datetime.date` accepts and
+    a microsecond total inside the float64-exact range; one space; a
+    cname equal to an entry of the machine's canonical table; one
+    space; one of the constant body heads; and optionally a trailing
+    ``" [job=<1-18 ASCII digits>]"``.  On exactly those lines the regex
+    reference decodes the same seven columns, so claiming them changes
+    nothing but speed.  Lines with an ``in <structure>`` clause are
+    left to the reference, as is everything else.
+    """
+
+    def __init__(self, machine: TitanMachine, etype_by_head: dict[str, int]) -> None:
+        cnames = np.array(machine.cname_table(), dtype=np.bytes_)
+        self._cname_gpu = np.argsort(cnames, kind="stable")
+        self._cnames = cnames[self._cname_gpu]
+        self._cname_len = np.char.str_len(self._cnames)
+        heads = np.array(list(etype_by_head), dtype=np.bytes_)
+        order = np.argsort(heads, kind="stable")
+        self._heads = heads[order]
+        self._head_len = np.char.str_len(self._heads)
+        etypes = np.array(list(etype_by_head.values()), dtype=np.int16)
+        self._head_etype = etypes[order]
+        #: Shortest claimable line: stamp, space, cname, space, head.
+        self._min_len = 28 + int(self._cname_len.min()) + int(self._head_len.min())
+        #: Farthest a fixed-width window reads past a line's start.
+        self._reach = 28 + self._cnames.dtype.itemsize + self._heads.dtype.itemsize
+
+    def decode(self, batch: tuple[str, ...]) -> tuple[np.ndarray, EventLog] | None:
+        """Batch line indices of the claimed lines, and their rows.
+
+        Returns None — leave the whole batch to the reference — when a
+        line holds an embedded newline, so that the newlines of the
+        joined text no longer mark line boundaries.
+        """
+        # Zero padding lets every fixed-width window read past the end.
+        text = "\n".join(batch).encode("utf-8", "surrogatepass")
+        buf = np.frombuffer(text + bytes(self._reach), dtype=np.uint8)
+        newlines = np.flatnonzero(buf == ord("\n"))
+        if len(newlines) != len(batch) - 1:
+            return None
+        starts = np.concatenate(([0], newlines + 1))
+        ends = np.append(newlines, len(text))
+        del text, newlines
+        lines = np.flatnonzero(ends - starts >= self._min_len)
+        start, end = starts[lines], ends[lines]
+
+        us, ok = _stamp_micros(buf, start)
+        # The cname: the bytes up to the next space, looked up whole.
+        cname = _windows(buf, start + 27, self._cnames.dtype.itemsize + 1)
+        cname_len = (cname == ord(" ")).argmax(axis=1)
+        gpu_at, hit = _lookup(self._cnames, self._cname_len, cname, cname_len)
+        ok &= hit
+        # The head: everything between the cname and the job tag, whole.
+        body = start + 28 + cname_len
+        job, head_end = _job_tags(buf, end)
+        head = _windows(buf, body, self._heads.dtype.itemsize)
+        head_at, hit = _lookup(self._heads, self._head_len, head, head_end - body)
+        ok &= hit
+
+        claimed = np.flatnonzero(ok)
+        return lines[claimed], EventLog.from_arrays(
+            time=us[claimed] / _US_PER_SECOND,
+            gpu=self._cname_gpu[gpu_at[claimed]],
+            etype=self._head_etype[head_at[claimed]],
+            job=job[claimed],
+        )
 
 
 @dataclass
@@ -175,14 +368,14 @@ class ConsoleLogParser:
     quarantine:
         Optional sink receiving every rejected line.
     fast:
-        Decode pristine writer-format lines through the fast path
-        (manual field slicing + table lookups + the fixed-format
-        timestamp codec).  Any line that is not byte-for-byte canonical
-        writer output takes the original slow path, so output is
-        identical either way; ``fast=False`` forces the slow path
-        everywhere and exists for the equivalence tests.  The fast path
-        only engages for the default rule catalog — custom ``rules``
-        always classify through the slow path.
+        Block-decode byte-for-byte canonical writer lines with numpy
+        (see :class:`_BlockDecoder`) and send every other line, in line
+        order, through the regex reference path.  The block decoder
+        claims only lines on which the two agree, so output is
+        identical either way; ``fast=False`` runs the reference alone
+        and exists for the equivalence tests.  Block decoding only
+        engages for the default rule catalog — custom ``rules`` always
+        classify through the reference.
     """
 
     def __init__(
@@ -205,10 +398,11 @@ class ConsoleLogParser:
         self.error_budget = error_budget
         self.quarantine = quarantine
         self.fast = bool(fast)
-        if self.fast and rules is SEC_RULES:
-            self._etype_by_head = _fast_heads()
-        else:
-            self._etype_by_head = {}
+        self._decoder = (
+            _BlockDecoder(machine, _fast_heads())
+            if self.fast and rules is SEC_RULES
+            else None
+        )
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -234,24 +428,18 @@ class ConsoleLogParser:
         Raises :class:`IngestionError` (strict mode) or
         :class:`IngestionDegraded` (error budget exceeded, judged on the
         whole stream).  The iterator is drained
-        :data:`PARSE_CHUNK_LINES` lines at a time, each batch into its
-        own builder, so at most one batch of raw lines is resident; line
-        numbers count from the start of the stream.
+        :data:`PARSE_CHUNK_LINES` lines at a time, so at most one batch
+        of raw lines is resident; line numbers count from the start of
+        the stream.
         """
-        parse_batch = (
-            self._parse_fast if self._etype_by_head else self._parse_slow
-        )
         source = iter(lines)
         stats = ParseStats()
         logs: list[EventLog] = []
         line_no = 1
         while batch := tuple(islice(source, PARSE_CHUNK_LINES)):
-            builder = EventLogBuilder()
-            parse_batch(batch, line_no, builder, stats)
-            logs.append(builder.freeze())
+            logs.append(self._parse_batch(batch, line_no, stats))
             line_no += len(batch)
-            # Release both before drawing the next: one batch resident.
-            del batch, builder
+            del batch  # one batch resident while the next is drawn
         log = EventLog.concatenate(logs)
         if (
             self.error_budget is not None
@@ -265,174 +453,43 @@ class ConsoleLogParser:
             )
         return log, stats
 
-    def _parse_slow(
-        self,
-        lines: Iterable[str],
-        start: int,
-        builder: EventLogBuilder,
-        stats: ParseStats,
-    ) -> None:
-        """Classify every line through :meth:`_parse_one` (``fast=False``
-        or a custom rule catalog)."""
-        parse_one = self._parse_one
-        for line_no, raw in enumerate(lines, start=start):
-            line = raw.rstrip("\n")
+    def _parse_batch(
+        self, batch: tuple[str, ...], start: int, stats: ParseStats
+    ) -> EventLog:
+        """Parse one batch whose first line is stream line ``start``.
+
+        The block decoder claims what it can; the remaining lines go
+        through :meth:`_parse_one` in line order, so strict errors and
+        quarantine records come out as from the reference alone.  Rows
+        merge back in line order (one line can yield two rows, a
+        split seam), which makes the log equal the reference's row for
+        row.
+        """
+        decoded = None if self._decoder is None else self._decoder.decode(batch)
+        claimed_at, claimed = decoded or (np.empty(0, dtype=np.int64), EventLog.empty())
+        left = np.ones(len(batch), dtype=bool)
+        left[claimed_at] = False
+        rest = np.flatnonzero(left).tolist()
+        perf.count("telemetry.fallback_lines", len(rest))
+        stats.total_lines += len(claimed)
+        stats.parsed_events += len(claimed)
+        builder = EventLogBuilder()
+        row_at: list[int] = []
+        for i in rest:
+            line = batch[i].rstrip("\n")
             if not line.strip():
                 continue
             stats.total_lines += 1
-            parse_one(builder, stats, line_no, line)
-
-    def _parse_fast(
-        self,
-        lines: Iterable[str],
-        start: int,
-        builder: EventLogBuilder,
-        stats: ParseStats,
-    ) -> None:
-        """Hot loop: decode canonical writer-format lines by slicing.
-
-        A line is *claimed* by the fast path only when every field
-        decodes exactly as the canonical writer emits it: a codec-valid
-        26-char stamp at the front, single-space separators, a cname in
-        the topology's canonical table, a known constant body head,
-        canonical clause order (``in <structure>``, ``page 0x<hex>``,
-        trailing ``[job=N]``), a known structure name, lowercase hex
-        page digits and decimal job digits.  On *any* doubt the whole
-        line goes to :meth:`_parse_one` — the unchanged semantics
-        reference — so the resulting log and statistics are identical
-        to a slow-path-only parse, line for line.
-
-        Claimed lines append through pre-bound column ``append``s; the
-        local ``total``/``parsed`` tallies flush into ``stats`` once at
-        the end (or on a strict-mode raise) instead of per line.
-        """
-        etype_of = self._etype_by_head
-        gpu_of = self.machine.gpu_index_map()
-        scode_of = _STRUCT_CODE_BY_NAME
-        parse_ts = parse_timestamp
-        parse_one = self._parse_one
-        hex_lower = _HEX_LOWER
-        # Inlined stamp decode: the codec's own memo/value tables. Any
-        # miss (new date, non-ASCII digits, out-of-range field) falls
-        # back to parse_timestamp, which owns validation and the memo.
-        day_us_of = _DAY_US_OF_DATE
-        v2 = _2D_VALUE
-        sph = _SECONDS_PER_HOUR
-        spm = _SECONDS_PER_MINUTE
-        ups = _US_PER_SECOND
-        rows = builder.raw_columns()
-        t_app = rows["time"].append
-        g_app = rows["gpu"].append
-        e_app = rows["etype"].append
-        s_app = rows["structure"].append
-        j_app = rows["job"].append
-        p_app = rows["parent"].append
-        a_app = rows["aux"].append
-        total = 0
-        parsed = 0
-        try:
-            for line_no, raw in enumerate(lines, start=start):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                total += 1
-                # Shortest canonical line: 26-char stamp + space + a
-                # 10-char cname + space + one-char body = 39 chars.
-                if len(line) > 38 and line[26] == " " and line[27] == "c":
-                    sp = line.find(" ", 28)
-                    gpu = gpu_of.get(line[27:sp]) if sp > 0 else None
-                    if gpu is not None:
-                        body = line[sp + 1 :]
-                        ok = True
-                        job = -1
-                        if body.endswith("]"):
-                            j = body.rfind(" [job=", 0, -1)
-                            jd = body[j + 6 : -1] if j >= 0 else ""
-                            # isdecimal == \d (Nd), so int() always
-                            # accepts; 18 digits can't overflow int64.
-                            if jd and len(jd) <= 18 and jd.isdecimal():
-                                job = int(jd)
-                                body = body[:j]
-                            else:
-                                ok = False
-                        scode = -1
-                        aux = -1
-                        if ok:
-                            i = body.find(" in ")
-                            if i >= 0:
-                                head = body[:i]
-                                rest = body[i + 4 :]
-                                p = rest.find(" page 0x")
-                                if p >= 0:
-                                    pd = rest[p + 8 :]
-                                    # strip() leaves "" iff every char
-                                    # is lowercase hex; 15 digits keep
-                                    # the value below the int64 guard.
-                                    if (
-                                        pd
-                                        and len(pd) <= 15
-                                        and not pd.strip(hex_lower)
-                                    ):
-                                        aux = int(pd, 16)
-                                        rest = rest[:p]
-                                    else:
-                                        ok = False
-                                if ok:
-                                    sc = scode_of.get(rest)
-                                    if sc is None:
-                                        ok = False
-                                    else:
-                                        scode = sc
-                            else:
-                                head = body
-                        if ok:
-                            ecode = etype_of.get(head)
-                            if ecode is not None:
-                                when = None
-                                day_us = day_us_of.get(line[:10])
-                                if (
-                                    day_us is not None
-                                    and line[10] == "T"
-                                    and line[13] == ":"
-                                    and line[16] == ":"
-                                    and line[19] == "."
-                                ):
-                                    h = v2.get(line[11:13])
-                                    m = v2.get(line[14:16])
-                                    s = v2.get(line[17:19])
-                                    if (
-                                        h is not None
-                                        and h < 24
-                                        and m is not None
-                                        and m < 60
-                                        and s is not None
-                                        and s < 60
-                                        and line[20:26].isdigit()
-                                    ):
-                                        when = (
-                                            day_us
-                                            + (h * sph + m * spm + s) * ups
-                                            + int(line[20:26])
-                                        ) / ups
-                                if when is None:
-                                    try:
-                                        when = parse_ts(line[:26])
-                                    except ValueError:
-                                        when = None
-                                if when is not None:
-                                    t_app(when)
-                                    g_app(gpu)
-                                    e_app(ecode)
-                                    s_app(scode)
-                                    j_app(job)
-                                    p_app(-1)
-                                    a_app(aux)
-                                    parsed += 1
-                                    continue
-                parse_one(builder, stats, line_no, line)
-        finally:
-            stats.total_lines += total
-            stats.parsed_events += parsed
+            self._parse_one(builder, stats, start + i, line)
+            row_at.extend([i] * (len(builder) - len(row_at)))
+        fallback = builder.freeze()
+        if not len(fallback):
+            return claimed
+        if not len(claimed):
+            return fallback
+        line_of_row = np.concatenate((claimed_at, np.asarray(row_at, dtype=np.int64)))
+        order = np.argsort(line_of_row, kind="stable")
+        return EventLog.concatenate([claimed, fallback]).select(order)
 
     def _parse_one(
         self,
@@ -582,4 +639,4 @@ class ConsoleLogParser:
             pos = anchor.start() + 1
 
     def parse_text(self, text: str) -> tuple[EventLog, ParseStats]:
-        return self.parse_lines(text.splitlines())
+        return self.parse_lines(_split_lines(text))

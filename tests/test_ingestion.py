@@ -12,7 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.chaos.injector import ChaosConfig, CorruptionInjector
+from repro.errors.xid import ErrorType
+from repro.telemetry.console import render_event_line
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
@@ -29,6 +32,7 @@ from repro.telemetry.nvsmi_text import (
     render_nvsmi_query,
 )
 from repro.telemetry.parser import ConsoleLogParser
+from repro.telemetry.timecodec import parse_timestamp
 
 
 @pytest.fixture(scope="module")
@@ -273,25 +277,30 @@ class TestJobsnapStream:
 
 
 def _assert_logs_equal(got, want):
-    """Row-for-row equality over every EventLog column."""
+    """Row-for-row equality over every EventLog column (``time`` bit
+    for bit)."""
     assert len(got) == len(want)
-    for column in ("time", "gpu", "etype", "structure", "job", "parent", "aux"):
+    assert np.array_equal(got.time.view(np.int64), want.time.view(np.int64))
+    for column in ("gpu", "etype", "structure", "job", "parent", "aux"):
         assert np.array_equal(getattr(got, column), getattr(want, column)), column
 
 
 def _assert_same_parse(machine, lines):
-    """The slicing fast path and the regex slow path must be observably
-    identical: same log rows, same statistics."""
+    """The default parser (block decoder + reference fallback) and the
+    regex reference alone must be observably identical: same log rows,
+    same statistics."""
     fast_log, fast_stats = ConsoleLogParser(machine, fast=True).parse_lines(lines)
     slow_log, slow_stats = ConsoleLogParser(machine, fast=False).parse_lines(lines)
     _assert_logs_equal(fast_log, slow_log)
     assert fast_stats == slow_stats
     assert fast_stats.accounted == fast_stats.total_lines
+    return fast_log
 
 
 class TestFastSlowEquivalence:
-    """The sliced fast path defers every doubtful line to the regex
-    slow path, so fast and slow parsing are the same function."""
+    """The block decoder leaves every doubtful line to the regex
+    reference, so the default and ``fast=False`` parses are the same
+    function."""
 
     def test_clean_console_text(self, smoke_dataset):
         _assert_same_parse(
@@ -326,6 +335,172 @@ class TestFastSlowEquivalence:
             base[:10],  # truncated mid-stamp
         ]
         _assert_same_parse(smoke_dataset.machine, variants)
+
+
+_STAMP = "2014-03-02T14:55:01.123456"
+_HEAD = "GPU XID 13: Graphics Engine Exception"
+_DBE_HEAD = "GPU XID 48: DBE (Double Bit Error) detected in device_memory page 0x01a2f3"
+
+
+def _line(cname, stamp=_STAMP, head=_HEAD, tail=" [job=98765]"):
+    return f"{stamp} {cname} {head}{tail}"
+
+
+#: Lines at the edge of the block decoder's claim rule, built around
+#: one canonical line (``_line(cname)``); each maps a GPU's canonical
+#: cname to the line.
+_CLAIM_EDGES = {
+    # cnames
+    "cname-nul-end": lambda c: _line(c + "\x00"),
+    "cname-nul-inside": lambda c: _line(c[:3] + "\x00" + c[4:]),
+    "cname-node-9": lambda c: _line(c[:-1] + "9"),
+    "cname-zero-padded": lambda c: _line("c0" + c[1:]),
+    # dates
+    "year-0": lambda c: _line(c, stamp="0000-01-01" + _STAMP[10:]),
+    "feb-30": lambda c: _line(c, stamp="2014-02-30" + _STAMP[10:]),
+    "hour-24": lambda c: _line(c, stamp=_STAMP[:11] + "24" + _STAMP[13:]),
+    "far-future": lambda c: _line(c, stamp="2400-01-01T00:00:00.000001"),
+    "far-past": lambda c: _line(c, stamp="1700-01-01T00:00:00.000001"),
+    # digits
+    "job-arabic-indic": lambda c: _line(c, tail=" [job=\u0661\u0662\u0663]"),
+    "us-arabic-indic": lambda c: _line(c, stamp=_STAMP[:20] + "\u0661" * 6),
+    "year-fullwidth": lambda c: _line(c, stamp="\uff12\uff10\uff11\uff14" + _STAMP[4:]),
+    # jobs
+    "job-18-digits": lambda c: _line(c, tail=" [job=" + "9" * 18 + "]"),
+    "job-19-digits": lambda c: _line(c, tail=" [job=" + "9" * 19 + "]"),
+    "job-empty": lambda c: _line(c, tail=" [job=]"),
+    "job-zeros": lambda c: _line(c, tail=" [job=" + "0" * 17 + "7]"),
+    "job-all-zeros": lambda c: _line(c, tail=" [job=000]"),
+    "job-twice": lambda c: _line(c, tail=" [job=1] [job=2]"),
+    "job-trailing-space": lambda c: _line(c, tail=" [job=98765] "),
+    "no-job": lambda c: _line(c, tail=""),
+    # heads
+    "head-plus-byte": lambda c: _line(c, head=_HEAD + "s"),
+    "head-minus-byte": lambda c: _line(c, head=_HEAD[:-1]),
+    "head-xff": lambda c: _line(c, head=_HEAD[:4] + "\xff" + _HEAD[5:]),
+    "head-surrogate": lambda c: _line(c, head=_HEAD[:4] + "\ud800" + _HEAD[5:]),
+    "in-structure": lambda c: _line(c, head=_DBE_HEAD),
+    # shapes
+    "len-38": lambda c: _line(c)[:38],
+    "len-39": lambda c: _line(c)[:39],
+    "blank": lambda c: "",
+    "whitespace-only": lambda c: "   ",
+    "tab-separator": lambda c: _line(c).replace(" ", "\t", 1),
+    "carriage-return": lambda c: _line(c, head=_HEAD[:10] + "\r" + _HEAD[10:]),
+    "carriage-return-end": lambda c: _line(c) + "\r",
+    "fused-records": lambda c: _line(c) + _line(c, tail=" [job=1]"),
+    "embedded-newline": lambda c: _line(c)[:40] + "\n" + _line(c)[40:],
+    "trailing-newline": lambda c: _line(c) + "\n",
+}
+
+#: Characters a one-edit mutation of a canonical line draws from.
+_EDIT_POOL = (
+    "\x00", "\xff", "\ud800", "\u0663", "\uff13", " ", "]", "[", "\n",
+    "\r", "\t", "0", "9", "-", ":", ".", "T", "c", "x",
+)
+_LOGGABLE = [t for t in ErrorType if t is not ErrorType.SBE]
+
+
+class TestClaimRule:
+    """The block decoder claims a line only when every byte of it is
+    canonical; each edge case parses exactly as the reference does,
+    alone and between two canonical lines."""
+
+    @pytest.mark.parametrize("case", sorted(_CLAIM_EDGES))
+    def test_edge_line(self, bare_machine, case):
+        cname = bare_machine.cname(4321)
+        line = _CLAIM_EDGES[case](cname)
+        _assert_same_parse(bare_machine, [line])
+        _assert_same_parse(
+            bare_machine, [_line(cname), line, _line(bare_machine.cname(7))]
+        )
+
+    @pytest.mark.parametrize("stamp", ["2400-01-01T00:00:00.000001",
+                                       "1700-01-01T00:00:00.000001",
+                                       _STAMP])
+    def test_time_equals_the_codec(self, bare_machine, stamp):
+        line = _line(bare_machine.cname(4321), stamp=stamp)
+        log = _assert_same_parse(bare_machine, [line])
+        want = np.array([parse_timestamp(stamp)]).view(np.int64)
+        assert np.array_equal(log.time.view(np.int64), want)
+
+    def test_canonical_lines_are_claimed(self, bare_machine):
+        cname = bare_machine.cname(4321)
+        lines = [_line(cname), _line(cname, tail=""), _line(cname, head=_DBE_HEAD)]
+        perf.reset()
+        perf.enable()
+        try:
+            _assert_same_parse(bare_machine, lines)
+            # Two parses (default and reference): 1 + 3 lines fall back.
+            assert perf.snapshot()["counters"]["telemetry.fallback_lines"] == 4
+        finally:
+            perf.disable()
+            perf.reset()
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_edit_from_canonical(self, bare_machine, data):
+        line = render_event_line(
+            data.draw(st.floats(min_value=-3e9, max_value=3e9)),
+            bare_machine.cname(data.draw(st.integers(0, bare_machine.n_gpus - 1))),
+            data.draw(st.sampled_from(_LOGGABLE)),
+            job=data.draw(st.integers(min_value=-1, max_value=10**19)),
+        )
+        at = data.draw(st.integers(0, len(line) - 1))
+        edit = data.draw(st.sampled_from(["substitute", "delete", "insert"]))
+        char = data.draw(st.sampled_from(_EDIT_POOL))
+        if edit == "substitute":
+            mutated = line[:at] + char + line[at + 1 :]
+        elif edit == "delete":
+            mutated = line[:at] + line[at + 1 :]
+        else:
+            mutated = line[:at] + char + line[at:]
+        _assert_same_parse(bare_machine, [mutated])
+        _assert_same_parse(bare_machine, [line, mutated, line])
+
+    def test_batch_edges(self, smoke_dataset, gpu_lines, monkeypatch):
+        # Claimed, fallback (an "in <structure>" clause, garbage) and
+        # two-record lines, with fused lines on both sides of each edge
+        # of 20-line batches.
+        dbe = [ln for ln in smoke_dataset.console_text.splitlines() if " in " in ln]
+        canonical = [ln for ln in gpu_lines if " in " not in ln]
+        lines = []
+        for i in range(60):
+            kind = 0 if i in (19, 20, 39, 40) else i % 5
+            if kind == 0:
+                lines.append(canonical[i] + canonical[i + 1])
+            elif kind == 1:
+                lines.append(dbe[i % len(dbe)])
+            elif kind == 2:
+                lines.append(f"@@garbage {i}@@")
+            else:
+                lines.append(canonical[i])
+        parser = ConsoleLogParser(smoke_dataset.machine)
+        whole_log, whole_stats = parser.parse_lines(lines)
+        _assert_same_parse(smoke_dataset.machine, lines)
+        monkeypatch.setattr("repro.telemetry.parser.PARSE_CHUNK_LINES", 20)
+        batched_log, batched_stats = parser.parse_lines(lines)
+        _assert_logs_equal(batched_log, whole_log)
+        assert batched_stats == whole_stats
+        assert whole_stats.resynced_lines >= 12
+        _assert_same_parse(smoke_dataset.machine, lines)
+
+    def test_fallback_counter_fences_the_format(self, smoke_dataset):
+        # Only DBE and page-retirement lines (an "in <structure>"
+        # clause) leave the block decoder on a clean log; a writer
+        # change that silently turns block decoding off fails here.
+        lines = smoke_dataset.console_text.splitlines()
+        perf.reset()
+        perf.enable()
+        try:
+            ConsoleLogParser(smoke_dataset.machine).parse_lines(lines)
+            counters = perf.snapshot()["counters"]
+        finally:
+            perf.disable()
+            perf.reset()
+        with_clause = sum(" in " in line for line in lines)
+        assert with_clause > 0
+        assert counters["telemetry.fallback_lines"] == with_clause
 
 
 class TestParallelParse:

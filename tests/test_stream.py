@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import ArtifactStore, load_dataset, persist_dataset
@@ -37,7 +37,7 @@ from repro.cache.pipeline import (
 from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.coverage import infer_outage_windows
 from repro.telemetry.ingestion import IngestionError
-from repro.telemetry.parser import ConsoleLogParser
+from repro.telemetry.parser import ConsoleLogParser, _split_lines
 
 _COLUMNS = ("time", "gpu", "etype", "structure", "job", "parent", "aux")
 
@@ -326,6 +326,32 @@ def _streamed_replica(dataset):
     """The same simulation with its console text and parse dropped, so
     the parse streams from a windowed render."""
     return dataclasses.replace(dataset, _console_text=None, _parsed=None)
+
+
+#: Every ``str.splitlines`` boundary, plus ordinary characters.
+_SPLIT_ALPHABET = "ab\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+class TestSplitLines:
+    """Resident console text is split one block at a time, cutting only
+    right after a newline; the lines are exactly ``str.splitlines``'s."""
+
+    @given(
+        text=st.text(alphabet=_SPLIT_ALPHABET, max_size=60),
+        block=st.integers(min_value=0, max_value=12),
+    )
+    @example(text="", block=0)
+    @example(text="a", block=0)
+    @example(text="a\r\nb", block=1)
+    @example(text="a\n\nb\r", block=2)
+    @settings(max_examples=500, deadline=None)
+    def test_matches_splitlines(self, text, block):
+        assert list(_split_lines(text, block)) == text.splitlines()
+
+    def test_resident_text_lines(self, smoke_dataset, console_lines):
+        text = "\n".join(console_lines[:3000]) + "\n"
+        resident = smoke_dataset.with_console_text(text)
+        assert list(resident.console_lines()) == console_lines[:3000]
 
 
 class TestStreamedSimulation:
