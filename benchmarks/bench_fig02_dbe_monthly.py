@@ -4,13 +4,13 @@ Paper: one DBE about every seven days, MTBF ≈ 160 hours, no bursts.
 """
 
 import pytest
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_monthly_series
 
 
 def test_fig2_dbe_monthly(study, benchmark, month_labels):
-    fig2 = benchmark(study.fig2)
+    fig2 = bench_figure(benchmark, study, "fig2")
     show(render_monthly_series(month_labels, fig2.counts,
                                "Fig. 2 — DBEs per month"))
     show(f"  total DBEs     : {fig2.total}")

@@ -5,13 +5,13 @@ Paper: uneven over cabinets; more DBEs in upper cages (>10 °F hotter);
 below event counts.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap, render_table
 
 
 def test_fig3_dbe_spatial(study, benchmark):
-    fig3 = benchmark(study.fig3)
+    fig3 = bench_figure(benchmark, study, "fig3")
     show(render_heatmap(
         fig3.grid,
         row_labels=[str(r) for r in range(25)],

@@ -4,7 +4,7 @@ Paper: dominant before Dec'2013, nearly zero after the soldering fix;
 events arrive clustered.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_monthly_series
 from repro.core.temporal import events_before_after
@@ -13,7 +13,7 @@ from repro.faults.rates import OTB_FIX_TIME
 
 
 def test_fig4_otb_monthly(study, benchmark, month_labels):
-    fig4 = benchmark(study.fig4)
+    fig4 = bench_figure(benchmark, study, "fig4")
     show(render_monthly_series(month_labels, fig4.counts,
                                "Fig. 4 — Off-the-bus per month"))
     otb = study.log.of_type(ErrorType.OFF_THE_BUS)

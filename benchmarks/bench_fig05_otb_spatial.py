@@ -4,14 +4,14 @@ Paper: fairly distributed across the floor, upper cages hit more, the
 same card almost never hit twice.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap, render_table
 from repro.core.spatial import grid_skewness
 
 
 def test_fig5_otb_spatial(study, benchmark):
-    fig5 = benchmark(study.fig5)
+    fig5 = bench_figure(benchmark, study, "fig5")
     show(render_heatmap(fig5.grid, title="Fig. 5 — OTB per cabinet"))
     show(render_table(
         ["cage", "events", "distinct cards"],

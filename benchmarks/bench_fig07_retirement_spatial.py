@@ -3,13 +3,13 @@
 Paper: non-uniform, upper cages slightly more likely.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap, render_table
 
 
 def test_fig7_retirement_spatial(study, benchmark):
-    fig7 = benchmark(study.fig7)
+    fig7 = bench_figure(benchmark, study, "fig7")
     show(render_heatmap(fig7.grid, title="Fig. 7 — retirements per cabinet"))
     show(render_table(
         ["cage", "events"],

@@ -5,13 +5,13 @@ and 6 hours, 18 much later (double-SBE retirements), and 17 successive
 DBE pairs with no retirement logged between them.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_table
 
 
 def test_fig8_retirement_delay(study, benchmark):
-    fig8 = benchmark(study.fig8)
+    fig8 = bench_figure(benchmark, study, "fig8")
     show(render_table(
         ["delay bucket", "ours", "paper"],
         [

@@ -4,13 +4,13 @@ Paper: 32 (and 38) occurred fewer than ten times over the whole run;
 43 and 44 are among the frequent driver errors.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_monthly_series, render_table
 
 
 def test_fig9_xid_frequencies(study, benchmark, month_labels):
-    figs = benchmark(study.fig9)
+    figs = bench_figure(benchmark, study, "fig9")
     show(render_table(
         ["XID", "total (5 s-filtered)"],
         [[xid, fig.total] for xid, fig in sorted(figs.items())],

@@ -4,13 +4,13 @@ Paper: bursty — multiple errors on the same day, spikes near deadline
 weeks.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_monthly_series
 
 
 def test_fig10_xid13(study, benchmark, month_labels):
-    fig10 = benchmark(study.fig10)
+    fig10 = bench_figure(benchmark, study, "fig10")
     show(render_monthly_series(month_labels, fig10.counts,
                                "Fig. 10 — XID 13 per month (job-level)"))
     b = fig10.burstiness

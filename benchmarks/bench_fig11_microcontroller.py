@@ -5,7 +5,7 @@ neither stream is bursty.
 """
 
 import numpy as np
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_monthly_series
 from repro.faults.rates import DRIVER_UPGRADE_TIME
@@ -13,7 +13,7 @@ from repro.units import month_index
 
 
 def test_fig11_mcu_halts(study, benchmark, month_labels):
-    figs = benchmark(study.fig11)
+    figs = bench_figure(benchmark, study, "fig11")
     for xid, fig in sorted(figs.items()):
         show(render_monthly_series(month_labels, fig.counts,
                                    f"Fig. 11 — XID {xid} per month"))

@@ -5,13 +5,13 @@ alternating-cabinet stripe of the folded torus; the 5-second-filtered
 grid (middle) counts one event per job and loses the stripe.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap
 
 
 def test_fig12_filtering(study, benchmark):
-    fig12 = benchmark(study.fig12)
+    fig12 = bench_figure(benchmark, study, "fig12")
     show(render_heatmap(fig12.grid_unfiltered,
                         title="Fig. 12 (top) — XID 13, no filtering"))
     show(render_heatmap(fig12.grid_filtered,

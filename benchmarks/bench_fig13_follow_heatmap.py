@@ -6,14 +6,14 @@ and 63 are isolated.
 """
 
 import numpy as np
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap
 from repro.errors.xid import ErrorType
 
 
 def test_fig13_follow_matrix(study, benchmark):
-    fm = benchmark(study.fig13)
+    fm = bench_figure(benchmark, study, "fig13")
     labels = fm.labels()
     show(render_heatmap(fm.matrix, row_labels=labels, col_labels=labels,
                         title="Fig. 13 (top) — P(col within 300 s | row)"))

@@ -4,13 +4,13 @@ Paper: highly skewed with all cards; near-homogeneous once the top-50
 offenders are removed; fewer than 1000 cards (<5 %) ever see an SBE.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_heatmap, render_table
 
 
 def test_fig14_sbe_spatial(study, benchmark):
-    fig14 = benchmark(study.fig14)
+    fig14 = bench_figure(benchmark, study, "fig14")
     for name in ("all", "minus_top10", "minus_top50"):
         show(render_heatmap(fig14.grids[name],
                             title=f"Fig. 14 — SBEs per cabinet ({name})"))

@@ -5,13 +5,13 @@ offenders the distribution is fairly homogeneous; the count of distinct
 SBE cards is flat across cages in every variant.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_table
 
 
 def test_fig15_sbe_cage(study, benchmark):
-    fig15 = benchmark(study.fig15)
+    fig15 = bench_figure(benchmark, study, "fig15")
     rows = []
     for name in ("all", "minus_top10", "minus_top50"):
         ev = fig15.cage_events[name]

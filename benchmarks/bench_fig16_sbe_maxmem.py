@@ -4,14 +4,14 @@ Paper: both Spearman and Pearson below 0.50 (SBEs live mostly in the L2
 cache, not in capacity-proportional structures).
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.correlation import sorted_curves
 from repro.telemetry.jobsnap import JobSnapshotFramework
 
 
 def test_fig16_max_memory(study, benchmark):
-    report = benchmark(study.figs16_19)
+    report = bench_figure(benchmark, study, "figs16_19")
     m = report.all_jobs["max_memory_gb"]
     me = report.excluding_offenders["max_memory_gb"]
     show(f"Fig. 16 — SBE vs max memory over {m.n_jobs} jobs")

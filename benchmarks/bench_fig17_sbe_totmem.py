@@ -3,11 +3,11 @@
 Paper: both coefficients below 0.50.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 
 def test_fig17_total_memory(study, benchmark):
-    report = benchmark(study.figs16_19)
+    report = bench_figure(benchmark, study, "figs16_19")
     m = report.all_jobs["total_memory"]
     me = report.excluding_offenders["total_memory"]
     show(f"Fig. 17 — SBE vs total memory over {m.n_jobs} jobs")

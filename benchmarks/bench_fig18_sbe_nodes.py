@@ -4,11 +4,11 @@ Paper: Spearman ≈ 0.57 with all jobs; drops below 0.50 when jobs using
 the top-10 offender nodes are excluded.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 
 def test_fig18_nodes(study, benchmark):
-    report = benchmark(study.figs16_19)
+    report = bench_figure(benchmark, study, "figs16_19")
     m = report.all_jobs["n_nodes"]
     me = report.excluding_offenders["n_nodes"]
     show(f"Fig. 18 — SBE vs node count over {m.n_jobs} jobs")

@@ -4,11 +4,11 @@ Paper: Spearman ≈ 0.70 with all jobs (Pearson stays low: the relation
 is monotone, not linear); below 0.50 excluding offender jobs.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 
 def test_fig19_core_hours(study, benchmark):
-    report = benchmark(study.figs16_19)
+    report = bench_figure(benchmark, study, "figs16_19")
     m = report.all_jobs["gpu_core_hours"]
     me = report.excluding_offenders["gpu_core_hours"]
     show(f"Fig. 19 — SBE vs GPU core-hours over {m.n_jobs} jobs")

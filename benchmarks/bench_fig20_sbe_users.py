@@ -4,11 +4,11 @@ Paper: Spearman ≈ 0.80 at the user level — higher than any job-level
 metric, making userID the better proxy for SBE exposure.
 """
 
-from conftest import show
+from conftest import bench_figure, show
 
 
 def test_fig20_users(study, benchmark):
-    fig20 = benchmark(study.fig20)
+    fig20 = bench_figure(benchmark, study, "fig20")
     report = study.figs16_19()
     a = fig20.all_users
     e = fig20.excluding_offenders

@@ -6,14 +6,14 @@ the longest wall-clock jobs are small.
 """
 
 import numpy as np
-from conftest import show
+from conftest import bench_figure, show
 
 from repro.core.report import render_table
 from repro.core.workload_analysis import panel_curves
 
 
 def test_fig21_workload(study, benchmark):
-    chars = benchmark(study.fig21)
+    chars = bench_figure(benchmark, study, "fig21")
     show(render_table(
         ["claim", "measured", "paper expectation"],
         [

@@ -70,21 +70,33 @@ def follow_probability_matrix(
     types: tuple[ErrorType, ...] = DEFAULT_HEATMAP_TYPES,
     window_s: float = 300.0,
 ) -> FollowMatrix:
-    """Compute the Fig. 13 heatmap from a time-sorted event log.
+    """Compute the Fig. 13 heatmap from an event log.
 
-    For every type-i event at time t, scan [t, t+window] for each type
-    j (machine-wide, like the paper); cell (i, j) is the fraction of
-    type-i events followed by ≥1 type-j event.  Implementation:
-    per-type sorted time arrays + searchsorted, so cost is
-    O(Σ_i n_i · k · log n).
+    A type-i event at ``t`` is followed by type j iff some type-j event
+    ``s`` has ``t < s <= t + window_s`` (machine-wide, like the paper),
+    with ``t + window_s`` rounded once as a float; cell (i, j) is the
+    fraction of type-i events followed.  Each pair is counted with one
+    binary search per event of its *smaller* side:
+
+    * type i no larger: the first type-j event after ``t`` is
+      ``tj[searchsorted(tj, t, "right")]``; test it against ``t + w``;
+    * type j smaller: each ``s`` covers the type-i events ``k`` with
+      ``ti[k] < s <= (ti + w)[k]``, the index range
+      ``[searchsorted(ti + w, s), searchsorted(ti, s))``.  The sorted
+      ``ti + w`` array is searched (never ``s - w``, which rounds
+      differently), and the union of these ranges -- both ends grow
+      with ``s`` -- is counted in one pass.
     """
-    if window_s <= 0:
-        raise ValueError("window must be positive")
-    if not log.is_sorted():
-        log = log.sorted_by_time()
+    if not window_s > 0:  # also rejects NaN, which no window means
+        raise ValueError(f"window must be positive, got {window_s!r}")
+    in_order = log.is_sorted()
+    times_by_type = []
+    for etype in types:
+        times = log.time[log.etype == etype.code]
+        times_by_type.append(times if in_order else np.sort(times, kind="stable"))
     k = len(types)
-    times_by_type = [log.of_type(t).time for t in types]
     counts = np.asarray([t.size for t in times_by_type], dtype=np.int64)
+    ends = [t + window_s for t in times_by_type]
     matrix = np.zeros((k, k), dtype=np.float64)
     for i in range(k):
         ti = times_by_type[i]
@@ -94,14 +106,14 @@ def follow_probability_matrix(
             tj = times_by_type[j]
             if tj.size == 0:
                 continue
-            lo = np.searchsorted(tj, ti, side="right")
-            hi = np.searchsorted(tj, ti + window_s, side="right")
-            followed = hi > lo
-            if i == j:
-                # An event does not follow itself; strictly-later
-                # same-type events are found by the (lo, hi] interval
-                # already because side="right" skips equal times only
-                # for the *same* timestamp.
-                pass
-            matrix[i, j] = float(np.count_nonzero(followed) / ti.size)
+            if ti.size <= tj.size:
+                nxt = tj.searchsorted(ti, side="right")
+                inside = nxt < tj.size
+                followed = np.count_nonzero(tj[nxt[inside]] <= ends[i][inside])
+            else:
+                lo = ends[i].searchsorted(tj)
+                hi = ti.searchsorted(tj)
+                lo[1:] = np.maximum(lo[1:], hi[:-1])
+                followed = int(np.maximum(hi - lo, 0).sum())
+            matrix[i, j] = followed / ti.size
     return FollowMatrix(tuple(types), float(window_s), matrix, counts)

@@ -58,18 +58,22 @@ def pearson(x, y) -> float:
 def rankdata_average(x) -> np.ndarray:
     """Ranks (1-based) with ties sharing their average rank — the
     standard treatment for Spearman on heavily tied data (per-job SBE
-    counts are mostly zero, so ties dominate)."""
+    counts are mostly zero, so ties dominate).
+
+    A tie is a run of ``==``-equal values in stable sorted order, so
+    ``-0.0`` ties with ``0.0`` and every NaN ranks alone, last.  The run
+    over sorted positions ``[start, end]`` gets ``0.5 * (start + end) +
+    1.0``.
+    """
     x = np.asarray(x, dtype=np.float64)
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sx = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    new_run = np.ones(sx.size, dtype=bool)
+    new_run[1:] = sx[1:] != sx[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], sx.size) - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

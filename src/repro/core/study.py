@@ -27,6 +27,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro import perf
 from repro.core.burst import BurstinessMetrics, burstiness_metrics
 from repro.core.correlation import (
     CorrelationReport,
@@ -34,7 +35,7 @@ from repro.core.correlation import (
     sbe_resource_correlations,
     user_level_correlation,
 )
-from repro.core.filtering import dedup_by_card, sequential_dedup
+from repro.core.filtering import dedup_by_card, sequential_keep_mask
 from repro.core.heatmap import FollowMatrix, follow_probability_matrix
 from repro.core.offenders import exclude_jobs_using, exclude_slots, offender_slots
 from repro.core.retirement import RetirementDelayReport, retirement_delay_analysis
@@ -208,7 +209,8 @@ class TitanStudy:
             if cached is not None:
                 self._memo[name] = cached
                 return cached
-        result = compute()
+        with perf.stage(f"study.{name}"):
+            result = compute()
         self._memo[name] = result
         if key is not None:
             self.store.put(key, result, "pickle")
@@ -389,16 +391,26 @@ class TitanStudy:
 
     # -- software figures -----------------------------------------------------------
 
+    def _stream(self, etype: ErrorType) -> tuple[np.ndarray, np.ndarray]:
+        """Log rows and times of one error stream, without copying the
+        stream's other columns."""
+        rows = np.flatnonzero(self.log.etype == etype.code)
+        return rows, self.log.time[rows]
+
+    def _parents(self, etype: ErrorType, dedup_window_s: float) -> EventLog:
+        """One stream after the sequential child filter (job-wide echoes
+        collapse to one event; a pure Poisson driver stream is
+        untouched).  Only the kept rows are copied out of the log."""
+        rows, times = self._stream(etype)
+        return self.log.select(rows[sequential_keep_mask(times, dedup_window_s)])
+
     def _monthly(
         self, etype: ErrorType, dedup_window_s: float = 5.0
     ) -> MonthlyFigure:
         """Monthly series of one stream, with the standard 5-second
-        child filter applied (job-wide echoes collapse to one event; a
-        pure Poisson driver stream is untouched)."""
+        child filter applied."""
         start, end = self.window
-        events = self.log.of_type(etype)
-        if dedup_window_s > 0 and len(events):
-            events = sequential_dedup(events, dedup_window_s).kept
+        events = self._parents(etype, dedup_window_s)
         return MonthlyFigure(
             etype=etype,
             counts=monthly_counts(events),
@@ -431,8 +443,9 @@ class TitanStudy:
 
     def _fig10(self, dedup_window_s: float = 5.0) -> MonthlyFigure:
         start, end = self.window
-        xid13 = self.log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
-        filtered = sequential_dedup(xid13, dedup_window_s).kept
+        filtered = self._parents(
+            ErrorType.GRAPHICS_ENGINE_EXCEPTION, dedup_window_s
+        )
         return MonthlyFigure(
             etype=ErrorType.GRAPHICS_ENGINE_EXCEPTION,
             counts=monthly_counts(filtered),
@@ -459,18 +472,21 @@ class TitanStudy:
         return self._figure("fig12", self._fig12)
 
     def _fig12(self, window_s: float = 5.0) -> Fig12Result:
-        xid13 = self.log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
-        result = sequential_dedup(xid13, window_s)
+        rows, times = self._stream(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
+        keep = sequential_keep_mask(times, window_s)
+        gpus = self.log.gpu[rows]
         machine = self.ds.machine
-        grid_all = cabinet_grid_from_events(xid13, machine)
-        grid_kept = cabinet_grid_from_events(result.kept, machine)
-        grid_drop = cabinet_grid_from_events(result.dropped, machine)
+        n_all = np.bincount(gpus, minlength=machine.n_gpus)
+        n_kept = np.bincount(gpus[keep], minlength=machine.n_gpus)
+        grid_all = machine.cabinet_grid(n_all)
+        grid_kept = machine.cabinet_grid(n_kept)
+        grid_drop = machine.cabinet_grid(n_all - n_kept)
         return Fig12Result(
             grid_unfiltered=grid_all,
             grid_filtered=grid_kept,
             grid_children=grid_drop,
-            n_unfiltered=len(xid13),
-            n_filtered=result.n_kept,
+            n_unfiltered=len(rows),
+            n_filtered=int(np.count_nonzero(keep)),
             alternation_unfiltered=grid_alternation_score(grid_all),
             alternation_filtered=grid_alternation_score(grid_kept),
             alternation_children=grid_alternation_score(grid_drop),

@@ -144,11 +144,14 @@ class EventLog:
     def select(self, mask: np.ndarray) -> "EventLog":
         """Subset by boolean mask or integer index array.
 
+        Mask and index-array indexing already return fresh arrays, so the
+        subset owns its columns without a second copy.
+
         Note: ``parent`` indices refer to rows of the *original* log and
         are not remapped; parent-aware analyses should run before
         selection or use :meth:`select_with_parent_remap`.
         """
-        return EventLog(**{name: getattr(self, name)[mask].copy() for name in _COLUMNS})
+        return EventLog(**{name: getattr(self, name)[mask] for name in _COLUMNS})
 
     def select_with_parent_remap(self, mask: np.ndarray) -> "EventLog":
         """Subset and remap ``parent`` to the new row numbering.

@@ -2,17 +2,21 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.filtering import (
     dedup_by_card,
     first_of_each_card,
     sequential_dedup,
+    sequential_keep_mask,
     split_parents_children,
 )
+from repro.core.study import TitanStudy
 from repro.errors.event import EventLogBuilder
 from repro.errors.xid import ErrorType
+from repro.units import HOUR
+from tests.kernel_oracles import sequential_keep_mask_loop
 
 
 def make_log(times, gpus=None, jobs=None, etype=ErrorType.GRAPHICS_ENGINE_EXCEPTION):
@@ -96,6 +100,124 @@ class TestSequentialDedup:
         assert np.all(gaps >= window)
         # first event is always kept
         assert kept.time[0] == min(times)
+
+    def test_nan_window_rejected(self):
+        """A NaN threshold compares false everywhere, so the loop kept
+        every event; it now raises instead of answering silently."""
+        log = make_log([0.0, 1.0, 2.0], jobs=[7, 7, 7])
+        with pytest.raises(ValueError):
+            sequential_dedup(log, float("nan"))
+        with pytest.raises(ValueError):
+            sequential_dedup(log, float("nan"), per_job=True)
+        with pytest.raises(ValueError):
+            sequential_keep_mask(log.time, float("nan"))
+
+    def test_infinite_window_keeps_first_event(self):
+        log = make_log([0.0, 1.0, 1e9])
+        assert sequential_dedup(log, float("inf")).kept.time.tolist() == [0.0]
+
+    def test_halves_are_built_lazily(self):
+        result = sequential_dedup(make_log([0.0, 1.0, 50.0]), 5.0)
+        assert (result.n_kept, result.n_dropped) == (2, 1)
+        assert result.kept.time.tolist() == [0.0, 50.0]
+        assert "dropped" not in vars(result)
+        assert result.dropped.time.tolist() == [1.0]
+
+
+_WINDOWS = (0.0, 1e-3, 5.0, 300.0, float("inf"))
+
+
+@st.composite
+def sorted_times(draw):
+    """Sorted times with ties, ulp-sized gaps and events a few ulps
+    either side of ``w`` after an earlier event.
+
+    Starts are drawn where ``t + w`` rounds differently: inside
+    2^26-2^27 s (ulp 2^-26 s: ``t + 1e-3`` rounds up), just below 2^27
+    (the stream crosses into ulp 2^-25 s, where it rounds down), and
+    just before the epoch, where ``s - t`` is inexact and can reach the
+    window below ``t + w``.
+    """
+    t = draw(
+        st.one_of(
+            st.floats(2.0**26, 2.0**27),
+            st.floats(2.0**27 - 2000.0, 2.0**27),
+            st.floats(-400.0, 0.0),
+        )
+    )
+    out = []
+    for _ in range(draw(st.integers(0, 60))):
+        out.append(t)
+        kind = draw(st.sampled_from(("tie", "ulp", "window", "free")))
+        if kind == "ulp":
+            for _ in range(draw(st.integers(1, 3))):
+                t = np.nextafter(t, np.inf)
+        elif kind == "window":  # measured from any earlier event
+            t = draw(st.sampled_from(out)) + draw(st.sampled_from(_WINDOWS[1:-1]))
+            toward = draw(st.sampled_from((-np.inf, np.inf)))
+            for _ in range(draw(st.integers(0, 3))):
+                t = np.nextafter(t, toward)
+            t = max(t, out[-1])
+        elif kind == "free":
+            t = t + draw(st.floats(0.0, 600.0))
+    return np.asarray(out, dtype=np.float64)
+
+
+def _below_rounded_window(t, window):
+    """``[t, t + 1 ulp, s]`` with ``s`` the float just below ``t + window``.
+
+    Before the epoch ``s - t`` rounds up to the full window, so ``s`` is
+    kept, yet it sorts below the rounded ``t + window`` that seeds the
+    search, and its gap to its predecessor is under the window.
+    """
+    return np.array(
+        [t, np.nextafter(t, np.inf), np.nextafter(t + window, -np.inf)]
+    )
+
+
+class TestKeepMaskMatchesLoop:
+    """The vectorized global dedup equals the per-event loop bit for bit."""
+
+    @given(times=sorted_times(), window=st.sampled_from(_WINDOWS))
+    @example(times=_below_rounded_window(-2.178229876071274, 5.0), window=5.0)
+    @example(times=_below_rounded_window(-262.8767830450067, 300.0), window=300.0)
+    @example(times=np.arange(10_000, dtype=np.float64) * 5.0, window=5.0)
+    @settings(max_examples=300, deadline=None)
+    def test_property_equals_loop(self, times, window):
+        expected = sequential_keep_mask_loop(times, window)
+        assert np.array_equal(sequential_keep_mask(times, window), expected)
+
+    @given(times=sorted_times(), window=st.sampled_from(_WINDOWS))
+    @settings(max_examples=50, deadline=None)
+    def test_property_infinite_times_equal_loop(self, times, window):
+        # One of each: inf - inf is NaN, so a repeated infinity is not
+        # a sorted log.
+        times = np.concatenate([[-np.inf], times, [np.inf]])
+        with np.errstate(invalid="ignore"):  # the loop's -inf - -inf
+            expected = sequential_keep_mask_loop(times, window)
+            assert np.array_equal(sequential_keep_mask(times, window), expected)
+
+    @pytest.mark.parametrize("window", [0.5, 5.0, 60.0, 300.0, HOUR])
+    @pytest.mark.parametrize(
+        "etype", [ErrorType.GRAPHICS_ENGINE_EXCEPTION, ErrorType.MEM_PAGE_FAULT]
+    )
+    def test_smoke_log_streams(self, smoke_dataset, etype, window):
+        times = smoke_dataset.parsed_events.of_type(etype).time
+        assert times.size > 100
+        expected = sequential_keep_mask_loop(times, window)
+        assert np.array_equal(sequential_keep_mask(times, window), expected)
+
+
+class TestStudyWindows:
+    @pytest.mark.parametrize("figure", ["fig10", "fig12"])
+    def test_nan_window_rejected(self, smoke_dataset, figure):
+        with pytest.raises(ValueError):
+            getattr(TitanStudy(smoke_dataset), figure)(float("nan"))
+
+    def test_fig12_grids_sum_to_the_counts(self, smoke_dataset):
+        fig12 = TitanStudy(smoke_dataset).fig12(60.0)
+        assert fig12.grid_filtered.sum() == fig12.n_filtered
+        assert fig12.grid_unfiltered.sum() == fig12.n_unfiltered
 
 
 class TestDedupByCard:

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.heatmap import DEFAULT_HEATMAP_TYPES, follow_probability_matrix
 from repro.core.retirement import retirement_delay_analysis
-from repro.errors.event import EventLogBuilder
+from repro.core.study import TitanStudy
+from repro.errors.event import EventLog, EventLogBuilder
 from repro.errors.xid import ErrorType
 from repro.units import HOUR, MINUTE
+from tests.kernel_oracles import follow_matrix_loop
 
 
 def build(events):
@@ -77,6 +81,23 @@ class TestFollowMatrix:
         with pytest.raises(ValueError):
             follow_probability_matrix(build([(0.0, 1, ErrorType.DBE)]), window_s=0.0)
 
+    def test_nan_window_rejected(self):
+        """A NaN window used to count every later event as inside it."""
+        log = build([
+            (0.0, 1, ErrorType.DBE),
+            (5000.0, 2, ErrorType.OFF_THE_BUS),
+        ])
+        fm = follow_probability_matrix(log, window_s=300.0)
+        assert fm.value(ErrorType.DBE, ErrorType.OFF_THE_BUS) == 0.0
+        with pytest.raises(ValueError):
+            follow_probability_matrix(log, window_s=float("nan"))
+        fm = follow_probability_matrix(log, window_s=float("inf"))
+        assert fm.value(ErrorType.DBE, ErrorType.OFF_THE_BUS) == 1.0
+
+    def test_study_nan_window_rejected(self, smoke_dataset):
+        with pytest.raises(ValueError):
+            TitanStudy(smoke_dataset).fig13(float("nan"))
+
     def test_values_are_probabilities(self):
         rng = np.random.default_rng(3)
         events = [
@@ -85,6 +106,73 @@ class TestFollowMatrix:
         ]
         fm = follow_probability_matrix(build(events))
         assert np.all(fm.matrix >= 0.0) and np.all(fm.matrix <= 1.0)
+
+
+_THREE_TYPES = (
+    ErrorType.GRAPHICS_ENGINE_EXCEPTION,
+    ErrorType.GPU_STOPPED,
+    ErrorType.DBE,
+)
+_FOLLOW_WINDOWS = (1e-3, 5.0, 300.0, float("inf"))
+
+
+@st.composite
+def typed_logs(draw):
+    """Logs over three types of strictly different sizes, so both search
+    directions run, with ties, cross-type coincidences and events a few
+    ulps either side of ``t + w``, in a random row order."""
+    sizes = sorted(draw(st.lists(st.integers(0, 40), min_size=3, max_size=3)))
+    base = draw(st.floats(0.0, 2.0**27))
+    anchors = [base]
+    rows = []
+    for etype, n in zip(_THREE_TYPES, (sizes[2] + 2, sizes[1] + 1, sizes[0])):
+        for _ in range(n):
+            kind = draw(st.sampled_from(("anchor", "edge", "free")))
+            if kind == "anchor":
+                t = draw(st.sampled_from(anchors))
+            elif kind == "edge":
+                t = draw(st.sampled_from(anchors)) + draw(
+                    st.sampled_from(_FOLLOW_WINDOWS[:-1])
+                )
+                toward = draw(st.sampled_from((-np.inf, np.inf)))
+                for _ in range(draw(st.integers(0, 2))):
+                    t = np.nextafter(t, toward)
+            else:
+                t = base + draw(st.floats(0.0, 1000.0))
+            anchors.append(float(t))
+            rows.append((float(t), etype))
+    order = draw(st.permutations(range(len(rows))))
+    return EventLog.from_arrays(
+        time=np.asarray([rows[i][0] for i in order], dtype=np.float64),
+        gpu=np.zeros(len(rows), dtype=np.int64),
+        etype=np.asarray([rows[i][1].code for i in order], dtype=np.int16),
+    )
+
+
+def assert_matches_loop(log, window_s, types=DEFAULT_HEATMAP_TYPES):
+    matrix, counts = follow_matrix_loop(log, types=types, window_s=window_s)
+    fm = follow_probability_matrix(log, types=types, window_s=window_s)
+    assert np.array_equal(fm.matrix.view(np.int64), matrix.view(np.int64))
+    assert np.array_equal(fm.counts, counts)
+
+
+class TestFollowMatrixMatchesLoop:
+    """The smaller-side search equals the two-search loop bit for bit."""
+
+    @given(
+        log=typed_logs(),
+        window=st.sampled_from(_FOLLOW_WINDOWS),
+        presorted=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_loop(self, log, window, presorted):
+        if presorted:
+            log = log.sorted_by_time()
+        assert_matches_loop(log, window, types=_THREE_TYPES)
+
+    @pytest.mark.parametrize("window", [0.5, 5.0, 60.0, 300.0, HOUR])
+    def test_smoke_log(self, smoke_dataset, window):
+        assert_matches_loop(smoke_dataset.parsed_events, window)
 
 
 class TestRetirementDelay:

@@ -18,6 +18,7 @@ from repro.core.stats import (
     top_k_share,
 )
 from repro.rng import RngTree
+from tests.kernel_oracles import rankdata_average_loop
 
 
 def rng():
@@ -106,6 +107,23 @@ class TestRanks:
         g = rng()
         x = g.integers(0, 4, size=100).astype(float)
         assert np.allclose(rankdata_average(x), sps.rankdata(x))
+
+    @given(
+        x=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, np.nan, np.inf, -np.inf]),
+                st.floats(-3.0, 3.0),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_property_equals_loop(self, x):
+        """Ties, NaN, signed zeros, empty and single-element inputs."""
+        ranks = rankdata_average(x)
+        expected = rankdata_average_loop(x)
+        assert ranks.dtype == expected.dtype
+        assert np.array_equal(ranks.view(np.int64), expected.view(np.int64))
 
 
 class TestNormalize:

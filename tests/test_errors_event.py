@@ -88,6 +88,18 @@ def test_select_with_integer_indices():
     assert int(out.parent[1]) == 0
 
 
+@pytest.mark.parametrize(
+    "subset", [np.array([True, False, True, True]), np.array([3, 0, 2])]
+)
+def test_select_owns_read_only_columns(subset):
+    log = build_sample()
+    out = log.select(subset)
+    for name in ("time", "gpu", "etype", "structure", "job", "parent", "aux"):
+        column = getattr(out, name)
+        assert not column.flags.writeable
+        assert not np.shares_memory(column, getattr(log, name))
+
+
 def test_concatenate():
     log = build_sample()
     double = EventLog.concatenate([log, log])

@@ -14,6 +14,7 @@ import pytest
 
 from repro import perf
 from repro.cache import ArtifactStore, load_dataset, persist_dataset
+from repro.core.study import TitanStudy
 from repro.perf.timers import _NULL_SPAN, PerfRegistry
 
 
@@ -117,6 +118,42 @@ class TestModuleLevelRegistry:
         snap = perf.snapshot()
         assert snap["stages"]["work"]["calls"] == 1
         assert "after" not in snap["stages"]
+
+
+@pytest.mark.usefixtures("clean_perf")
+class TestFigureStages:
+    """A computed figure books ``study.<name>``; memo and store hits
+    book nothing."""
+
+    @staticmethod
+    def _study_stages(snapshot):
+        return {
+            name: stat
+            for name, stat in snapshot["stages"].items()
+            if name.startswith("study.")
+        }
+
+    def test_memo_hit_records_nothing(self, smoke_dataset):
+        study = TitanStudy(smoke_dataset)
+        study.log
+        perf.enable()
+        first = study.fig10()
+        assert study.fig10() is first
+        perf.disable()
+        stages = self._study_stages(perf.snapshot())
+        assert list(stages) == ["study.fig10"]
+        assert stages["study.fig10"]["calls"] == 1
+
+    def test_warm_store_records_nothing(self, tmp_path, smoke_dataset):
+        store = ArtifactStore(tmp_path)
+        persist_dataset(store, smoke_dataset)
+        TitanStudy(smoke_dataset, store=store).figs_all()
+        warm = load_dataset(store, smoke_dataset.scenario)
+        assert warm is not None
+        perf.enable()
+        TitanStudy(warm, store=store).figs_all()
+        perf.disable()
+        assert self._study_stages(perf.snapshot()) == {}
 
 
 @pytest.mark.usefixtures("clean_perf")
