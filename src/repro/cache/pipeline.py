@@ -16,7 +16,8 @@ dataset key:
 layer                 kind    contents
 ====================  ======  ============================================
 ``console.manifest``  json    shard list of the console log: line count,
-                              size and SHA-256 of every shard
+                              text size and container digest of every
+                              shard
 ``console.NNNNNN``    text    the console log in whole-line-aligned
                               shards of up to ``DEFAULT_SHARD_LINES``
                               lines (zlib-compressed)
@@ -37,10 +38,12 @@ console shards.
 skipping simulation, console rendering *and* parsing — or
 transparently falls back to a cold :class:`TitanSimulation` run (and
 persists the result) when any layer is missing or fails its checksum.
-Console shards are verified eagerly at load, one resident at a time,
-against the store's checksums and the manifest's digests; their lines
-are re-read lazily, only if something asks for the console stream.  A
-damaged or stale cache can cost time, never correctness.
+A load checks every console shard without inflating it: the store
+verifies the container's SHA-256, and that digest must be the one the
+manifest recorded.  The lines are inflated lazily, only if something
+asks for the console stream, and each re-read shard is checked against
+the manifest again.  A damaged or stale cache can cost time, never
+correctness.
 
 Ground truth (the injector's event log, the fleet ledgers) is *not*
 cached: analyses must run from observables exactly like the paper's
@@ -58,6 +61,7 @@ from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Optional
 
 from repro import perf
+from repro.cache import serde
 from repro.cache.keys import PIPELINE_EPOCH, dataset_key
 from repro.cache.store import ArtifactStore
 from repro.sim.simulation import (
@@ -87,8 +91,10 @@ __all__ = [
 #: resident shard never dominates peak RSS.
 DEFAULT_SHARD_LINES: int = 100_000
 
-#: Console manifest schema version.
-_MANIFEST_VERSION: int = 1
+#: Console manifest schema version.  Version 1 recorded a digest of
+#: each shard's text; version 2 records its container payload digest,
+#: so a version-1 store reads as a miss and is persisted again.
+_MANIFEST_VERSION: int = 2
 
 #: Layer name of the console shard manifest.
 _CONSOLE_MANIFEST_LAYER = "console.manifest"
@@ -110,7 +116,14 @@ class ShardCorruption(ValueError):
 
 @dataclass(frozen=True)
 class ShardInfo:
-    """One shard's identity: name, line count, size and payload digest."""
+    """One shard's identity: name, line count, text size and container digest.
+
+    ``lines`` and ``nbytes`` count the shard's text (``nbytes`` in
+    UTF-8 bytes).  ``sha256`` is the digest of the stored, compressed
+    payload: the one the store writes in the container header and
+    verifies on every read, so a load can pin each shard's bytes
+    without inflating or hashing them again.
+    """
 
     name: str
     lines: int
@@ -173,6 +186,11 @@ def _console_shard_layer(index: int) -> str:
     return f"console.{index:06d}"
 
 
+def _utf8_len(text: str) -> int:
+    """UTF-8 size of ``text``; O(1) for the ASCII the writer renders."""
+    return len(text) if text.isascii() else len(text.encode("utf-8"))
+
+
 def _put_console_shards(
     store: ArtifactStore, dkey: str, lines: Iterable[str], shards: list[ShardInfo]
 ) -> Iterator[str]:
@@ -181,21 +199,23 @@ def _put_console_shards(
     Each shard is the newline-terminated join of up to
     :data:`DEFAULT_SHARD_LINES` whole lines, so the payloads concatenate
     to the rendered log byte for byte; one shard's lines are resident
-    at a time.  Yields each payload once it is stored and its
+    at a time.  The text is encoded once, and its :class:`ShardInfo`
+    records the digest of the stored container payload, not of the
+    text.  Yields each payload once it is stored and its
     :class:`ShardInfo` is appended to ``shards``; the manifest is the
     caller's to write once the iterator is exhausted.
     """
     source = iter(lines)
     while batch := tuple(islice(source, DEFAULT_SHARD_LINES)):
         text = "\n".join(batch) + "\n"
-        payload = text.encode("utf-8")
+        payload = serde.encode(text, "text")
         name = _console_shard_layer(len(shards))
-        store.put(_layer_key(dkey, name), text, "text")
+        store.put_bytes(_layer_key(dkey, name), payload, "text")
         shards.append(
             ShardInfo(
                 name=name,
                 lines=len(batch),
-                nbytes=len(payload),
+                nbytes=_utf8_len(text),
                 sha256=hashlib.sha256(payload).hexdigest(),
             )
         )
@@ -253,9 +273,10 @@ def load_dataset(
 ) -> Optional[SimulationDataset]:
     """Reconstruct a dataset from the store, or ``None`` on any miss.
 
-    Every layer is fully decoded (checksum-verified) up front: a
-    truncated or garbled artifact degrades to a miss — the caller then
-    recomputes — never to a partially-wrong dataset.
+    Every layer is checksum-verified up front, and every layer but the
+    console shards is decoded: a truncated, garbled or stale artifact
+    degrades to a miss — the caller then recomputes — never to a
+    partially-wrong dataset.
     """
     dkey = dataset_key(scenario, epoch=epoch)
     decoded: dict[str, Any] = {}
@@ -292,14 +313,16 @@ def _console_manifest(doc: Any) -> Optional[ShardManifest]:
 def _console_shard_source(
     store: ArtifactStore, dkey: str, doc: Any
 ) -> Optional[Callable[[], Iterator[str]]]:
-    """Verify the console shards; return their payload source or ``None``.
+    """Check the console shards; return their payload source or ``None``.
 
-    Every shard is decoded (store checksums) and its payload
-    re-digested against the manifest, one shard resident at a time.
-    Any missing, misnamed or drifted shard degrades to a miss
-    (``None``), and the caller recomputes.  The returned source
-    re-reads the shard payloads through the checksummed ``store.get``
-    on every call.
+    Shard ``i`` must be named ``console.{i:06d}``, be present, hold
+    ``text``, and carry the container digest the manifest recorded.
+    The store has just verified the payload against that digest, so no
+    shard is inflated or hashed again here.  Any missing, misnamed or
+    drifted shard degrades to a miss (``None``), and the caller
+    recomputes.  The returned source re-reads and re-checks the shards
+    the same way on every call and inflates one at a time; a shard that
+    no longer matches the manifest raises :class:`ShardCorruption`.
     """
     manifest = _console_manifest(doc)
     if manifest is None:
@@ -307,27 +330,34 @@ def _console_shard_source(
     for index, shard in enumerate(manifest.shards):
         if shard.name != _console_shard_layer(index):
             return None
-        payload = store.get(_layer_key(dkey, shard.name))
-        if not isinstance(payload, str):
-            return None
-        encoded = payload.encode("utf-8")
-        if (
-            len(encoded) != shard.nbytes
-            or hashlib.sha256(encoded).hexdigest() != shard.sha256
-        ):
+        if _shard_payload(store, dkey, shard) is None:
             return None
 
     def payloads() -> Iterator[str]:
         for shard in manifest.shards:
-            payload = store.get(_layer_key(dkey, shard.name))
+            payload = _shard_payload(store, dkey, shard)
             if payload is None:
                 raise ShardCorruption(
-                    f"console shard {shard.name} vanished after load "
-                    f"verification (dataset {dkey})"
+                    f"console shard {shard.name} vanished or changed after "
+                    f"load verification (dataset {dkey})"
                 )
-            yield payload
+            yield serde.decode(payload, "text")
 
     return payloads
+
+
+def _shard_payload(
+    store: ArtifactStore, dkey: str, shard: ShardInfo
+) -> Optional[bytes]:
+    """The shard's verified compressed payload, if the manifest's digest
+    names it; ``None`` if it is missing, corrupt or another artifact."""
+    entry = store.get_verified(_layer_key(dkey, shard.name))
+    if entry is None:
+        return None
+    payload, kind, digest = entry
+    if kind != "text" or digest != shard.sha256:
+        return None
+    return payload
 
 
 def load_or_simulate(

@@ -226,6 +226,16 @@ class ArtifactStore:
 
     def get_bytes(self, key: str) -> tuple[bytes, str] | None:
         """Validated ``(payload, kind)`` or ``None`` (miss/corrupt)."""
+        entry = self.get_verified(key)
+        return None if entry is None else entry[:2]
+
+    def get_verified(self, key: str) -> tuple[bytes, str, str] | None:
+        """Validated ``(payload, kind, sha256)`` or ``None`` (miss/corrupt).
+
+        ``sha256`` is the header digest the payload was just checked
+        against: a caller that recorded it at write time pins the exact
+        payload bytes with it, without hashing or decoding them again.
+        """
         path = self._path(key)
         try:
             blob = path.read_bytes()
@@ -233,7 +243,7 @@ class ArtifactStore:
             self.stats.misses += 1
             return None
         try:
-            payload, kind = self._parse_container(blob)
+            entry = self._parse_container(blob)
         except CorruptArtifact:
             self._drop_corrupt(key)
             return None
@@ -247,10 +257,10 @@ class ArtifactStore:
             os.utime(path)
         except OSError:
             pass
-        return payload, kind
+        return entry
 
     @staticmethod
-    def _parse_container(blob: bytes) -> tuple[bytes, str]:
+    def _parse_container(blob: bytes) -> tuple[bytes, str, str]:
         base = len(_MAGIC) + _HEADER_LEN_BYTES
         if len(blob) < base or not blob.startswith(_MAGIC):
             raise CorruptArtifact("bad magic or truncated container")
@@ -275,7 +285,7 @@ class ArtifactStore:
             raise CorruptArtifact("payload checksum mismatch")
         if not isinstance(kind, str) or kind not in serde.KINDS:
             raise CorruptArtifact(f"unknown payload kind {kind!r}")
-        return payload, kind
+        return payload, kind, digest
 
     def _drop_corrupt(self, key: str) -> None:
         self.stats.corrupt_dropped += 1
@@ -409,7 +419,7 @@ class ArtifactStore:
         """Drop least-recently-*used* artifacts until the store fits
         ``max_bytes``; returns the evicted keys (coldest first).
 
-        Reads touch their artifact's mtime (see :meth:`get_bytes`), so
+        Reads touch their artifact's mtime (see :meth:`get_verified`), so
         recency means last access, not last write; ``(mtime, key)``
         keeps the order total when timestamps tie."""
         if max_bytes < 0:

@@ -14,6 +14,7 @@ The contract under test is the one docs/PERFORMANCE.md documents:
 """
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing as mp
 import os
@@ -619,6 +620,47 @@ class TestPipeline:
         assert not warm
         assert store.has(f"{dkey}/layer/console.manifest")
         assert store.has(f"{dkey}/layer/console.000000")
+        reloaded, warm = load_or_simulate(SMOKE, store)
+        assert warm
+        assert reloaded.console_text == cold.console_text
+
+    def test_v1_console_manifest_is_a_miss(self, tmp_path, warm_store):
+        """A version-1 manifest records digests of the shard *text*: it
+        must read as a miss, never be checked against container digests,
+        and be re-persisted as version 2."""
+        _, cold = warm_store
+        store = ArtifactStore(tmp_path)
+        dkey = dataset_key(SMOKE)
+        text = cold.console_text
+        encoded = text.encode("utf-8")
+        for layer, obj, kind in (
+            ("console.000000", text, "text"),
+            ("parsed", (cold.parsed_events, cold.parse_stats), "pickle"),
+            ("nvsmi", cold.nvsmi_table, "npz"),
+            ("jobsnap", cold.jobsnap_records, "pickle"),
+            ("trace", cold.trace, "pickle"),
+            ("console.manifest", {
+                "version": 1,
+                "total_lines": text.count("\n"),
+                "total_bytes": len(encoded),
+                "shards": [{
+                    "name": "console.000000",
+                    "lines": text.count("\n"),
+                    "nbytes": len(encoded),
+                    "sha256": hashlib.sha256(encoded).hexdigest(),
+                }],
+            }, "json"),
+        ):
+            store.put(f"{dkey}/layer/{layer}", obj, kind)
+        assert load_dataset(store, SMOKE) is None
+
+        _, warm = load_or_simulate(SMOKE, store)
+        assert not warm
+        manifest = store.get(f"{dkey}/layer/console.manifest")
+        assert manifest["version"] == 2
+        assert manifest["shards"][0]["sha256"] == (
+            store.get_verified(f"{dkey}/layer/console.000000")[2]
+        )
         reloaded, warm = load_or_simulate(SMOKE, store)
         assert warm
         assert reloaded.console_text == cold.console_text

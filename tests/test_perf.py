@@ -4,11 +4,14 @@ The registry lives outside the deterministic simulator subtree (it is
 the one place allowed to touch the wall clock), so the key properties
 are: disabled instrumentation is free and side-effect free, enabled
 instrumentation accumulates, and ``python -m repro profile`` surfaces
-the per-stage breakdown.
+the per-stage breakdown.  A structural guard, with no timing, pins that
+a warm load inflates no console shard.
 """
 
 import dataclasses
 import json
+import zlib
+from collections import deque
 
 import pytest
 
@@ -183,6 +186,33 @@ class TestConsoleTextBooking:
         assert list(stages) == ["telemetry.render"]
         assert stages["telemetry.render"]["calls"] == 1
         assert cold.console_text == smoke_dataset.console_text
+
+
+class TestWarmLoadInflatesNothing:
+    """A warm load checks console shards by their container digest and
+    inflates none; streaming the console inflates each shard once."""
+
+    def test_decompress_calls(self, tmp_path, smoke_dataset, monkeypatch):
+        monkeypatch.setattr("repro.cache.pipeline.DEFAULT_SHARD_LINES", 10_000)
+        store = ArtifactStore(tmp_path)
+        dkey = persist_dataset(store, smoke_dataset)
+        manifest = store.get(f"{dkey}/layer/console.manifest")
+        n_shards = len(manifest["shards"])
+        assert n_shards >= 3
+
+        calls = []
+        decompress = zlib.decompress
+
+        def counting_decompress(*args, **kwargs):
+            calls.append(None)
+            return decompress(*args, **kwargs)
+
+        monkeypatch.setattr(zlib, "decompress", counting_decompress)
+        warm = load_dataset(store, smoke_dataset.scenario)
+        assert warm is not None
+        assert len(calls) == 0
+        deque(warm.console_lines(), maxlen=0)
+        assert len(calls) == n_shards
 
 
 class TestProfileCli:

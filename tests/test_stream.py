@@ -170,6 +170,18 @@ class TestShards:
                 loaded.console_lines()
             )
 
+    def test_shard_swapped_after_load_detected(self, store, smoke_dataset):
+        """A valid container holding other text, written over a shard
+        after the load checked it, fails the re-read's manifest check
+        instead of being served as the console log."""
+        dkey = persist_dataset(store, smoke_dataset)
+        cached = load_dataset(store, smoke_dataset.scenario)
+        assert cached is not None
+        shard_key = _layer_key(dkey, _console_shard_layer(0))
+        store.put(shard_key, "tampered line\n", "text")
+        with pytest.raises(ShardCorruption):
+            cached.console_text
+
 
 # ---------------------------------------------------------------------------
 # Parse equivalence: batched and shard-driven vs the serial parser
