@@ -259,31 +259,19 @@ class ArtifactStore:
             pass
         return entry
 
-    @staticmethod
-    def _parse_container(blob: bytes) -> tuple[bytes, str, str]:
-        base = len(_MAGIC) + _HEADER_LEN_BYTES
-        if len(blob) < base or not blob.startswith(_MAGIC):
-            raise CorruptArtifact("bad magic or truncated container")
-        header_len = int.from_bytes(blob[len(_MAGIC):base], "big")
-        if not 0 < header_len <= _MAX_HEADER_BYTES:
-            raise CorruptArtifact(f"implausible header length {header_len}")
-        if len(blob) < base + header_len:
-            raise CorruptArtifact("truncated header")
-        try:
-            header = json.loads(blob[base:base + header_len].decode("ascii"))
-            kind = header["kind"]
-            nbytes = int(header["nbytes"])
-            digest = header["sha256"]
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            raise CorruptArtifact(f"unreadable header: {exc}") from exc
-        payload = blob[base + header_len:]
-        if len(payload) != nbytes:
+    @classmethod
+    def _parse_container(cls, blob: bytes) -> tuple[bytes, str, str]:
+        """``(payload, kind, sha256)`` of a whole container, checked."""
+        header, start = cls._parse_header_only(blob)
+        kind, nbytes, digest = header["kind"], header["nbytes"], header["sha256"]
+        if len(blob) - start != nbytes:
             raise CorruptArtifact(
-                f"payload is {len(payload)} bytes, header claims {nbytes}"
+                f"payload is {len(blob) - start} bytes, header claims {nbytes}"
             )
+        payload = blob[start:]
         if _sha256_hex(payload) != digest:
             raise CorruptArtifact("payload checksum mismatch")
-        if not isinstance(kind, str) or kind not in serde.KINDS:
+        if kind not in serde.KINDS:
             raise CorruptArtifact(f"unknown payload kind {kind!r}")
         return payload, kind, digest
 
@@ -363,13 +351,13 @@ class ArtifactStore:
                 stat = path.stat()
                 with open(path, "rb") as fh:
                     head = fh.read(len(_MAGIC) + _HEADER_LEN_BYTES + _MAX_HEADER_BYTES)
-                _, kind = self._parse_header_only(head)
+                header, _start = self._parse_header_only(head)
             except (OSError, CorruptArtifact):
                 continue
             found.append(
                 ArtifactInfo(
                     key=key,
-                    kind=kind,
+                    kind=header["kind"],
                     nbytes=stat.st_size,
                     mtime=stat.st_mtime,
                 )
@@ -377,23 +365,31 @@ class ArtifactStore:
         return found
 
     @staticmethod
-    def _parse_header_only(head: bytes) -> tuple[dict, str]:
+    def _parse_header_only(head: bytes) -> tuple[dict, int]:
+        """``(header, payload offset)`` from a container's leading bytes;
+        a header of any other shape than ``kind``/``nbytes``/``sha256``
+        is a :class:`CorruptArtifact`, never an escaping exception."""
         base = len(_MAGIC) + _HEADER_LEN_BYTES
         if len(head) < base or not head.startswith(_MAGIC):
-            raise CorruptArtifact("bad magic")
+            raise CorruptArtifact("bad magic or truncated container")
         header_len = int.from_bytes(head[len(_MAGIC):base], "big")
         if not 0 < header_len <= _MAX_HEADER_BYTES:
-            raise CorruptArtifact("implausible header length")
-        if len(head) < base + header_len:
+            raise CorruptArtifact(f"implausible header length {header_len}")
+        start = base + header_len
+        if len(head) < start:
             raise CorruptArtifact("truncated header")
         try:
-            header = json.loads(head[base:base + header_len].decode("ascii"))
+            header = json.loads(head[base:start].decode("ascii"))
         except (ValueError, UnicodeDecodeError) as exc:
-            raise CorruptArtifact("unreadable header") from exc
-        kind = header.get("kind")
-        if not isinstance(kind, str):
-            raise CorruptArtifact("header missing kind")
-        return header, kind
+            raise CorruptArtifact(f"unreadable header: {exc}") from exc
+        if not (
+            isinstance(header, dict)
+            and isinstance(header.get("kind"), str)
+            and type(header.get("nbytes")) is int  # not a bool either
+            and isinstance(header.get("sha256"), str)
+        ):
+            raise CorruptArtifact("header lacks a kind, nbytes or sha256")
+        return header, start
 
     def total_bytes(self) -> int:
         return sum(entry.nbytes for entry in self.entries())

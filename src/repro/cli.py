@@ -62,6 +62,23 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _unit_interval(text: str) -> float:
+    """Argument type of a corruption rate or an error budget: [0, 1]."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number in [0, 1], got {text!r}"
+        )
+    return value
+
+
+def _unit_interval_list(text: str) -> tuple[float, ...]:
+    """Argument type of ``degradation --levels``: comma-separated rates."""
+    return tuple(
+        _unit_interval(level) for level in text.split(",") if level.strip()
+    )
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=20131001)
     p.add_argument("--full", action="store_true",
@@ -123,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--log-out", type=Path, default=Path("console.log"))
     p_sim.add_argument("--nvsmi-out", type=Path, default=None,
                        help="also write the fleet nvidia-smi table (CSV)")
-    p_sim.add_argument("--chaos-rate", type=float, default=0.0,
+    p_sim.add_argument("--chaos-rate", type=_unit_interval, default=0.0,
                        help="corrupt this fraction of console lines before "
                             "writing (deterministic; uses the scenario seed)")
 
@@ -150,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("log", type=Path, help="input console-log text file")
     p_cor.add_argument("--out", type=Path, default=None,
                        help="output path (default: <log>.corrupt)")
-    p_cor.add_argument("--rate", type=float, default=0.01,
+    p_cor.add_argument("--rate", type=_unit_interval, default=0.01,
                        help="total per-line corruption rate (spread "
                             "uniformly over the fault modes)")
     p_cor.add_argument("--seed", type=int, default=20131001)
@@ -164,9 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="corruption sweep: rerun the scorecard on damaged telemetry",
     )
     _add_common(p_deg)
-    p_deg.add_argument("--levels", type=str, default="0,0.001,0.01,0.05,0.2",
+    p_deg.add_argument("--levels", type=_unit_interval_list,
+                       default="0,0.001,0.01,0.05,0.2",
                        help="comma-separated corruption levels to sweep")
-    p_deg.add_argument("--budget", type=float, default=0.05,
+    p_deg.add_argument("--budget", type=_unit_interval, default=0.05,
                        help="parser error budget (fraction of corrupt lines)")
     p_deg.add_argument("--fail-level", type=float, default=None,
                        help="exit non-zero if any check flips at a level "
@@ -345,12 +363,9 @@ def cmd_degradation(args) -> int:
     """Run the graceful-degradation sweep and print the flip table."""
     from repro.chaos import run_degradation
 
-    levels = tuple(
-        float(level) for level in args.levels.split(",") if level.strip()
-    )
     curve = run_degradation(
         _scenario(args),
-        levels=levels,
+        levels=args.levels,
         seed=args.seed,
         error_budget=args.budget,
         store=_store(args),

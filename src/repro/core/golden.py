@@ -12,7 +12,7 @@ noticing:
 * the **Observation 1–14 scorecard** verdicts;
 * the **headline statistics**
   (:func:`repro.core.observations.headline_statistics`) — the same
-  single definition the replica error-bar machinery uses.
+  single definition the sweep's replica bands are computed from.
 
 ``tests/test_golden.py`` asserts the canonical scenario's document
 matches the committed ``tests/golden/*.json`` files for cold,

@@ -130,10 +130,10 @@ def headline_statistics(study: "TitanStudy") -> dict[str, float]:
     """The study's headline numbers as one flat ``{name: float}`` dict.
 
     This is the *single* numeric summary definition shared by the
-    replica error-bar machinery (:mod:`repro.parallel.replicas`), the
-    golden-trace regression suite (``tests/test_golden.py``) and the
-    CLI — the scorecard above gives the boolean verdicts, this gives
-    the numbers behind them.  Statistics that cannot be computed on a
+    sweep's per-point summaries and replica bands
+    (:mod:`repro.sweep`), the golden-trace regression suite
+    (``tests/test_golden.py``) and the CLI — the scorecard above gives
+    the boolean verdicts, this gives the numbers behind them.  Statistics that cannot be computed on a
     given dataset (e.g. no snapshot records in a tiny window) are
     simply absent, mirroring how the paper reports only what its
     telemetry supported.

@@ -6,7 +6,9 @@ with its own RNG branch and content-addressed summary artifact; the
 journaled engine (:mod:`repro.sweep.engine`) shards them over worker
 processes and survives ``kill -9`` at any point barrier, and the
 streaming reducer (:mod:`repro.sweep.reduce`) assembles the
-sensitivity table and the paper-style MTBF-vs-node-count projection.
+sensitivity table, its per-cell replica bands and the paper-style
+MTBF-vs-node-count projection.  A replica campaign (one scenario under
+K seeds) is a sweep with ``replicas=K``.
 """
 
 from repro.sweep.engine import (
@@ -21,6 +23,7 @@ from repro.sweep.engine import (
 from repro.sweep.grid import SweepPoint, expand
 from repro.sweep.reduce import (
     SensitivityReducer,
+    render_bands,
     render_projection,
     render_sensitivity,
     scaling_projection,
@@ -45,6 +48,7 @@ __all__ = [
     "SensitivityReducer",
     "scaling_projection",
     "render_sensitivity",
+    "render_bands",
     "render_projection",
     "write_table_csv",
 ]

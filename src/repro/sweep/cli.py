@@ -7,6 +7,7 @@ Three subcommands share one spec selection (``--preset`` or a JSON
   engine, sharded over ``--jobs`` worker processes;
 * ``status`` — journal progress without touching any physics;
 * ``report`` — render the persisted sensitivity table (ASCII), the
+  per-cell replica bands of a ``replicas > 1`` spec, the
   scaling-projection figure, and optional CSV/JSON exports.
 """
 
@@ -139,6 +140,7 @@ def _cmd_sweep_status(args) -> int:
 def _cmd_sweep_report(args) -> int:
     from repro.sweep.engine import load_sweep_table
     from repro.sweep.reduce import (
+        render_bands,
         render_projection,
         render_sensitivity,
         scaling_projection,
@@ -155,6 +157,9 @@ def _cmd_sweep_report(args) -> int:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
     print(render_sensitivity(table))
+    if table["sweep"]["replicas"] > 1:
+        print()
+        print(render_bands(table))
     if not args.no_projection:
         print()
         print(render_projection(scaling_projection(table)))

@@ -2,10 +2,12 @@
 
 :func:`expand` turns a :class:`~repro.sweep.spec.SweepSpec` into the
 full cartesian grid of :class:`SweepPoint`\\ s in a fixed iteration
-order (scales, then rate multipliers, windows, bursts, corruption
-levels), so the same spec always yields the same indices, labels, seeds
-and keys — the property the journal, the cache and the golden anchor
-test all lean on.
+order (scales, then rate multipliers, windows, bursts, replicas,
+corruption levels), so the same spec always yields the same indices,
+labels, seeds and keys — the property the journal, the cache and the
+golden anchor test all lean on.  The replica loop sits inside the
+burst loop and outside the corruption loop, so ``replicas=1`` keeps
+every index of the unreplicated grid.
 
 Two invariants matter more than the transforms themselves:
 
@@ -15,8 +17,13 @@ Two invariants matter more than the transforms themselves:
 * **per-point RNG branches** — every non-baseline point derives its
   seed through ``RngTree(base.seed).child(...)`` keyed by the exact
   (``float.hex``) axis values, so points are statistically independent
-  replicas, stable across processes, and never collide with the base
-  stream.
+  samples, stable across processes, and never collide with the base
+  stream;
+* **replicas re-seed only** — replica ``r >= 1`` of a cell is the
+  cell's scenario with its seed moved to
+  ``RngTree(cell.seed).child(f"sweep.replica:{r}")``: same name and
+  configuration fingerprint, a new dataset key.  Replica 0 is the cell
+  itself, so the anchor stays the golden scenario.
 
 Machine scale is modeled at the *fleet-rate* level (see the spec module
 docstring): the simulated machine keeps Titan's physical 18,688 nodes
@@ -26,6 +33,7 @@ the modeled fleet size for the scaling-projection figure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from collections.abc import Callable
@@ -76,13 +84,15 @@ class SweepPoint:
     window_days: Optional[float]
     burst: float
     corruption: float
+    #: Replica number within the cell (0 = the cell's own scenario).
+    replica: int
     #: Ground-truth simulation requested (availability section).
     availability: bool
     scenario: Any
     #: Modeled fleet size (``18688 * scale``, half-up rounded).
     n_nodes: int
-    #: All scenario axes at baseline *and* no corruption: this point's
-    #: figures are the single-scenario golden trace.
+    #: All scenario axes at baseline, no corruption, replica 0: this
+    #: point's figures are the single-scenario golden trace.
     is_anchor: bool
 
     @property
@@ -139,6 +149,7 @@ def _human_label(
     window: Optional[float],
     burst: float,
     corruption: float,
+    replica: int = 0,
     encode: Optional[Callable[[float], str]] = None,
 ) -> str:
     """Human label for one axis tuple; baseline axes are omitted.
@@ -173,6 +184,8 @@ def _human_label(
         parts.append(f"window={enc(window)}d")
     if burst != 1.0:
         parts.append(f"burst={enc(burst)}")
+    if replica:
+        parts.append(f"rep={replica}")
     if corruption != 0.0:
         parts.append(f"corr={enc(corruption)}")
     return ",".join(parts) if parts else "anchor"
@@ -203,6 +216,7 @@ def _dedup_labels(points: list[SweepPoint]) -> list[SweepPoint]:
                 p.window_days,
                 p.burst,
                 p.corruption,
+                p.replica,
                 encode=encode,
             )
             if counts[label] > 1
@@ -299,31 +313,35 @@ def expand(spec: SweepSpec) -> tuple[SweepPoint, ...]:
     spec.validate()
     base = spec.base_scenario()
     points: list[SweepPoint] = []
-    index = 0
-    for scale in spec.scales:
-        for rm in spec.rates:
-            for window in spec.windows:
-                for burst in spec.bursts:
-                    scenario, baseline = _point_scenario(
-                        base, scale=scale, rm=rm, window=window, burst=burst
+    for scale, rm, window, burst in itertools.product(
+        spec.scales, spec.rates, spec.windows, spec.bursts
+    ):
+        cell, baseline = _point_scenario(
+            base, scale=scale, rm=rm, window=window, burst=burst
+        )
+        for replica in range(spec.replicas):
+            scenario = cell if replica == 0 else cell.evolve(
+                seed=RngTree(cell.seed).child(f"sweep.replica:{replica}").seed
+            )
+            for corruption in spec.corruptions:
+                points.append(
+                    SweepPoint(
+                        index=len(points),
+                        label=_human_label(
+                            scale, rm, window, burst, corruption, replica
+                        ),
+                        scale=float(scale),
+                        rates=rm,
+                        window_days=window,
+                        burst=float(burst),
+                        corruption=float(corruption),
+                        replica=replica,
+                        availability=spec.availability,
+                        scenario=scenario,
+                        n_nodes=_scaled_nodes(scale),
+                        is_anchor=(
+                            baseline and replica == 0 and corruption == 0.0
+                        ),
                     )
-                    for corruption in spec.corruptions:
-                        points.append(
-                            SweepPoint(
-                                index=index,
-                                label=_human_label(
-                                    scale, rm, window, burst, corruption
-                                ),
-                                scale=float(scale),
-                                rates=rm,
-                                window_days=window,
-                                burst=float(burst),
-                                corruption=float(corruption),
-                                availability=spec.availability,
-                                scenario=scenario,
-                                n_nodes=_scaled_nodes(scale),
-                                is_anchor=baseline and corruption == 0.0,
-                            )
-                        )
-                        index += 1
+                )
     return tuple(_dedup_labels(points))

@@ -6,6 +6,10 @@ reducer keys everything by the point's grid index, so the assembled
 table — and therefore its canonical JSON serialization and SHA-256 —
 is independent of execution order, worker count, and resume history.
 
+Each grid cell's replicas also reduce to ``bands``: ``[p05, median,
+p95]`` of every headline statistic all of them report, and how many of
+them pass each scorecard check.
+
 Two derived views ride on the table:
 
 * :func:`scaling_projection` — the MTBF-vs-node-count rows backing the
@@ -21,6 +25,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.sweep.spec import SweepSpec
 from repro.topology.machine import N_COMPUTE_NODES
 from repro.viz.ascii import render_bar, render_table
@@ -31,12 +37,18 @@ __all__ = [
     "SensitivityReducer",
     "scaling_projection",
     "render_sensitivity",
+    "render_bands",
     "render_projection",
     "write_table_csv",
 ]
 
 #: Schema version of the assembled sensitivity table.
-TABLE_VERSION = 1
+TABLE_VERSION = 2
+
+#: Band columns of ``render_bands``: statistic and number format.
+_BAND_COLUMNS = (
+    ("dbe_mtbf_hours", ".1f"), ("dbe_total", ".0f"), ("otb_total", ".0f"),
+)
 
 #: Headline statistics lifted verbatim into each table row.
 _HEADLINE_FIELDS = (
@@ -116,6 +128,10 @@ class SensitivityReducer:
             _row(point, doc, anchor_scorecard)
             for point, doc in zip(self.points, docs)
         ]
+        cells: dict[tuple, list[int]] = {}
+        for p in self.points:  # a cell is every axis but the replica
+            cell = (p.scale, p.rates, p.window_days, p.burst, p.corruption)
+            cells.setdefault(cell, []).append(p.index)
         return {
             "version": TABLE_VERSION,
             "sweep": {
@@ -124,10 +140,46 @@ class SensitivityReducer:
                 "base": self.spec.base,
                 "seed": int(self.spec.seed),
                 "n_points": self.spec.n_points,
+                "replicas": int(self.spec.replicas),
             },
             "anchor_index": anchor_index,
             "rows": rows,
+            "bands": [
+                _band(self.points[indices[0]].label, indices, docs)
+                for indices in cells.values()
+            ],
         }
+
+
+def _spread(values: list[float]) -> list[float]:
+    """``[p05, median, p95]`` of one statistic over a cell's replicas."""
+    return [
+        float(np.quantile(values, 0.05)),
+        float(np.median(values)),
+        float(np.quantile(values, 0.95)),
+    ]
+
+
+def _band(
+    label: str, indices: list[int], docs: list[dict[str, Any]]
+) -> dict[str, Any]:
+    """One cell's spread over its replicas (the points at ``indices``)."""
+    headlines = [docs[i].get("headline", {}) for i in indices]
+    checks = [c for i in indices for c in docs[i].get("scorecard", [])]
+    common = set(headlines[0]).intersection(*headlines[1:])
+    return {
+        "label": label,
+        "indices": indices,
+        "n_replicas": len(indices),
+        "headline": {
+            name: _spread([h[name] for h in headlines])
+            for name in sorted(common)
+        },
+        "pass_counts": {
+            name: sum(c["ok"] for c in checks if c["name"] == name)
+            for name in sorted({c["name"] for c in checks})
+        },
+    }
 
 
 def _row(
@@ -149,6 +201,7 @@ def _row(
     row: dict[str, Any] = {
         "index": int(point.index),
         "label": point.label,
+        "replica": int(point.replica),
         "axes": summary["axes"],
         "n_nodes": int(summary["n_nodes"]),
         "is_anchor": bool(point.is_anchor),
@@ -247,6 +300,39 @@ def render_sensitivity(table: dict[str, Any]) -> str:
     return title + "\n" + render_table(headers, rows)
 
 
+def render_bands(table: dict[str, Any]) -> str:
+    """Per-cell replica bands (``p05/median/p95``) as a terminal table;
+    a line under it names each check that fails in some replica."""
+    rows, notes = [], []
+    for band in table["bands"]:
+        n, stats, counts = (
+            band["n_replicas"], band["headline"], band["pass_counts"]
+        )
+        rows.append(
+            [band["label"], n]
+            + [
+                "-" if stats.get(name) is None
+                else "/".join(format(v, spec) for v in stats[name])
+                for name, spec in _BAND_COLUMNS
+            ]
+            + [f"{sum(c == n for c in counts.values())}/{len(counts)}"]
+        )
+        notes += [
+            f"  {band['label']}: {name!r} passes in {count}/{n} replicas"
+            for name, count in counts.items()
+            if count < n
+        ]
+    headers = ["cell", "n", "mtbf_h", "dbe", "otb", "checks"]
+    return "\n".join(
+        [
+            "replica bands: p05/median/p95 over "
+            f"{table['sweep']['replicas']} replicas per cell",
+            render_table(headers, rows),
+            *notes,
+        ]
+    )
+
+
 def render_projection(projection: dict[str, Any]) -> str:
     """The scaling-projection figure as an ASCII chart."""
     rows = projection["rows"]
@@ -275,35 +361,22 @@ def render_projection(projection: dict[str, Any]) -> str:
 
 
 def write_table_csv(path: str | Path, table: dict[str, Any]) -> Path:
-    """Export the sensitivity table for external re-plotting."""
+    """Export the sensitivity table for external re-plotting (a missing
+    value is an empty cell)."""
     headers = [
         "index", "label", "scale", "window_days", "burst", "corruption",
-        "n_nodes", "dbe_mtbf_hours", "dbe_total", "otb_total",
-        "retirements", "sbe_fraction", "n_pass", "n_checks",
+        "replica", "n_nodes", *_HEADLINE_FIELDS, "n_pass", "n_checks",
         "availability",
     ]
     rows = []
     for r in table["rows"]:
-        axes = r["axes"]
-        avail = r.get("availability")
-        rows.append(
-            [
-                r["index"],
-                r["label"],
-                axes["scale"],
-                "" if axes["window_days"] is None else axes["window_days"],
-                axes["burst"],
-                axes["corruption"],
-                r["n_nodes"],
-                "" if r.get("dbe_mtbf_hours") is None
-                else r["dbe_mtbf_hours"],
-                "" if r.get("dbe_total") is None else r["dbe_total"],
-                "" if r.get("otb_total") is None else r["otb_total"],
-                "" if r.get("retirements") is None else r["retirements"],
-                "" if r.get("sbe_fraction") is None else r["sbe_fraction"],
-                r["n_pass"],
-                r["n_checks"],
-                "" if avail is None else avail["availability"],
-            ]
-        )
+        axes, avail = r["axes"], r.get("availability")
+        values = [
+            r["index"], r["label"], axes["scale"], axes["window_days"],
+            axes["burst"], axes["corruption"], r["replica"], r["n_nodes"],
+            *(r.get(name) for name in _HEADLINE_FIELDS),
+            r["n_pass"], r["n_checks"],
+            None if avail is None else avail["availability"],
+        ]
+        rows.append(["" if value is None else value for value in values])
     return write_rows_csv(path, headers, rows)

@@ -31,11 +31,15 @@ Axes
     deterministically damaged before analysis
     (:class:`~repro.chaos.injector.CorruptionInjector`), probing how
     telemetry quality moves the sensitivity table.
+``replicas``
+    Seeds per grid cell (an integer, not a value list).  Replica 0 is
+    the cell itself; replica ``r`` re-seeds the cell's scenario and
+    changes nothing else (see :mod:`repro.sweep.grid`).
 
 The all-baseline point (scale 1, unit multipliers, base window, no
-corruption) is the **anchor**: its scenario is the untouched base
-scenario object, so its figures reproduce the single-scenario golden
-trace bit-for-bit.
+corruption, replica 0) is the **anchor**: its scenario is the
+untouched base scenario object, so its figures reproduce the
+single-scenario golden trace bit-for-bit.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional
@@ -58,6 +63,16 @@ SPEC_VERSION = 1
 _BASES = ("smoke", "paper")
 
 
+def _check_positive_finite(name: str, value: Any) -> None:
+    """Reject all but a finite number above zero (a bool is not one)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not 0.0 < value < math.inf  # also rejects NaN
+    ):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class RateMultipliers:
     """Per-category fault-rate multipliers (1.0 = paper calibration)."""
@@ -69,11 +84,9 @@ class RateMultipliers:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValueError(
-                    f"rate multiplier {f.name} must be positive, got {value!r}"
-                )
+            _check_positive_finite(
+                f"rate multiplier {f.name}", getattr(self, f.name)
+            )
 
     @property
     def is_baseline(self) -> bool:
@@ -129,6 +142,8 @@ class SweepSpec:
     #: Compute per-point availability (forces ground-truth simulation —
     #: the RAS node-state ledger is never cached).
     availability: bool = False
+    #: Seeds per grid cell; replica 0 is the cell's own scenario.
+    replicas: int = 1
 
     # -- validation --------------------------------------------------------
 
@@ -140,8 +155,11 @@ class SweepSpec:
                 f"unknown base scenario {self.base!r}; "
                 f"choose from {', '.join(_BASES)}"
             )
-        if self.days <= 0:
-            raise ValueError("days must be positive")
+        for name, low in (("seed", 0), ("replicas", 1)):
+            value = getattr(self, name)
+            if type(value) is not int or value < low:  # not a bool either
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        _check_positive_finite("days", self.days)
         for axis in ("scales", "rates", "windows", "bursts", "corruptions"):
             values = getattr(self, axis)
             if not values:
@@ -152,16 +170,14 @@ class SweepSpec:
                     "(duplicates would collide on one sweep-point key)"
                 )
         for scale in self.scales:
-            if not scale > 0:
-                raise ValueError(f"scale must be positive, got {scale!r}")
+            _check_positive_finite("scale", scale)
         for rm in self.rates:
             rm.validate()
         for window in self.windows:
-            if window is not None and not window > 0:
-                raise ValueError(f"window must be positive days, got {window!r}")
+            if window is not None:
+                _check_positive_finite("window", window)
         for burst in self.bursts:
-            if not burst > 0:
-                raise ValueError(f"burst must be positive, got {burst!r}")
+            _check_positive_finite("burst", burst)
         for level in self.corruptions:
             if not 0.0 <= level < 1.0:
                 raise ValueError(
@@ -176,6 +192,7 @@ class SweepSpec:
             * len(self.windows)
             * len(self.bursts)
             * len(self.corruptions)
+            * self.replicas
         )
 
     def base_scenario(self) -> Any:
@@ -189,11 +206,11 @@ class SweepSpec:
     # -- identity ----------------------------------------------------------
 
     def key(self) -> str:
-        """Content address of the spec (every axis, canonical floats)."""
+        """Content address of the spec's JSON form (``90`` == ``90.0``)."""
         from repro.cache.keys import canonical_json
 
         return hashlib.sha256(
-            canonical_json(self).encode("ascii")
+            canonical_json(self.to_doc()).encode("ascii")
         ).hexdigest()[:32]
 
     # -- JSON form ---------------------------------------------------------
@@ -213,6 +230,7 @@ class SweepSpec:
             "bursts": [float(b) for b in self.bursts],
             "corruptions": [float(c) for c in self.corruptions],
             "availability": bool(self.availability),
+            "replicas": int(self.replicas),
         }
 
     @classmethod
@@ -225,32 +243,34 @@ class SweepSpec:
                 f"unsupported sweep spec version {version!r} "
                 f"(this build reads version {SPEC_VERSION})"
             )
-        known = {
-            "version", "name", "base", "seed", "days", "scales", "rates",
-            "windows", "bursts", "corruptions", "availability",
-        }
+        known = {"version", *(f.name for f in dataclasses.fields(cls))}
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown sweep spec fields {sorted(unknown)}")
-        spec = cls(
-            name=str(doc.get("name", "sweep")),
-            base=str(doc.get("base", "smoke")),
-            seed=int(doc.get("seed", DEFAULT_SEED)),
-            days=float(doc.get("days", 45.0)),
-            scales=tuple(float(s) for s in doc.get("scales", [1.0])),
-            rates=tuple(
-                RateMultipliers.from_doc(rm) for rm in doc.get("rates", [{}])
-            ),
-            windows=tuple(
-                None if w is None else float(w)
-                for w in doc.get("windows", [None])
-            ),
-            bursts=tuple(float(b) for b in doc.get("bursts", [1.0])),
-            corruptions=tuple(
-                float(c) for c in doc.get("corruptions", [0.0])
-            ),
-            availability=bool(doc.get("availability", False)),
-        )
+        try:
+            spec = cls(
+                name=str(doc.get("name", "sweep")),
+                base=str(doc.get("base", "smoke")),
+                seed=doc.get("seed", DEFAULT_SEED),
+                days=float(doc.get("days", 45.0)),
+                scales=tuple(float(s) for s in doc.get("scales", [1.0])),
+                rates=tuple(
+                    RateMultipliers.from_doc(rm)
+                    for rm in doc.get("rates", [{}])
+                ),
+                windows=tuple(
+                    None if w is None else float(w)
+                    for w in doc.get("windows", [None])
+                ),
+                bursts=tuple(float(b) for b in doc.get("bursts", [1.0])),
+                corruptions=tuple(
+                    float(c) for c in doc.get("corruptions", [0.0])
+                ),
+                availability=bool(doc.get("availability", False)),
+                replicas=doc.get("replicas", 1),
+            )
+        except TypeError as exc:  # e.g. a number where a list belongs
+            raise ValueError(f"malformed sweep spec: {exc}") from exc
         spec.validate()
         return spec
 
@@ -263,20 +283,18 @@ class SweepSpec:
         return cls.from_doc(doc)
 
 
-def _smoke_preset() -> SweepSpec:
-    """3x2 smoke grid: three machine scales, baseline vs doubled DBE."""
-    return SweepSpec(
+#: Built-in sweep specs by name.
+PRESETS: dict[str, SweepSpec] = {
+    # 3x2 smoke grid: three machine scales, baseline vs doubled DBE.
+    "smoke": SweepSpec(
         name="smoke",
         base="smoke",
         days=20.0,
         scales=(1.0, 2.0, 4.0),
         rates=(RateMultipliers(), RateMultipliers(dbe=2.0)),
-    )
-
-
-def _sensitivity_preset() -> SweepSpec:
-    """12-point sensitivity grid over scale x fault-rate multipliers."""
-    return SweepSpec(
+    ),
+    # 12-point sensitivity grid over scale x fault-rate multipliers.
+    "sensitivity": SweepSpec(
         name="sensitivity",
         base="smoke",
         days=30.0,
@@ -286,34 +304,24 @@ def _sensitivity_preset() -> SweepSpec:
             RateMultipliers(dbe=2.0),
             RateMultipliers(otb=0.1, xid=1.5),
         ),
-    )
-
-
-def _scaling_preset() -> SweepSpec:
-    """MTBF-vs-node-count projection grid anchored at Titan scale."""
-    return SweepSpec(
+    ),
+    # MTBF-vs-node-count projection grid anchored at Titan scale.
+    "scaling": SweepSpec(
         name="scaling",
         base="paper",
         scales=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
-    )
-
-
-PRESETS: dict[str, Any] = {
-    "smoke": _smoke_preset,
-    "sensitivity": _sensitivity_preset,
-    "scaling": _scaling_preset,
+    ),
 }
 
 
 def preset(name: str) -> SweepSpec:
     """A named built-in sweep spec (``smoke``/``sensitivity``/``scaling``)."""
     try:
-        factory = PRESETS[name]
+        spec = PRESETS[name]
     except KeyError:
         raise ValueError(
             f"unknown sweep preset {name!r}; "
             f"choose from {', '.join(sorted(PRESETS))}"
         ) from None
-    spec = factory()
     spec.validate()
     return spec

@@ -299,15 +299,36 @@ class TestStore:
             with pytest.raises(ValueError):
                 store.put(key, "x", "text")
 
+    #: Headers that are valid JSON but not a well-typed header object.
+    _ILL_TYPED_HEADERS = {
+        "header_list": lambda h: [1, 2],
+        "header_string": lambda h: "kind",
+        "header_number": lambda h: 5,
+        "nbytes_null": lambda h: {**h, "nbytes": None},
+        "nbytes_list": lambda h: {**h, "nbytes": [2]},
+    }
+
     @pytest.mark.parametrize(
         "damage",
-        ["truncate", "garble_payload", "garble_header", "bad_magic", "empty"],
+        [
+            "truncate", "garble_payload", "garble_header", "bad_magic",
+            "empty", *_ILL_TYPED_HEADERS,
+        ],
     )
     def test_corruption_degrades_to_miss(self, tmp_path, damage):
         store = ArtifactStore(tmp_path)
         path = store.put("k", {"v": 1}, "json")
         blob = path.read_bytes()
-        if damage == "truncate":
+        if damage in self._ILL_TYPED_HEADERS:
+            base = len(_MAGIC) + 4
+            end = base + int.from_bytes(blob[len(_MAGIC):base], "big")
+            header = self._ILL_TYPED_HEADERS[damage](json.loads(blob[base:end]))
+            text = json.dumps(header).encode("ascii")
+            path.write_bytes(
+                _MAGIC + len(text).to_bytes(4, "big") + text + blob[end:]
+            )
+            assert store.entries() == []  # inventory skips it, no raise
+        elif damage == "truncate":
             path.write_bytes(blob[: len(blob) // 2])
         elif damage == "garble_payload":
             path.write_bytes(blob[:-3] + b"\x00\x00\x00")
@@ -730,12 +751,14 @@ class TestDegradationReuse:
 
 class TestReplicaCache:
     def test_replicas_warm_from_cache_dir(self, tmp_path):
-        from repro.parallel import run_replicas
+        from repro.sweep import SweepSpec, expand, run_sweep
 
-        sc = Scenario.smoke(days=15.0, seed=0)
-        cold = run_replicas(sc, [5, 6], cache_dir=str(tmp_path))
+        spec = SweepSpec(name="rep", days=15.0, seed=0, replicas=2)
+        cold = run_sweep(spec, ArtifactStore(tmp_path))
         store = ArtifactStore(tmp_path)
-        assert load_dataset(store, sc.evolve(seed=5)) is not None
-        assert load_dataset(store, sc.evolve(seed=6)) is not None
-        warm = run_replicas(sc, [5, 6], cache_dir=str(tmp_path))
-        assert [r.statistics for r in cold] == [r.statistics for r in warm]
+        for point in expand(spec):
+            assert load_dataset(store, point.scenario) is not None
+        os.unlink(cold.journal_path)  # a new campaign over the same store
+        warm = run_sweep(spec, store)
+        assert all(unit.warm for unit in warm.units)
+        assert warm.document_sha256 == cold.document_sha256

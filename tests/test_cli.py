@@ -54,6 +54,35 @@ class TestParser:
         args = build_parser().parse_args(["simulate"])
         assert args.chaos_rate == 0.0
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["corrupt", "x.log", "--rate", "1.5"], "--rate"),
+            (["corrupt", "x.log", "--rate", "nan"], "--rate"),
+            (["corrupt", "x.log", "--rate", "-0.1"], "--rate"),
+            (["simulate", "--chaos-rate", "nan"], "--chaos-rate"),
+            (["simulate", "--chaos-rate", "2"], "--chaos-rate"),
+            (["degradation", "--budget", "1.5"], "--budget"),
+            (["degradation", "--levels", "0,abc"], "--levels"),
+            (["degradation", "--levels", "0,inf"], "--levels"),
+        ],
+    )
+    def test_out_of_range_rate_is_usage_error(self, capsys, argv, option):
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(argv)
+        assert info.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
+
+    def test_rates_parse_to_floats(self):
+        args = build_parser().parse_args(
+            ["degradation", "--levels", "0, 0.5,1", "--budget", "1"]
+        )
+        assert args.levels == (0.0, 0.5, 1.0)
+        assert args.budget == 1.0
+        assert build_parser().parse_args(["degradation"]).levels == (
+            0.0, 0.001, 0.01, 0.05, 0.2,
+        )
+
 
 class TestCommands:
     """Each command runs end-to-end on a small window."""

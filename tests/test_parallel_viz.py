@@ -1,8 +1,10 @@
-"""Tests for the parallel helpers, report renderers, and CSV writers."""
+"""Tests for the parallel helpers, replica bands, report renderers, and
+CSV writers."""
 
 import numpy as np
 import pytest
 
+from repro.cache import ArtifactStore
 from repro.core import TitanStudy, headline_statistics
 from repro.core.report import (
     render_bar,
@@ -11,12 +13,7 @@ from repro.core.report import (
     render_table,
 )
 from repro.parallel.pool import parallel_map
-from repro.parallel.replicas import (
-    ReplicaSummary,
-    replica_confidence_intervals,
-    run_replicas,
-)
-from repro.sim import Scenario
+from repro.sweep import SensitivityReducer, SweepSpec, expand, run_sweep
 from repro.viz.csvout import write_grid_csv, write_rows_csv, write_series_csv
 
 
@@ -43,51 +40,93 @@ class TestPool:
         assert parallel_map(_square, [5], n_workers=8) == [25]
 
 
+def _summary(point, headline, passing=()):
+    """A synthetic summary doc for ``point``: only what the reducer reads."""
+    return {
+        "point": {
+            "key": point.key,
+            "dataset_key": point.dataset_key,
+            "axes": {},
+            "n_nodes": point.n_nodes,
+        },
+        "headline": headline,
+        "scorecard": [
+            {"name": name, "ok": name in passing} for name in ("a", "b")
+        ],
+    }
+
+
 class TestReplicas:
+    """Replica campaigns are sweeps with ``replicas=K``: one scenario,
+    K seeds, reduced to per-statistic bands and per-check pass counts."""
+
     def test_summarize_smoke(self, smoke_dataset):
         stats = headline_statistics(TitanStudy(smoke_dataset))
         assert stats["dbe_total"] > 0
         assert 0 <= stats["sbe_fraction"] < 0.05
         assert "spearman_core_hours" in stats
 
-    def test_run_replicas_serial(self):
-        base = Scenario.smoke(days=20.0)
-        summaries = run_replicas(base, [1, 2], n_workers=1)
-        assert len(summaries) == 2
-        assert summaries[0].seed == 1
+    def test_replica_sweep_serial(self, tmp_path):
+        spec = SweepSpec(name="serial", days=20.0, seed=1, replicas=2)
+        report = run_sweep(spec, ArtifactStore(tmp_path), n_workers=1)
+        first, second = report.document["rows"]
+        assert (first["replica"], second["replica"]) == (0, 1)
+        assert expand(spec)[0].scenario.seed == 1  # replica 0: base seed
         # different seeds -> different samples
-        assert summaries[0]["dbe_total"] != summaries[1]["dbe_total"] or (
-            summaries[0]["sbe_cards"] != summaries[1]["sbe_cards"]
+        assert first["dbe_total"] != second["dbe_total"] or (
+            first["sbe_fraction"] != second["sbe_fraction"]
         )
 
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            run_replicas(Scenario.smoke(), [])
+    def test_empty_seeds_rejected(self, tmp_path):
+        spec = SweepSpec(name="empty", replicas=0)
+        with pytest.raises(ValueError, match="replicas must be"):
+            spec.validate()
+        with pytest.raises(ValueError, match="replicas must be"):
+            run_sweep(spec, ArtifactStore(tmp_path))
+        assert not list(tmp_path.glob("runs/*"))  # nothing journaled
 
     def test_confidence_intervals(self):
-        summaries = [
-            ReplicaSummary(seed=i, statistics={"x": float(i)}) for i in range(11)
-        ]
-        ci = replica_confidence_intervals(summaries, confidence=0.8)
-        lo, med, hi = ci["x"]
+        reducer = SensitivityReducer(SweepSpec(name="ci", replicas=11))
+        for point in reducer.points:
+            passing = ("a", "b") if point.replica % 2 == 0 else ("b",)
+            reducer.add(
+                point.index,
+                _summary(point, {"x": float(point.replica)}, passing),
+            )
+        (band,) = reducer.table()["bands"]
+        lo, med, hi = band["headline"]["x"]
         assert med == 5.0
         assert lo < med < hi
+        values = np.arange(11.0)
+        assert [lo, med, hi] == [
+            np.quantile(values, 0.05),
+            np.median(values),
+            np.quantile(values, 0.95),
+        ]
+        assert band["n_replicas"] == 11
+        assert band["indices"] == list(range(11))
+        assert band["pass_counts"] == {"a": 6, "b": 11}
 
     def test_ci_validation(self):
-        with pytest.raises(ValueError):
-            replica_confidence_intervals([])
-        with pytest.raises(ValueError):
-            replica_confidence_intervals(
-                [ReplicaSummary(0, {"x": 1.0})], confidence=2.0
-            )
+        for bad in (True, 1.5, "2", -1):
+            with pytest.raises(ValueError, match="replicas must be"):
+                SweepSpec(replicas=bad).validate()
+        reducer = SensitivityReducer(SweepSpec(name="ci", replicas=2))
+        first, second = reducer.points
+        # a replica's band input is its own summary, not its cell's
+        with pytest.raises(ValueError, match="grid expects"):
+            reducer.add(second.index, _summary(first, {"x": 1.0}))
+        reducer.add(first.index, _summary(first, {"x": 1.0}))
+        with pytest.raises(ValueError, match="incomplete"):
+            reducer.table()
 
     def test_ci_only_common_keys(self):
-        summaries = [
-            ReplicaSummary(0, {"a": 1.0, "b": 2.0}),
-            ReplicaSummary(1, {"a": 3.0}),
-        ]
-        ci = replica_confidence_intervals(summaries)
-        assert set(ci) == {"a"}
+        reducer = SensitivityReducer(SweepSpec(name="common", replicas=2))
+        first, second = reducer.points
+        reducer.add(first.index, _summary(first, {"a": 1.0, "b": 2.0}))
+        reducer.add(second.index, _summary(second, {"a": 3.0}))
+        (band,) = reducer.table()["bands"]
+        assert set(band["headline"]) == {"a"}
 
 
 class TestRenderers:

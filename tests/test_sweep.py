@@ -9,18 +9,25 @@ already honors one level down, lifted to whole scenario points:
 * a run can be killed at any journal barrier and resumed to a
   byte-identical sensitivity table;
 * warm reruns (journal gone, store intact) reuse summaries without
-  recomputing physics.
+  recomputing physics;
+* a replica axis re-seeds each cell and leaves replica 0 — hence every
+  ``replicas=1`` grid — exactly as it was.
 """
 
 import dataclasses
+import hashlib
 import json
+import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from repro.cache import ArtifactStore, dataset_key, scenario_fingerprint
 from repro.chaos.procfault import FAULT_MODES
+from repro.core import TitanStudy, headline_statistics, observation_scorecard
+from repro.sim import TitanSimulation
 from repro.supervise.chaosrun import run_fault_sweep
 from repro.supervise.journal import JournalError, read_journal
 from repro.sweep import (
@@ -82,6 +89,17 @@ class TestSpec:
             (dict(bursts=(-2.0,)), "burst must be positive"),
             (dict(corruptions=(1.0,)), "corruption level"),
             (dict(rates=(RateMultipliers(dbe=-1.0),)), "must be positive"),
+            (dict(days=math.inf), "days must be positive and finite"),
+            (dict(days=math.nan), "days must be positive and finite"),
+            (dict(scales=(math.inf,)), "scale must be positive and finite"),
+            (dict(rates=(RateMultipliers(xid=math.inf),)), "xid must be"),
+            (dict(windows=(math.inf,)), "window must be positive and finite"),
+            (dict(bursts=(math.inf,)), "burst must be positive and finite"),
+            (dict(seed=1.5), "seed must be an integer >= 0"),
+            (dict(seed=-1), "seed must be an integer >= 0"),
+            (dict(replicas=0), "replicas must be"),
+            (dict(replicas=True), "replicas must be"),
+            (dict(replicas=2.0), "replicas must be"),
         ],
     )
     def test_validation_rejects(self, overrides, match):
@@ -100,6 +118,36 @@ class TestSpec:
         again = SweepSpec.from_doc(spec.to_doc())
         assert again == spec
         assert again.key() == spec.key()
+        replicated = dataclasses.replace(spec, replicas=3)
+        assert SweepSpec.from_doc(replicated.to_doc()) == replicated
+
+    def test_doc_without_replicas_loads(self):
+        doc = _tiny("old").to_doc()
+        del doc["replicas"]
+        assert SweepSpec.from_doc(doc).replicas == 1
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("days", math.inf, "days must be positive"),
+            ("days", math.nan, "days must be positive"),
+            ("scales", [math.inf], "scale must be positive"),
+            ("rates", [{"dbe": math.inf}], "dbe must be positive"),
+            ("windows", [math.inf], "window must be positive"),
+            ("bursts", [math.inf], "burst must be positive"),
+            ("seed", 1.5, "seed must be"),
+            ("replicas", 1.5, "replicas must be"),
+            ("replicas", True, "replicas must be"),
+            ("scales", math.inf, "malformed sweep spec"),
+        ],
+    )
+    def test_json_spec_rejects(self, tmp_path, field, value, match):
+        doc = _tiny("j").to_doc()
+        doc[field] = value
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))  # inf and nan as Infinity, NaN
+        with pytest.raises(ValueError, match=match):
+            SweepSpec.from_file(path)
 
     def test_from_file_and_unknown_fields(self, tmp_path):
         doc = _tiny("f").to_doc()
@@ -128,10 +176,16 @@ class TestSpec:
             _tiny("k", bursts=(2.0,)),
             _tiny("k", corruptions=(0.01,)),
             _tiny("k", availability=True),
+            _tiny("k", replicas=2),
         ]
         keys = {p.key() for p in perturbed}
         assert base.key() not in keys
         assert len(keys) == len(perturbed)
+
+    def test_key_survives_a_spec_file(self):
+        spec = _tiny("ints", days=3, scales=(1, 2), bursts=(1, 2))
+        assert spec.key() == SweepSpec.from_doc(spec.to_doc()).key()
+        assert spec.key() == _tiny("ints", scales=(1.0, 2.0), bursts=(1.0, 2.0)).key()
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +380,27 @@ class TestEngine:
     def test_kill_at_point_barrier_resumes_byte_identical(
         self, store, tmp_path
     ):
-        spec = _tiny("chaos", scales=(1.0, 2.0))
-        cold = run_sweep(spec, store)  # reference table, shared store
+        for replicas in (1, 2):
+            spec = _tiny("chaos", scales=(1.0, 2.0), replicas=replicas)
+            cold = run_sweep(spec, store)  # reference table, shared store
 
-        specfile = tmp_path / "spec.json"
-        specfile.write_text(json.dumps(spec.to_doc()))
-        report = run_fault_sweep(
-            ["sweep", "run", "--spec", str(specfile), "--quiet"],
-            tmp_path / "chaos",
-            modes=FAULT_MODES,
-            barriers=(1,),
-            timeout_s=600.0,
-        )
-        assert report.ok, [(f.label, f.detail) for f in report.failures]
-        assert report.n_barriers == 1 + spec.n_points + 1
-        assert report.reference_sha256 == cold.document_sha256
-        _ref, ref_payload = load_sweep_table(spec, store)
-        for mode in FAULT_MODES:
-            cache = ArtifactStore(tmp_path / "chaos" / f"{mode}-01" / "cache")
-            assert load_sweep_table(spec, cache)[1] == ref_payload
+            specfile = tmp_path / f"spec-{replicas}.json"
+            specfile.write_text(json.dumps(spec.to_doc()))
+            workdir = tmp_path / f"chaos-{replicas}"
+            report = run_fault_sweep(
+                ["sweep", "run", "--spec", str(specfile), "--quiet"],
+                workdir,
+                modes=FAULT_MODES,
+                barriers=(1,),
+                timeout_s=600.0,
+            )
+            assert report.ok, [(f.label, f.detail) for f in report.failures]
+            assert report.n_barriers == 1 + spec.n_points + 1
+            assert report.reference_sha256 == cold.document_sha256
+            _ref, ref_payload = load_sweep_table(spec, store)
+            for mode in FAULT_MODES:
+                cache = ArtifactStore(workdir / f"{mode}-01" / "cache")
+                assert load_sweep_table(spec, cache)[1] == ref_payload
 
     def test_status_reporting(self, store):
         spec = _tiny("status-never-run", scales=(1.0, 4.0))
@@ -353,6 +409,121 @@ class TestEngine:
         after = sweep_status(done, store)
         assert after.kind == "sweep" and after.complete
         assert after.n_units == done.n_points == 2
+
+
+# ---------------------------------------------------------------------------
+# replica axis
+# ---------------------------------------------------------------------------
+
+
+def _grid_digest(spec):
+    """Digest of everything a grid decides that no epoch bump moves."""
+    rows = [
+        [p.index, p.label, p.scenario.seed, p.scenario.name, p.is_anchor,
+         p.n_nodes]
+        for p in expand(spec)
+    ]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:16]
+
+
+class TestReplicaAxis:
+    #: ``_grid_digest`` of the three presets and of the CI job's 3x2 grid,
+    #: recorded before the replica axis existed.
+    GRIDS = {
+        "smoke": "9dfe1eda7f8bb772",
+        "sensitivity": "5d9a856ca63ef963",
+        "scaling": "1d1d5e66496fa7c5",
+        "ci": "bf2d984309680ea3",
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_replicas_one_keeps_the_grid(self, name):
+        spec = (
+            _tiny(
+                "ci",
+                scales=(1.0, 2.0, 3.0),
+                rates=(RateMultipliers(), RateMultipliers(dbe=2.0)),
+            )
+            if name == "ci"
+            else preset(name)
+        )
+        assert spec.replicas == 1
+        assert _grid_digest(spec) == self.GRIDS[name]
+
+    def test_replica_zero_is_the_unreplicated_point(self):
+        spec = _tiny("r", scales=(1.0, 2.0), corruptions=(0.0, 0.1))
+        plain = expand(spec)
+        replicated = expand(dataclasses.replace(spec, replicas=3))
+        assert len(replicated) == 3 * len(plain)
+        assert [
+            (p.key, p.label, p.scenario, p.is_anchor)
+            for p in replicated
+            if p.replica == 0
+        ] == [(p.key, p.label, p.scenario, p.is_anchor) for p in plain]
+        assert sum(p.is_anchor for p in replicated) == 1
+        # one scenario per (cell scenario, replica); corruption shares it
+        seeds = {(p.scale, p.replica): p.scenario.seed for p in replicated}
+        assert len(set(seeds.values())) == len(seeds) == 2 * 3
+        for cell in plain:
+            members = [
+                p for p in replicated
+                if (p.scale, p.corruption) == (cell.scale, cell.corruption)
+            ]
+            assert [p.replica for p in members] == [0, 1, 2]
+            assert len({scenario_fingerprint(p.scenario) for p in members}) == 1
+            assert len({p.key for p in members}) == 3
+        assert len({p.label for p in replicated}) == len(replicated)
+
+    def test_replica_sweep_matches_direct_runs(self, store, capsys, tmp_path):
+        from repro.cli import main
+        from repro.sweep.engine import summary_key
+
+        spec = _tiny("replicas", replicas=3)
+        report = run_sweep(spec, store, n_workers=2)
+        points = expand(spec)
+        docs = [
+            json.loads(store.get_bytes(summary_key(p.key))[0].decode())
+            for p in points
+        ]
+        studies = [TitanStudy(TitanSimulation(p.scenario).run()) for p in points]
+        rows = report.document["rows"]
+        for point, doc, study, row in zip(points, docs, studies, rows):
+            assert doc["headline"] == headline_statistics(study)
+            assert row["replica"] == point.replica
+            assert row["dbe_total"] == doc["headline"]["dbe_total"]
+
+        (band,) = report.document["bands"]
+        assert band["label"] == "anchor" and band["indices"] == [0, 1, 2]
+        common = set.intersection(*(set(d["headline"]) for d in docs))
+        assert set(band["headline"]) == common
+        for name in common:
+            values = np.array([d["headline"][name] for d in docs])
+            assert band["headline"][name] == [
+                np.quantile(values, 0.05),
+                np.median(values),
+                np.quantile(values, 0.95),
+            ]
+        cards = [observation_scorecard(study) for study in studies]
+        assert band["pass_counts"] == {
+            check.name: sum(card[i].ok for card in cards)
+            for i, check in enumerate(cards[0])
+        }
+
+        # journal gone, store intact: every replica is warm
+        os.unlink(report.journal_path)
+        rerun = run_sweep(spec, store)
+        assert all(unit.warm for unit in rerun.units)
+        assert rerun.document_sha256 == report.document_sha256
+
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(json.dumps(spec.to_doc()))
+        assert main([
+            "sweep", "report", "--spec", str(specfile),
+            "--cache-dir", str(store.root), "--no-projection",
+        ]) == 0
+        out = capsys.readouterr().out
+        assert "replica bands: p05/median/p95 over 3 replicas" in out
+        assert "rep=2" in out
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +615,7 @@ class TestReducerAndCli:
         ]) == 0
         out = capsys.readouterr().out
         assert "sensitivity table" in out and "scaling projection" in out
+        assert "replica bands" not in out  # one replica: no spread
         assert csv_path.exists()
         table, payload = load_sweep_table(spec, store)
         assert json_path.read_bytes() == payload
