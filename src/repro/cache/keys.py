@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "cd176147fb72721c"
+PIPELINE_SURFACE: str = "b274fed24bccdf59"
 
 
 def canonical_encode(obj: Any) -> Any:

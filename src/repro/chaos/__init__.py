@@ -1,4 +1,4 @@
-"""repro.chaos — telemetry corruption injection and degradation studies.
+"""repro.chaos — telemetry corruption and process-fault injection.
 
 The paper's two years of SMW console streams were noisy, gappy and
 occasionally malformed; this package makes that hostility *injectable*
@@ -11,14 +11,17 @@ fatal") are continuously exercised instead of assumed:
 * :mod:`injector` — :class:`CorruptionInjector`, an RngTree-seeded,
   byte-reproducible corruptor of rendered telemetry text with
   per-mode ground-truth accounting;
-* :mod:`experiment` — the graceful-degradation sweep: corrupt at
-  increasing levels, re-parse through the hardened ingestion stack,
-  and record the corruption level at which each paper Observation
-  first flips;
 * :mod:`procfault` — process-level faults (SIGKILL at a journal
   barrier, torn journal writes, injected ENOSPC) for the crash/resume
   contract of journaled runs (``repro run``, ``repro sweep run``),
   swept by ``repro chaos-run`` (:mod:`repro.supervise.chaosrun`).
+
+The degradation curve — at which corruption level does each paper
+Observation first flip? — is a sweep over the ``corruptions`` axis
+(``repro sweep run --preset degradation``, :mod:`repro.sweep`): each
+point's summary reports the parse damage next to its scorecard.  This
+package stays below the analysis layer; importing it loads no
+``repro.core``, ``repro.sim`` or ``repro.telemetry`` module.
 
 The defensive counterparts live with the parsers:
 :mod:`repro.telemetry.ingestion` (strict/lenient modes, error budgets,
@@ -30,13 +33,6 @@ from repro.chaos.injector import (
     ChaosConfig,
     CorruptionInjector,
     CorruptionResult,
-)
-from repro.chaos.experiment import (
-    DEFAULT_ERROR_BUDGET,
-    DEFAULT_LEVELS,
-    DegradationCurve,
-    DegradationPoint,
-    run_degradation,
 )
 from repro.chaos.procfault import (
     FAULT_MODES,
@@ -51,11 +47,6 @@ __all__ = [
     "ChaosConfig",
     "CorruptionInjector",
     "CorruptionResult",
-    "DegradationCurve",
-    "DegradationPoint",
-    "run_degradation",
-    "DEFAULT_LEVELS",
-    "DEFAULT_ERROR_BUDGET",
     "FAULT_MODES",
     "PROCFAULT_ENV",
     "FaultPlan",

@@ -9,7 +9,6 @@ Commands
 ``observations``  check every Observation 1–14 and print a scorecard
 ``fleet-health``  the operator triage summary
 ``corrupt``       deterministically corrupt an existing log file
-``degradation``   corruption sweep: at what damage level do findings flip?
 ``lint``          AST determinism/invariant linter over the source tree
 ``cache``         artifact-store maintenance (``info``/``clear``/``evict``)
 ``profile``       per-stage wall-time breakdown of one cold pipeline run
@@ -20,6 +19,10 @@ Commands
                   command (``run`` by default, or ``sweep run``) in a
                   real subprocess at every journal barrier and prove the
                   resume reproduces the cold document byte-for-byte
+``sweep``         journaled multi-scenario sweeps (``run``/``status``/
+                  ``report``): sensitivity grids, replica bands, and the
+                  telemetry degradation curve (``--preset degradation``:
+                  at what damage level do findings flip?)
 
 Every analysis command accepts ``--seed`` and ``--cache-dir``: with a
 cache directory (or ``$REPRO_CACHE_DIR``), the simulated dataset's
@@ -63,20 +66,13 @@ def _positive_finite(text: str) -> float:
 
 
 def _unit_interval(text: str) -> float:
-    """Argument type of a corruption rate or an error budget: [0, 1]."""
+    """Argument type of a corruption rate: [0, 1]."""
     value = float(text)
     if not 0.0 <= value <= 1.0:  # also rejects NaN
         raise argparse.ArgumentTypeError(
             f"must be a finite number in [0, 1], got {text!r}"
         )
     return value
-
-
-def _unit_interval_list(text: str) -> tuple[float, ...]:
-    """Argument type of ``degradation --levels``: comma-separated rates."""
-    return tuple(
-        _unit_interval(level) for level in text.split(",") if level.strip()
-    )
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -175,20 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also drop this many SMW-outage windows")
     p_cor.add_argument("--outage-hours", type=float, default=6.0,
                        help="mean outage duration in hours")
-
-    p_deg = sub.add_parser(
-        "degradation",
-        help="corruption sweep: rerun the scorecard on damaged telemetry",
-    )
-    _add_common(p_deg)
-    p_deg.add_argument("--levels", type=_unit_interval_list,
-                       default="0,0.001,0.01,0.05,0.2",
-                       help="comma-separated corruption levels to sweep")
-    p_deg.add_argument("--budget", type=_unit_interval, default=0.05,
-                       help="parser error budget (fraction of corrupt lines)")
-    p_deg.add_argument("--fail-level", type=float, default=None,
-                       help="exit non-zero if any check flips at a level "
-                            "<= this threshold")
 
     p_lint = sub.add_parser(
         "lint", help="run the determinism & invariant linter "
@@ -311,7 +293,8 @@ def cmd_observations(args) -> int:
     """Score the observation suite; non-zero exit if any claim fails.
 
     The check logic lives in :func:`repro.core.observation_scorecard`
-    so the chaos degradation experiment reruns exactly the same suite.
+    so every sweep point (corrupted ones included) reruns exactly the
+    same suite.
     """
     from repro.core import TitanStudy, observation_scorecard
 
@@ -356,45 +339,6 @@ def cmd_corrupt(args) -> int:
           f"{result.total_corrupted:,} corrupted of {result.n_lines_in:,})")
     for mode in sorted(result.counts):
         print(f"  {mode:<12} {result.counts[mode]:,}")
-    return 0
-
-
-def cmd_degradation(args) -> int:
-    """Run the graceful-degradation sweep and print the flip table."""
-    from repro.chaos import run_degradation
-
-    curve = run_degradation(
-        _scenario(args),
-        levels=args.levels,
-        seed=args.seed,
-        error_budget=args.budget,
-        store=_store(args),
-    )
-    n_checks = len(curve.baseline.checks)
-    print(f"{'level':>8}  {'pass':>5}  {'degraded':>8}  {'corrupt':>8}  "
-          f"{'coverage':>8}  {'mtbf_h':>8}  flips")
-    for point in curve.points:
-        flips = curve.flips_at(point)
-        mtbf = "-" if point.mtbf_hours is None else f"{point.mtbf_hours:.1f}"
-        print(f"{point.level:>8.3%}  {point.n_pass:>2}/{n_checks:<2}  "
-              f"{'yes' if point.degraded else 'no':>8}  "
-              f"{point.corrupt_fraction:>8.3%}  "
-              f"{point.coverage_fraction:>8.1%}  {mtbf:>8}  "
-              f"{', '.join(flips) if flips else '-'}")
-    print(f"\nscorecard stable through {curve.max_stable_level():.3%} "
-          "line corruption")
-    if args.fail_level is not None:
-        bad = [
-            point
-            for point in curve.points
-            if point.level <= args.fail_level and curve.flips_at(point)
-        ]
-        if bad:
-            worst = min(point.level for point in bad)
-            print(f"FAIL: scorecard flipped at level {worst:.3%} "
-                  f"(<= --fail-level {args.fail_level:.3%})")
-            return 1
-        print(f"OK: no flips at levels <= {args.fail_level:.3%}")
     return 0
 
 
@@ -488,7 +432,6 @@ _COMMANDS = {
     "fleet-health": cmd_fleet_health,
     "calibration": cmd_calibration,
     "corrupt": cmd_corrupt,
-    "degradation": cmd_degradation,
     "lint": cmd_lint,
     "cache": cmd_cache,
     "profile": cmd_profile,

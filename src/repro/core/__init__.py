@@ -79,7 +79,6 @@ from repro.core.observations import (
     ObservationCheck,
     headline_statistics,
     observation_scorecard,
-    scorecard_flips,
 )
 from repro.core.opsreport import MonthlyOpsReport, build_monthly_report
 from repro.core.study import FIGURES, TitanStudy
@@ -129,7 +128,6 @@ __all__ = [
     "build_monthly_report",
     "ObservationCheck",
     "observation_scorecard",
-    "scorecard_flips",
     "headline_statistics",
     "golden_document",
     "golden_diff",

@@ -2,10 +2,10 @@
 
 The paper condenses its findings into fourteen numbered Observations;
 ``python -m repro observations`` prints a pass/fail scorecard for all
-of them.  The chaos toolkit (:mod:`repro.chaos.experiment`) reruns the
-same scorecard on *corrupted* telemetry to measure at which damage
-level each finding first flips, so the check logic lives here — one
-definition, two consumers.
+of them.  A sweep (:mod:`repro.sweep`) reruns the same scorecard on
+every grid point — on *corrupted* telemetry along its ``corruptions``
+axis, to measure at which damage level each finding first flips — so
+the check logic lives here: one definition, two consumers.
 
 Every check degrades rather than raises: analyses that cannot run on
 the surviving data (e.g. the snapshot window is too small, or an event
@@ -21,7 +21,6 @@ from typing import TYPE_CHECKING
 __all__ = [
     "ObservationCheck",
     "observation_scorecard",
-    "scorecard_flips",
     "headline_statistics",
 ]
 
@@ -164,11 +163,3 @@ def headline_statistics(study: "TitanStudy") -> dict[str, float]:
     except ValueError:  # no snapshot records in tiny scenarios
         pass
     return out
-
-
-def scorecard_flips(
-    baseline: list[ObservationCheck], other: list[ObservationCheck]
-) -> list[str]:
-    """Names of checks whose verdict differs from the baseline."""
-    by_name = {c.name: c.ok for c in baseline}
-    return [c.name for c in other if by_name.get(c.name) != c.ok]

@@ -17,6 +17,7 @@ window.  Named constructors cover the ablations DESIGN.md calls out:
 from __future__ import annotations
 
 import datetime as _dt
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.faults.rates import RateConfig
@@ -50,6 +51,11 @@ class Scenario:
         return replace(self, **changes)
 
     def validate(self) -> None:
+        if not math.isfinite(self.start) or not math.isfinite(self.end):
+            raise ValueError(
+                "scenario window must be finite, got "
+                f"[{self.start!r}, {self.end!r}]"
+            )
         if self.end <= self.start:
             raise ValueError("scenario window is empty")
         self.rates.validate()

@@ -6,9 +6,10 @@ Three subcommands share one spec selection (``--preset`` or a JSON
 * ``run`` — execute (or ``--resume``) the sweep under the journaled
   engine, sharded over ``--jobs`` worker processes;
 * ``status`` — journal progress without touching any physics;
-* ``report`` — render the persisted sensitivity table (ASCII), the
-  per-cell replica bands of a ``replicas > 1`` spec, the
-  scaling-projection figure, and optional CSV/JSON exports.
+* ``report`` — render the persisted sensitivity table (ASCII, with
+  each point's measured corrupt-line fraction), the per-cell replica
+  bands of a ``replicas > 1`` spec, the scaling-projection figure, and
+  optional CSV/JSON exports.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ __all__ = ["add_sweep_arguments", "cmd_sweep"]
 
 
 def _add_spec_arguments(p: argparse.ArgumentParser) -> None:
+    from repro.sweep.spec import PRESETS
+
     p.add_argument(
         "--preset", type=str, default="smoke",
-        help="built-in sweep spec: smoke, sensitivity or scaling "
-             "(default: smoke)")
+        help=f"built-in sweep spec: {', '.join(PRESETS)} (default: smoke)")
     p.add_argument(
         "--spec", type=Path, default=None,
         help="JSON sweep spec file (overrides --preset)")

@@ -44,7 +44,7 @@ from repro.supervise.runner import (
     summarize_journal,
 )
 from repro.sweep.grid import SweepPoint, expand
-from repro.sweep.reduce import SensitivityReducer
+from repro.sweep.reduce import TABLE_VERSION, SensitivityReducer
 from repro.sweep.spec import SweepSpec
 
 __all__ = [
@@ -59,7 +59,19 @@ __all__ = [
 ]
 
 #: Schema version of one point's summary document.
-SWEEP_DOC_VERSION = 1
+SWEEP_DOC_VERSION = 2
+
+#: :class:`~repro.telemetry.parser.ParseStats` counters copied into each
+#: point's ``telemetry`` section.
+_PARSE_COUNTERS = (
+    "total_lines",
+    "parsed_events",
+    "non_gpu_lines",
+    "malformed_lines",
+    "unknown_xid_lines",
+    "resynced_lines",
+    "quarantined_lines",
+)
 
 
 def sweep_id_for(spec: SweepSpec) -> str:
@@ -92,6 +104,11 @@ def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
     full figure pipeline + scorecard + headline on what remains.  A
     corruption point materializes the console text (the chaos injector
     rewrites the whole text by construction).
+
+    The ``telemetry`` section reports what the analysis ingested: the
+    parser's counters and ``corrupt_fraction`` for the stream the
+    figures read, and the injector's per-mode ``injected`` counts
+    (``{}`` on a clean point) — one parse, shared with the figures.
     """
     from repro.cache import load_or_simulate
     from repro.cache.keys import scenario_fingerprint
@@ -130,6 +147,7 @@ def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
             },
         }
 
+    injected: dict[str, int] = {}
     if point.corruption > 0.0:
         from repro.chaos.injector import ChaosConfig, CorruptionInjector
         from repro.rng import RngTree
@@ -138,17 +156,23 @@ def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
             ChaosConfig.uniform(point.corruption),
             seed=RngTree(scenario.seed).child("sweep.corrupt").seed,
         )
+        corrupted = injector.corrupt_text(dataset.console_text)
+        injected = {mode: int(n) for mode, n in corrupted.counts.items()}
         # ``with_console_text`` marks the dataset ``modified``, so the
         # corrupted figures never pollute the clean content addresses.
-        dataset = dataset.with_console_text(
-            injector.corrupt_text(dataset.console_text).text
-        )
+        dataset = dataset.with_console_text(corrupted.text)
 
     study = TitanStudy(dataset, store=store)
     figures = {
         name: figure_digest(result)
         for name, result in study.figs_all().items()
     }
+    stats = study.ds.parse_stats  # the figures' parse, memoized
+    telemetry: dict[str, Any] = {
+        name: int(getattr(stats, name)) for name in _PARSE_COUNTERS
+    }
+    telemetry["corrupt_fraction"] = float(stats.corrupt_fraction)
+    telemetry["injected"] = injected
     return {
         "version": SWEEP_DOC_VERSION,
         # Deliberately grid-position-free: the same scenario point can
@@ -184,6 +208,7 @@ def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
         ],
         "headline": headline_statistics(study),
         "availability": availability,
+        "telemetry": telemetry,
     }
 
 
@@ -345,16 +370,19 @@ def load_sweep_table(
     """The persisted sensitivity table ``(doc, payload)`` of ``spec``.
 
     Raises :class:`KeyError` when the sweep has not completed into this
-    store (run ``repro sweep run`` first).
+    store (run ``repro sweep run`` first) — a table of another
+    ``TABLE_VERSION``, written by an older build under the same key,
+    counts as absent, since its rows lack fields the renderers read.
     """
     raw = store.get_bytes(table_key(spec))
-    if raw is None:
+    doc = None if raw is None else json.loads(raw[0].decode("utf-8"))
+    if doc is None or doc.get("version") != TABLE_VERSION:
         raise KeyError(
-            f"no sensitivity table for sweep {spec.name!r} "
-            f"(key {spec.key()}) in {store.root}; run `repro sweep run` first"
+            f"no sensitivity table (version {TABLE_VERSION}) for sweep "
+            f"{spec.name!r} (key {spec.key()}) in {store.root}; "
+            "run `repro sweep run` first"
         )
-    payload, _kind = raw
-    return json.loads(payload.decode("utf-8")), payload
+    return doc, raw[0]
 
 
 def sweep_status(

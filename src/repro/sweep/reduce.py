@@ -5,6 +5,10 @@ The engine feeds one summary document per completed grid point into a
 reducer keys everything by the point's grid index, so the assembled
 table — and therefore its canonical JSON serialization and SHA-256 —
 is independent of execution order, worker count, and resume history.
+Each row carries the point's headline numbers, its scorecard flips
+against the anchor and its parse damage (``corrupt_fraction``,
+``resynced_lines``), so a sweep over the ``corruptions`` axis is the
+telemetry degradation curve.
 
 Each grid cell's replicas also reduce to ``bands``: ``[p05, median,
 p95]`` of every headline statistic all of them report, and how many of
@@ -43,7 +47,7 @@ __all__ = [
 ]
 
 #: Schema version of the assembled sensitivity table.
-TABLE_VERSION = 2
+TABLE_VERSION = 3
 
 #: Band columns of ``render_bands``: statistic and number format.
 _BAND_COLUMNS = (
@@ -58,6 +62,9 @@ _HEADLINE_FIELDS = (
     "retirements",
     "sbe_fraction",
 )
+
+#: Parse-damage fields lifted from each summary's ``telemetry`` section.
+_TELEMETRY_FIELDS = ("corrupt_fraction", "resynced_lines")
 
 
 class SensitivityReducer:
@@ -214,6 +221,9 @@ def _row(
     }
     for name in _HEADLINE_FIELDS:
         row[name] = headline.get(name)
+    telemetry = doc["telemetry"]
+    for name in _TELEMETRY_FIELDS:
+        row[name] = telemetry[name]
     return row
 
 
@@ -231,17 +241,27 @@ def _is_scale_only(axes: dict[str, Any]) -> bool:
 def scaling_projection(table: dict[str, Any]) -> dict[str, Any]:
     """MTBF vs node count, anchored at Titan scale.
 
-    Restricted to rows where only the scale axis varies.  The analytic
-    expectation next to each simulated MTBF is the paper's projection
-    argument — fleet failure processes superpose, so a fleet ``s``
-    times larger fails ``s`` times as often: ``MTBF(s) = MTBF(1)/s``.
+    One row per grid cell where only the scale axis varies, carrying
+    the cell's replica-band median DBE MTBF (with one replica, that
+    replica's own value).  The analytic expectation next to each
+    simulated MTBF is the paper's projection argument — fleet failure
+    processes superpose, so a fleet ``s`` times larger fails ``s``
+    times as often: ``MTBF(s) = MTBF(1)/s``, anchored on the scale-1
+    cell's median.
     """
-    rows = [r for r in table["rows"] if _is_scale_only(r["axes"])]
-    rows.sort(key=lambda r: (r["n_nodes"], r["index"]))
-    anchor = next((r for r in rows if r["axes"]["scale"] == 1.0), None)
-    anchor_mtbf = anchor["dbe_mtbf_hours"] if anchor is not None else None
+    cells = []
+    for band in table["bands"]:
+        first = table["rows"][band["indices"][0]]
+        if _is_scale_only(first["axes"]):
+            spread = band["headline"].get("dbe_mtbf_hours")
+            median = None if spread is None else spread[1]
+            cells.append((first, median))
+    cells.sort(key=lambda cell: (cell[0]["n_nodes"], cell[0]["index"]))
+    anchor_mtbf = next(
+        (median for r, median in cells if r["axes"]["scale"] == 1.0), None
+    )
     out = []
-    for r in rows:
+    for r, median in cells:
         scale = float(r["axes"]["scale"])
         expected = (
             anchor_mtbf / scale if anchor_mtbf is not None else None
@@ -250,7 +270,7 @@ def scaling_projection(table: dict[str, Any]) -> dict[str, Any]:
             {
                 "scale": scale,
                 "n_nodes": r["n_nodes"],
-                "dbe_mtbf_hours": r["dbe_mtbf_hours"],
+                "dbe_mtbf_hours": median,
                 "expected_mtbf_hours": expected,
             }
         )
@@ -272,7 +292,7 @@ def _fmt(value: Any, spec: str = "g") -> str:
 def render_sensitivity(table: dict[str, Any]) -> str:
     """The sensitivity table as a fixed-width terminal table."""
     headers = [
-        "idx", "label", "nodes", "mtbf_h", "dbe", "otb",
+        "idx", "label", "nodes", "mtbf_h", "dbe", "otb", "corrupt",
         "pass", "flips", "avail",
     ]
     rows = []
@@ -287,6 +307,7 @@ def render_sensitivity(table: dict[str, Any]) -> str:
                 _fmt(r.get("dbe_mtbf_hours"), ".2f"),
                 _fmt(r.get("dbe_total"), ".0f"),
                 _fmt(r.get("otb_total"), ".0f"),
+                f"{r['corrupt_fraction']:.3%}",
                 f"{r['n_pass']}/{r['n_checks']}",
                 "-" if flips is None else (",".join(flips) or "none"),
                 "-" if avail is None else f"{avail['availability']:.6f}",
@@ -365,8 +386,8 @@ def write_table_csv(path: str | Path, table: dict[str, Any]) -> Path:
     value is an empty cell)."""
     headers = [
         "index", "label", "scale", "window_days", "burst", "corruption",
-        "replica", "n_nodes", *_HEADLINE_FIELDS, "n_pass", "n_checks",
-        "availability",
+        "replica", "n_nodes", *_HEADLINE_FIELDS, *_TELEMETRY_FIELDS,
+        "n_pass", "n_checks", "availability",
     ]
     rows = []
     for r in table["rows"]:
@@ -375,6 +396,7 @@ def write_table_csv(path: str | Path, table: dict[str, Any]) -> Path:
             r["index"], r["label"], axes["scale"], axes["window_days"],
             axes["burst"], axes["corruption"], r["replica"], r["n_nodes"],
             *(r.get(name) for name in _HEADLINE_FIELDS),
+            *(r[name] for name in _TELEMETRY_FIELDS),
             r["n_pass"], r["n_checks"],
             None if avail is None else avail["availability"],
         ]

@@ -29,8 +29,11 @@ Axes
 ``corruptions``
     Observable-stream corruption levels: the rendered console log is
     deterministically damaged before analysis
-    (:class:`~repro.chaos.injector.CorruptionInjector`), probing how
-    telemetry quality moves the sensitivity table.
+    (:class:`~repro.chaos.injector.CorruptionInjector`, seeded from the
+    point's scenario seed), probing how telemetry quality moves the
+    sensitivity table.  Each point reports the parse damage it saw, so
+    a sweep over this axis is the telemetry degradation curve (the
+    ``degradation`` preset).
 ``replicas``
     Seeds per grid cell (an integer, not a value list).  Replica 0 is
     the cell itself; replica ``r`` re-seeds the cell's scenario and
@@ -311,11 +314,18 @@ PRESETS: dict[str, SweepSpec] = {
         base="paper",
         scales=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0),
     ),
+    # Telemetry degradation curve: the paper scenario's console log
+    # corrupted at 0-20 % of lines, each level scored against clean.
+    "degradation": SweepSpec(
+        name="degradation",
+        base="paper",
+        corruptions=(0.0, 0.001, 0.01, 0.05, 0.2),
+    ),
 }
 
 
 def preset(name: str) -> SweepSpec:
-    """A named built-in sweep spec (``smoke``/``sensitivity``/``scaling``)."""
+    """A named built-in sweep spec (a key of :data:`PRESETS`)."""
     try:
         spec = PRESETS[name]
     except KeyError:

@@ -731,22 +731,30 @@ class TestStudyMemoization:
 
 
 class TestDegradationReuse:
-    def test_sweep_reuses_cached_baseline(self, tmp_path):
-        from repro.chaos import run_degradation
+    def test_sweep_reuses_cached_baseline(self, tmp_path, monkeypatch):
+        """A corrupted sweep point warm-loads the clean dataset its
+        anchor persisted: the curve simulates the scenario once."""
+        from repro.sim import TitanSimulation
+        from repro.sweep import point_summary_doc
 
         store = ArtifactStore(tmp_path)
-        sc = Scenario.smoke(days=15.0, seed=11)
-        curve_cold = run_degradation(sc, levels=(0.0, 0.01), store=store)
-        assert load_dataset(store, sc) is not None
+        spec = SweepSpec(
+            name="deg", days=15.0, seed=11, corruptions=(0.0, 0.01)
+        )
+        clean, corrupted = expand(spec)
+        assert corrupted.dataset_key == clean.dataset_key
+        point_summary_doc(clean, store)
+        assert load_dataset(store, clean.scenario) is not None
+
+        def no_simulation(_self):
+            raise AssertionError("the corrupted point re-simulated")
+
+        monkeypatch.setattr(TitanSimulation, "run", no_simulation)
         hits_before = store.stats.hits
-        curve_warm = run_degradation(sc, levels=(0.0, 0.01), store=store)
+        doc = point_summary_doc(corrupted, store)
         assert store.stats.hits > hits_before
-        assert [c.ok for c in curve_cold.baseline.checks] == (
-            [c.ok for c in curve_warm.baseline.checks]
-        )
-        assert curve_cold.points[1].corrupt_fraction == (
-            curve_warm.points[1].corrupt_fraction
-        )
+        assert doc["telemetry"]["corrupt_fraction"] > 0.0
+        assert doc["telemetry"]["injected"]
 
 
 class TestReplicaCache:

@@ -1,23 +1,33 @@
 """Tests for repro.chaos: deterministic corruption + graceful degradation.
 
-Covers the PR's acceptance contract:
+The contract under test:
 
 * same ``(seed, config, input)`` → byte-identical corrupted output;
-* at ≤ 1 % line corruption the Observation scorecard is identical to
-  the clean run;
-* at 20 % the pipeline completes with degradation annotations instead
+* on the degradation curve (a sweep over the ``corruptions`` axis), at
+  ≤ 1 % line corruption the Observation scorecard is identical to the
+  clean run;
+* at 20 % the pipeline completes and reports the parse damage instead
   of raising;
 * coverage-normalized MTBF on a gap-injected log stays within 5 % of
-  the clean estimate (naive MTBF overstates it).
+  the clean estimate (naive MTBF overstates it);
+* importing :mod:`repro.chaos` loads nothing of the analysis layer.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.chaos import ChaosConfig, CorruptionInjector, run_degradation
+from repro.cache import ArtifactStore
+from repro.chaos import ChaosConfig, CorruptionInjector
 from repro.chaos import modes
 from repro.core.temporal import mtbf_hours
 from repro.rng import RngTree
+from repro.sweep import SweepSpec, expand, run_sweep, summary_key
 from repro.telemetry.coverage import (
     LOW_COVERAGE_THRESHOLD,
     ObservedWindows,
@@ -304,7 +314,7 @@ class TestCoverageCorrectedMtbf:
         above by truth + n_outages x min_gap / span.
         """
         sc = smoke_dataset.scenario
-        min_gap = 2 * DAY  # above the stream's largest natural silence
+        min_gap = 2 * DAY  # above this 45-day stream's natural silences
         injector = CorruptionInjector(
             ChaosConfig.outages_only(2, 6 * DAY), seed=17
         )
@@ -337,46 +347,85 @@ class TestCoverageCorrectedMtbf:
         assert cov.coverage_fraction == pytest.approx(1.0, abs=0.02)
 
 
-class TestDegradationCurve:
-    """The graceful-degradation acceptance contract, end to end."""
+class TestDegradationSweep:
+    """The degradation curve is a sweep over the ``corruptions`` axis."""
+
+    LEVELS = (0.0, 0.001, 0.01, 0.2)
 
     @pytest.fixture(scope="class")
-    def curve(self, smoke_dataset):
-        return run_degradation(
-            dataset=smoke_dataset,
-            levels=(0.001, 0.01, 0.20),
+    def curve(self, tmp_path_factory):
+        """``(table row, summary doc)`` per level, in grid order."""
+        spec = SweepSpec(
+            name="degradation",
+            base="smoke",
+            days=45.0,
             seed=20131001,
+            corruptions=self.LEVELS,
         )
+        store = ArtifactStore(tmp_path_factory.mktemp("degradation"))
+        rows = run_sweep(spec, store).document["rows"]
+        docs = [
+            json.loads(store.get_bytes(summary_key(p.key))[0].decode())
+            for p in expand(spec)
+        ]
+        return list(zip(rows, docs))
 
-    def test_baseline_forced_in_and_sorted(self, curve):
-        levels = [p.level for p in curve.points]
-        assert levels == sorted(levels)
-        assert curve.baseline.level == 0.0
-        assert not curve.baseline.degraded
-        assert curve.baseline.corrupt_fraction == 0.0
+    def test_clean_anchor_leads_the_curve(self, curve):
+        """The clean anchor leads the curve and reports no damage."""
+        levels = [row["axes"]["corruption"] for row, _doc in curve]
+        assert levels == sorted(levels) == list(self.LEVELS)
+        anchor, doc = curve[0]
+        assert anchor["is_anchor"]
+        assert anchor["corrupt_fraction"] == 0.0
+        assert doc["telemetry"]["corrupt_fraction"] == 0.0
+        assert doc["telemetry"]["injected"] == {}
 
     def test_scorecard_identical_at_one_percent(self, curve):
         """≤ 1 % corruption must not flip any Observation check."""
-        for point in curve.points:
-            if point.level <= 0.01:
-                assert curve.flips_at(point) == []
-        assert curve.max_stable_level() >= 0.01
+        for row, _doc in curve:
+            if row["axes"]["corruption"] <= 0.01:
+                assert row["scorecard_flips"] == []
 
-    def test_twenty_percent_completes_with_annotations(self, curve):
-        point = curve.points[-1]
-        assert point.level == pytest.approx(0.20)
+    def test_twenty_percent_completes_and_reports_damage(self, curve):
+        row, doc = curve[-1]
+        assert row["axes"]["corruption"] == pytest.approx(0.20)
         # The pipeline completed: a full scorecard exists and the
-        # damage is measured, whether or not the budget tripped.
-        assert len(point.checks) == len(curve.baseline.checks)
-        assert point.corrupt_fraction > 0.0
-        assert point.parsed_events > 0
-        assert point.counts  # injector ground truth travels with it
+        # damage is measured.
+        assert row["n_checks"] == curve[0][0]["n_checks"]
+        assert row["corrupt_fraction"] > 0.0
+        assert doc["telemetry"]["corrupt_fraction"] == row["corrupt_fraction"]
+        assert doc["telemetry"]["parsed_events"] > 0
+        assert doc["telemetry"]["injected"]  # injector ground truth
 
     def test_resync_recovered_lines(self, curve):
-        assert curve.points[-1].resynced_lines > 0
+        assert curve[-1][0]["resynced_lines"] > 0
 
-    def test_first_flip_levels_structure(self, curve):
-        flips = curve.first_flip_levels()
-        assert set(flips) == {c.name for c in curve.baseline.checks}
-        for level in flips.values():
-            assert level is None or level in (0.001, 0.01, 0.20)
+    def test_flips_name_only_anchor_checks(self, curve):
+        """Flips only ever name checks of the clean anchor's card."""
+        anchor_checks = {c["name"] for c in curve[0][1]["scorecard"]}
+        for row, _doc in curve:
+            assert set(row["scorecard_flips"]) <= anchor_checks
+
+
+def test_import_stays_below_the_analysis_layer():
+    """``import repro.chaos`` loads no analysis, simulator or parser
+    module (checked in a fresh interpreter)."""
+    env = dict(os.environ)
+    src_root = Path(__file__).resolve().parents[1] / "src"
+    env["PYTHONPATH"] = str(src_root) + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, repro.chaos; print('\\n'.join(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = proc.stdout.split()
+    assert "repro.chaos.injector" in loaded
+    layers = ("repro.core", "repro.sim", "repro.telemetry")
+    assert [
+        name
+        for name in loaded
+        if any(name == p or name.startswith(p + ".") for p in layers)
+    ] == []

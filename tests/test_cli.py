@@ -14,7 +14,6 @@ ANALYSIS_COMMANDS = (
     "observations",
     "fleet-health",
     "calibration",
-    "degradation",
 )
 
 
@@ -45,11 +44,6 @@ class TestParser:
         assert args.out is None
         assert args.outages == 0
 
-    def test_degradation_defaults(self):
-        args = build_parser().parse_args(["degradation"])
-        assert args.fail_level is None
-        assert args.budget == 0.05
-
     def test_simulate_chaos_rate_default_off(self):
         args = build_parser().parse_args(["simulate"])
         assert args.chaos_rate == 0.0
@@ -62,9 +56,7 @@ class TestParser:
             (["corrupt", "x.log", "--rate", "-0.1"], "--rate"),
             (["simulate", "--chaos-rate", "nan"], "--chaos-rate"),
             (["simulate", "--chaos-rate", "2"], "--chaos-rate"),
-            (["degradation", "--budget", "1.5"], "--budget"),
-            (["degradation", "--levels", "0,abc"], "--levels"),
-            (["degradation", "--levels", "0,inf"], "--levels"),
+            (["simulate", "--chaos-rate", "inf"], "--chaos-rate"),
         ],
     )
     def test_out_of_range_rate_is_usage_error(self, capsys, argv, option):
@@ -74,14 +66,11 @@ class TestParser:
         assert f"argument {option}" in capsys.readouterr().err
 
     def test_rates_parse_to_floats(self):
-        args = build_parser().parse_args(
-            ["degradation", "--levels", "0, 0.5,1", "--budget", "1"]
-        )
-        assert args.levels == (0.0, 0.5, 1.0)
-        assert args.budget == 1.0
-        assert build_parser().parse_args(["degradation"]).levels == (
-            0.0, 0.001, 0.01, 0.05, 0.2,
-        )
+        parse = build_parser().parse_args
+        assert parse(["corrupt", "x.log", "--rate", " 0.5"]).rate == 0.5
+        assert parse(["corrupt", "x.log", "--rate", "1"]).rate == 1.0
+        assert parse(["simulate", "--chaos-rate", "0"]).chaos_rate == 0.0
+        assert parse(["simulate", "--chaos-rate", "1e-3"]).chaos_rate == 0.001
 
 
 class TestCommands:
@@ -153,7 +142,7 @@ class TestCommands:
 
 
 class TestChaosCommands:
-    """The corruption/degradation commands run end to end."""
+    """The corruption commands and the degradation sweep run end to end."""
 
     def test_corrupt_is_deterministic(self, tmp_path, capsys):
         log = tmp_path / "console.log"
@@ -184,13 +173,25 @@ class TestChaosCommands:
         assert "chaos: corrupted" in capsys.readouterr().out
         assert log.exists()
 
-    def test_degradation_sweep(self, capsys):
-        rc = main(["degradation", "--days", "20", "--seed", "77",
-                   "--levels", "0,0.01", "--fail-level", "0.01"])
-        out = capsys.readouterr().out
-        assert "scorecard stable" in out
-        assert "flips" in out
-        assert rc == 0
+    def test_degradation_curve_is_a_sweep(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"name": "curve", "days": 20.0, "seed": 77,
+             "corruptions": [0.0, 0.01]}
+        ))
+        common = ["--spec", str(spec), "--cache-dir", str(tmp_path / "store")]
+        table = tmp_path / "table.json"
+        assert main(["sweep", "run", *common, "--out", str(table),
+                     "--quiet"]) == 0
+        clean, dirty = json.loads(table.read_text())["rows"]
+        assert clean["corrupt_fraction"] == 0.0
+        assert dirty["corrupt_fraction"] > 0.0
+        assert main(["sweep", "report", *common, "--no-projection"]) == 0
+        report = capsys.readouterr().out.splitlines()
+        header = next(line for line in report if line.startswith("idx"))
+        row = next(line for line in report if line.startswith("1 "))
+        assert header.split()[6] == "corrupt"
+        assert row.split()[6] == f"{dirty['corrupt_fraction']:.3%}"
 
 
 class TestCalibrationCommand:

@@ -53,6 +53,7 @@ def _summary(point, headline, passing=()):
         "scorecard": [
             {"name": name, "ok": name in passing} for name in ("a", "b")
         ],
+        "telemetry": {"corrupt_fraction": 0.0, "resynced_lines": 0},
     }
 
 

@@ -30,6 +30,14 @@ class TestScenario:
         with pytest.raises(ValueError):
             Scenario.paper().evolve(jobsnap_deployed_at=-5.0).validate()
 
+    @pytest.mark.parametrize("days", [float("inf"), float("nan")])
+    def test_window_must_be_finite(self, days):
+        scenario = Scenario.smoke(days=days)
+        with pytest.raises(ValueError, match="window must be finite"):
+            scenario.validate()
+        with pytest.raises(ValueError, match="window must be finite"):
+            TitanSimulation(scenario)
+
     def test_smoke_is_consistent(self):
         sc = Scenario.smoke()
         sc.validate()

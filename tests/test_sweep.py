@@ -38,6 +38,7 @@ from repro.sweep import (
     preset,
     run_sweep,
     sweep_status,
+    table_key,
 )
 from repro.sweep.reduce import (
     render_projection,
@@ -74,6 +75,10 @@ class TestSpec:
         assert preset("sensitivity").n_points == 12
         assert preset("scaling").n_points == 6
         assert preset("scaling").base == "paper"
+        degradation = preset("degradation")
+        assert degradation.base == "paper"
+        assert degradation.corruptions == (0.0, 0.001, 0.01, 0.05, 0.2)
+        assert degradation.n_points == 5
         with pytest.raises(ValueError, match="unknown sweep preset"):
             preset("nope")
 
@@ -370,6 +375,37 @@ class TestEngine:
         ]
         # the corrupted point's telemetry-derived figures moved
         assert docs[0]["figures"] != docs[1]["figures"]
+        # each summary reports the parse damage behind its figures
+        clean = TitanSimulation(expand(spec)[0].scenario).run()
+        clean_stats = clean.parse_stats
+        assert docs[0]["telemetry"] == {
+            "total_lines": clean_stats.total_lines,
+            "parsed_events": clean_stats.parsed_events,
+            "non_gpu_lines": clean_stats.non_gpu_lines,
+            "malformed_lines": 0,
+            "unknown_xid_lines": 0,
+            "resynced_lines": 0,
+            "quarantined_lines": 0,
+            "corrupt_fraction": 0.0,
+            "injected": {},
+        }
+        dirty_telemetry = docs[1]["telemetry"]
+        assert dirty_telemetry["injected"]
+        assert set(dirty_telemetry["injected"]) <= {
+            "truncate", "garble", "splice", "duplicate", "displace", "skew",
+        }
+        assert dirty_telemetry["total_lines"] == (
+            dirty_telemetry["parsed_events"]
+            + dirty_telemetry["non_gpu_lines"]
+            + dirty_telemetry["malformed_lines"]
+            + dirty_telemetry["unknown_xid_lines"]
+        )
+        assert dirty["corrupt_fraction"] == (
+            dirty_telemetry["corrupt_fraction"]
+        ) > 0.0
+        assert dirty["resynced_lines"] == dirty_telemetry["resynced_lines"] > 0
+        anchor = report.document["rows"][0]
+        assert anchor["corrupt_fraction"] == 0.0 == anchor["resynced_lines"]
 
     def test_resume_under_explicit_id_refuses_other_sweep(self, store):
         spec_a = _tiny("id-a")
@@ -549,17 +585,26 @@ class TestReducerAndCli:
             "dbe_mtbf_hours": mtbf,
         }
 
+    @staticmethod
+    def _one_replica_bands(rows):
+        return [
+            {
+                "indices": [r["index"]],
+                "headline": {"dbe_mtbf_hours": [r["dbe_mtbf_hours"]] * 3},
+            }
+            for r in rows
+        ]
+
     def test_scaling_projection_math(self):
         # Pure-function check of the paper's superposition argument:
-        # MTBF(s) = MTBF(1)/s, restricted to scale-only rows.
-        table = {
-            "rows": [
-                self._scale_row(0, 4.0, 40.0),
-                self._scale_row(1, 1.0, 160.0),
-                self._scale_row(2, 2.0, 81.0),
-                self._scale_row(3, 2.0, 999.0, corruption=0.5),  # excluded
-            ]
-        }
+        # MTBF(s) = MTBF(1)/s, restricted to scale-only cells.
+        rows = [
+            self._scale_row(0, 4.0, 40.0),
+            self._scale_row(1, 1.0, 160.0),
+            self._scale_row(2, 2.0, 81.0),
+            self._scale_row(3, 2.0, 999.0, corruption=0.5),  # excluded
+        ]
+        table = {"rows": rows, "bands": self._one_replica_bands(rows)}
         projection = scaling_projection(table)
         assert projection["titan_nodes"] == 18_688
         assert projection["anchor_mtbf_hours"] == 160.0
@@ -579,18 +624,52 @@ class TestReducerAndCli:
         anchor = projection["rows"][0]
         # a 3-day smoke window may legitimately see zero DBEs
         assert anchor["expected_mtbf_hours"] == anchor["dbe_mtbf_hours"]
+        # one replica: each cell's band median is its row's own value
+        scale_only = sorted(
+            (
+                r for r in report.document["rows"]
+                if r["axes"]["rates"]["dbe"] == 1.0
+                and r["axes"]["burst"] == 1.0
+            ),
+            key=lambda r: r["n_nodes"],
+        )
+        assert [
+            (p["scale"], p["n_nodes"], p["dbe_mtbf_hours"])
+            for p in projection["rows"]
+        ] == [
+            (r["axes"]["scale"], r["n_nodes"], r["dbe_mtbf_hours"])
+            for r in scale_only
+        ]
+
+    def test_scaling_projection_reads_replica_bands(self, store):
+        spec = _tiny("proj", days=20.0, scales=(1.0, 2.0), replicas=2)
+        table = run_sweep(spec, store).document
+        projection = scaling_projection(table)
+        assert [r["scale"] for r in projection["rows"]] == [1.0, 2.0]
+        medians = [
+            band["headline"]["dbe_mtbf_hours"][1] for band in table["bands"]
+        ]
+        anchor_median = medians[0]
+        assert projection["anchor_mtbf_hours"] == anchor_median
+        for row, median in zip(projection["rows"], medians):
+            assert row["dbe_mtbf_hours"] == median
+            assert row["expected_mtbf_hours"] == anchor_median / row["scale"]
+        assert render_projection(projection).count("*titan*") == 1
 
     def test_renderers_and_csv(self, store, tmp_path):
         spec = _spec12()
         table, _payload = load_sweep_table(spec, store)
         text = render_sensitivity(table)
         assert "anchor" in text and "scale=3,dbe*2,burst=2" in text
+        assert text.splitlines()[1].split()[6] == "corrupt"
+        assert text.splitlines()[3].split()[6] == "0.000%"
         chart = render_projection(scaling_projection(table))
         assert "*titan*" in chart
         csv_path = write_table_csv(tmp_path / "t.csv", table)
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 1 + 12
         assert lines[0].startswith("index,label,scale")
+        assert ",corrupt_fraction,resynced_lines," in lines[0]
 
     def test_cli_run_status_report(self, store, tmp_path, capsys):
         from repro.cli import main
@@ -676,3 +755,14 @@ class TestReducerAndCli:
             "--cache-dir", str(store.root),
         ]) == 1
         assert "no sensitivity table" in capsys.readouterr().err
+        # a table an older build wrote under the same key reads as absent
+        old = preset("scaling")
+        store.put_bytes(
+            table_key(old), json.dumps({"version": 2}).encode(), "json"
+        )
+        assert main([
+            "sweep", "report", "--preset", "scaling",
+            "--cache-dir", str(store.root),
+        ]) == 1
+        assert "no sensitivity table (version 3)" in capsys.readouterr().err
+        store.delete(table_key(old))
