@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "b274fed24bccdf59"
+PIPELINE_SURFACE: str = "0fe69a803e3c467b"
 
 
 def canonical_encode(obj: Any) -> Any:

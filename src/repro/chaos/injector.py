@@ -169,7 +169,7 @@ class CorruptionInjector:
                     mean_duration_s=cfg.outage_duration_s,
                 )
                 lines, counts["outage"] = modes.drop_outage_windows(
-                    lines, outage_windows
+                    lines, outage_windows, stamps=stamps
                 )
 
         lines, counts["duplicate"] = modes.duplicate_lines(

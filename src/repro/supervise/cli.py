@@ -122,7 +122,7 @@ def run_journaled(
     torn = " (torn tail truncated)" if report.truncated_tail else ""
     print(f"{mode} {kind} {report.run_id}{torn}: "
           f"{report.n_verified} {unit}(s) verified, "
-          f"{report.n_computed} computed")
+          f"{report.n_warm} warm, {report.n_computed} computed")
     print(f"{output} sha256 {report.document_sha256}")
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)

@@ -118,7 +118,13 @@ class RunReport:
 
     @property
     def n_computed(self) -> int:
-        return sum(1 for u in self.units if u.action != "verified")
+        """Units whose work ran in this run."""
+        return sum(1 for u in self.units if u.action != "verified" and not u.warm)
+
+    @property
+    def n_warm(self) -> int:
+        """Units journaled from an artifact already in the store."""
+        return sum(1 for u in self.units if u.action != "verified" and u.warm)
 
     @property
     def n_verified(self) -> int:
@@ -423,6 +429,9 @@ def run_study(
         study = TitanStudy(dataset, store=store)
         for name in FIGURES:
             session.barrier()
+            # A figure computed here is written to the store; one
+            # loaded from it is not.
+            writes = store.stats.writes
             digest = figure_digest(study.figure(name))
             record = session.done.get(name)
             if record is not None and record.get("digest") == digest:
@@ -439,7 +448,9 @@ def run_study(
                     artifact_key=artifact_key(dkey, f"fig/{name}"),
                     digest=digest,
                 )
-            units.append(UnitStatus(name, action, digest))
+            units.append(
+                UnitStatus(name, action, digest, store.stats.writes == writes)
+            )
             say(f"{name}: {action}")
 
         # -- run end: the full golden document ------------------------------

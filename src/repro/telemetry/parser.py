@@ -59,8 +59,9 @@ from repro.telemetry.ingestion import (
     QuarantineSink,
 )
 from repro.telemetry.sec import SEC_RULES, SecRule, UnmatchedLine, classify_line
+from repro.telemetry.timecodec import parse_timestamp
 from repro.topology.machine import TitanMachine
-from repro.units import STUDY_EPOCH, datetime_to_timestamp
+from repro.units import STUDY_EPOCH
 
 __all__ = ["ConsoleLogParser", "ParseStats", "PARSE_CHUNK_LINES"]
 
@@ -536,7 +537,7 @@ class ConsoleLogParser:
     ) -> bool:
         """Decode one matched line into the builder; False on damage."""
         try:
-            when = _dt.datetime.strptime(match["stamp"], "%Y-%m-%dT%H:%M:%S.%f")
+            ts = parse_timestamp(match["stamp"])
             gpu = self.machine.gpu_from_cname(match["cname"])
         except ValueError:
             return False
@@ -554,7 +555,7 @@ class ConsoleLogParser:
             # corruption, not telemetry.
             return False
         builder.add(
-            datetime_to_timestamp(when),
+            ts,
             gpu,
             etype,
             structure=structure,

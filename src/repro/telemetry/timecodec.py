@@ -12,13 +12,17 @@ hand-rolled codec for exactly that format:
   ``timestamp_to_datetime(ts).strftime("%Y-%m-%dT%H:%M:%S.%f")``;
 * :func:`parse_timestamp` — stamp text → seconds-since-study-epoch,
   value-identical (bit-for-bit ``float64``) to
-  ``datetime_to_timestamp(datetime.strptime(stamp, ...))``, raising
-  ``ValueError`` on exactly the stamps the reference path rejects
-  (impossible months, days, hours, minutes or seconds) — plus any
-  stamp that is not exactly :data:`TIMESTAMP_WIDTH` characters wide.
-  ``strptime``'s ``%f`` is lax about fraction width (1–6 digits); the
-  console format is not, and the parser's line regex has always
-  required six digits, so the codec enforces the fixed width itself.
+  ``datetime_to_timestamp(datetime.strptime(stamp, ...))``.  On every
+  stamp the console line grammar admits (``\\d`` digits in every field,
+  fixed separators, 26 characters) it raises ``ValueError`` exactly
+  when the reference does (impossible months, days, hours, minutes or
+  seconds).  An ASCII stamp is decoded here, and other ASCII shapes
+  are rejected, even the few ``strptime`` takes: a 1–5-digit fraction,
+  a space-padded day, a lowercase ``t``.  A 26-character stamp with a
+  ``T`` at offset 10 and a non-ASCII character goes to the ``strptime``
+  reference, whose fields take a non-ASCII digit at some positions and
+  not at others (``%Y`` takes any ``\\d``, ``%m`` and ``%f`` only
+  ``[0-9]``).
 
 Both directions memoize the calendar work per *day*: the date prefix
 (``YYYY-MM-DD``) is computed once per distinct day and reused for every
@@ -39,7 +43,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.units import DAY, HOUR, MINUTE, STUDY_EPOCH
+from repro.units import DAY, HOUR, MINUTE, STUDY_EPOCH, datetime_to_timestamp
 
 __all__ = [
     "TIMESTAMP_FORMAT",
@@ -75,9 +79,7 @@ _MEMO_LIMIT = 16_384
 _2D_TEXT: tuple[str, ...] = tuple(f"{i:02d}" for i in range(60))
 
 #: Two-digit ASCII field → value.  ``parse_timestamp`` decodes hour,
-#: minute and second through this table; a miss falls back to the
-#: ``isdigit`` + ``int`` path (which additionally admits the non-ASCII
-#: decimal digits ``strptime``'s ``\d`` accepts).
+#: minute and second through this table; a miss is not two digits.
 _2D_VALUE: dict[str, int] = {f"{i:02d}": i for i in range(100)}
 
 
@@ -159,9 +161,12 @@ def parse_timestamp(stamp: str) -> float:
     Raises ``ValueError`` for anything that is not a valid stamp of
     exactly that shape — the same inputs ``datetime.strptime`` rejects
     (bad separators, month 13, day 32, hour 24, minute/second 60, …).
+    A stamp with a non-ASCII character is left to ``strptime``.
     """
     if len(stamp) != TIMESTAMP_WIDTH or stamp[10] != "T":
         raise ValueError(f"malformed timestamp: {stamp!r}")
+    if not stamp.isascii():
+        return datetime_to_timestamp(_dt.datetime.strptime(stamp, TIMESTAMP_FORMAT))
     date = stamp[:10]
     day_us = _DAY_US_OF_DATE.get(date)
     if day_us is None:
@@ -185,19 +190,7 @@ def parse_timestamp(stamp: str) -> float:
     minute = _2D_VALUE.get(stamp[14:16])
     second = _2D_VALUE.get(stamp[17:19])
     if hour is None or minute is None or second is None:
-        # int() alone would admit signs and padding ("+1", " 1") that
-        # the strptime reference rejects; require digit-only fields.
-        # (isdigit + int also keeps accepting the non-ASCII decimal
-        # digits strptime's \d matches, which the table does not carry.)
-        if not (
-            stamp[11:13].isdigit()
-            and stamp[14:16].isdigit()
-            and stamp[17:19].isdigit()
-        ):
-            raise ValueError(f"malformed timestamp: {stamp!r}")
-        hour = int(stamp[11:13])
-        minute = int(stamp[14:16])
-        second = int(stamp[17:19])
+        raise ValueError(f"malformed timestamp: {stamp!r}")
     if not stamp[20:26].isdigit():
         raise ValueError(f"malformed timestamp: {stamp!r}")
     us = int(stamp[20:26])

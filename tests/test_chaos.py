@@ -3,6 +3,8 @@
 The contract under test:
 
 * same ``(seed, config, input)`` → byte-identical corrupted output;
+* every mode equals its per-line loop (``tests/chaos_oracles.py``):
+  the same output, count and generator state, input left untouched;
 * on the degradation curve (a sweep over the ``corruptions`` axis), at
   ≤ 1 % line corruption the Observation scorecard is identical to the
   clean run;
@@ -13,6 +15,7 @@ The contract under test:
 * importing :mod:`repro.chaos` loads nothing of the analysis layer.
 """
 
+import datetime as dt
 import json
 import os
 import subprocess
@@ -21,6 +24,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import ArtifactStore
 from repro.chaos import ChaosConfig, CorruptionInjector
@@ -35,6 +40,17 @@ from repro.telemetry.coverage import (
 )
 from repro.telemetry.parser import ConsoleLogParser
 from repro.units import DAY, HOUR, timestamp_to_datetime
+from tests.chaos_oracles import (
+    corrupt_lines_loop,
+    displace_lines_loop,
+    drop_outage_windows_loop,
+    duplicate_lines_loop,
+    garble_lines_loop,
+    line_timestamps_loop,
+    skew_timestamps_loop,
+    splice_lines_loop,
+    truncate_lines_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +237,239 @@ class TestModes:
         assert windows == tuple(sorted(windows))
         for lo, hi in windows:
             assert 0.0 <= lo < hi <= 10 * DAY
+
+
+def _arabic_indic(text: str, at: int | None) -> str:
+    """``text`` with the ASCII digit at ``at`` (if any) in Arabic-Indic."""
+    if at is None or at >= len(text) or not "0" <= text[at] <= "9":
+        return text
+    return text[:at] + chr(0x660 + int(text[at])) + text[at + 1:]
+
+
+def _stamp_line(when: dt.datetime, unicode_at: int | None, body: str) -> str:
+    return _arabic_indic(when.strftime("%Y-%m-%dT%H:%M:%S.%f"), unicode_at) + body
+
+
+#: Instants a day or more inside datetime's range (the skew loop raises
+#: within ``max_skew_s`` of its ends), most of them far from the study.
+_FAR = st.datetimes(
+    min_value=dt.datetime(1, 1, 2), max_value=dt.datetime(9999, 12, 30)
+)
+_NEAR = st.datetimes(
+    min_value=dt.datetime(2013, 1, 1), max_value=dt.datetime(2016, 1, 1)
+)
+#: Canonical-shaped stamps whose fields may be out of range: year 0,
+#: month 13, day 31 of a short month, hour 24, minute or second 60.
+_SHAPED = st.builds(
+    "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}.{:06d}".format,
+    st.sampled_from([0, 1, 2014, 9999]),
+    st.integers(0, 13),
+    st.integers(0, 32),
+    st.integers(0, 25),
+    st.integers(0, 61),
+    st.integers(0, 61),
+    st.integers(0, 999_999),
+)
+_LINE = st.one_of(
+    st.just(""),
+    st.builds(str.__add__, _SHAPED, st.sampled_from(["", " c0-0c0s0n0"])),
+    st.text(alphabet="0T:-. a\xff", max_size=3),
+    st.text(alphabet="0123456789T:-. c\n", min_size=20, max_size=30),
+    st.builds(
+        _stamp_line,
+        _NEAR | _FAR,
+        st.none() | st.integers(0, 25),
+        st.sampled_from(["", " c0-0c0s0n0 GPU XID 48", "\u0663", "\n x"]),
+    ),
+)
+_LINES = st.lists(_LINE, max_size=40)
+_RATE = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_SEED = st.integers(0, 2**32)
+
+
+def _equals_loop(mode, loop, lines, seed, *args, **kwargs):
+    """``mode`` and its loop agree on output, count and the generator
+    state after the call, and neither touches its input."""
+    before = list(lines)
+    rng = RngTree(seed).fresh_generator("mode")
+    ref_rng = RngTree(seed).fresh_generator("mode")
+    got = mode(rng, lines, *args, **kwargs)
+    assert got == loop(ref_rng, list(lines), *args, **kwargs)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert lines == before
+
+
+class TestModesEqualTheirLoops:
+    """Each mode replays its per-line loop draw for draw."""
+
+    @pytest.mark.parametrize(
+        "mode, loop",
+        [
+            (modes.truncate_lines, truncate_lines_loop),
+            (modes.garble_lines, garble_lines_loop),
+            (modes.splice_lines, splice_lines_loop),
+            (modes.duplicate_lines, duplicate_lines_loop),
+        ],
+        ids=["truncate", "garble", "splice", "duplicate"],
+    )
+    @given(lines=_LINES, rate=_RATE, seed=_SEED)
+    @settings(max_examples=150, deadline=None)
+    def test_line_mode(self, mode, loop, lines, rate, seed):
+        _equals_loop(mode, loop, lines, seed, rate)
+
+    @given(
+        lines=_LINES, rate=_RATE, seed=_SEED, max_offset=st.integers(1, 4)
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_displace(self, lines, rate, seed, max_offset):
+        _equals_loop(
+            modes.displace_lines, displace_lines_loop, lines, seed, rate,
+            max_offset=max_offset,
+        )
+
+    @given(
+        n=st.integers(2, 300),
+        rate=_RATE,
+        seed=_SEED,
+        max_offset=st.integers(1, 4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_displace_chains_on_distinct_lines(self, n, rate, seed, max_offset):
+        """Distinct lines show every move, chained and end-clamped."""
+        lines = [str(i) for i in range(n)]
+        _equals_loop(
+            modes.displace_lines, displace_lines_loop, lines, seed, rate,
+            max_offset=max_offset,
+        )
+
+    @given(
+        lines=_LINES,
+        rate=_RATE,
+        seed=_SEED,
+        max_skew_s=st.sampled_from([0.0, 120.0]) | st.floats(0.0, 120.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_skew(self, lines, rate, seed, max_skew_s):
+        _equals_loop(
+            modes.skew_timestamps, skew_timestamps_loop, lines, seed, rate,
+            max_skew_s=max_skew_s,
+        )
+
+    @given(lines=_LINES)
+    @settings(max_examples=200, deadline=None)
+    def test_line_timestamps_bit_equal(self, lines):
+        got = modes.line_timestamps(lines)
+        want = line_timestamps_loop(lines)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @given(
+        lines=_LINES,
+        seed=_SEED,
+        n_outages=st.integers(1, 3),
+        duration_s=st.sampled_from([1.0, HOUR, 1e9]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_outages(self, lines, seed, n_outages, duration_s):
+        before = list(lines)
+        config = ChaosConfig.outages_only(n_outages, duration_s)
+        got = CorruptionInjector(config, seed=seed).corrupt_lines(lines)
+        assert got == corrupt_lines_loop(config, seed, list(lines))
+        assert lines == before
+        windows = got[2]
+        assert modes.drop_outage_windows(lines, windows) == (
+            drop_outage_windows_loop(lines, windows)
+        )
+
+    @given(lines=_LINES, seed=_SEED, level=_RATE)
+    @settings(max_examples=100, deadline=None)
+    def test_injector(self, lines, seed, level):
+        config = ChaosConfig.uniform(level, n_outages=1)
+        got = CorruptionInjector(config, seed=seed).corrupt_lines(lines)
+        assert got == corrupt_lines_loop(config, seed, list(lines))
+
+    def test_edge_and_unicode_stamps_read_as_strptime_does(self):
+        lines = [
+            "0001-01-01T00:00:00.000000 far past",
+            "9999-12-31T23:59:59.999999 far future",
+            "\u0662014-03-02T14:55:01.123456 strptime takes %Y in any \\d",
+            "2014-0\u0663-02T14:55:01.123456 strptime wants %m in [0-9]",
+            "0000-01-01T00:00:00.000000 no year 0",
+            "2014-02-29T00:00:00.000000 no such day",
+            "2014-03-02T24:00:00.000000 no hour 24",
+            "2014-03-02T14:55:60.000000 no such second",
+            "2014-03-02T14:55:01.1234567 a seventh fraction digit",
+            "2014-03-02 14:55:01.123456 no T",
+        ]
+        got = modes.line_timestamps(lines)
+        want = line_timestamps_loop(lines)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+        assert np.isnan(got).tolist() == [
+            False, False, False, True, True, True, True, True, False, True,
+        ]
+
+
+class TestWholeLogEqualsLoops:
+    """On the 45-day smoke log, the injector equals its loops byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ChaosConfig.uniform(0.05),
+            ChaosConfig.uniform(0.2),
+            ChaosConfig.outages_only(3),
+            ChaosConfig.outages_only(3, 2 * DAY),
+        ],
+        ids=["uniform-0.05", "uniform-0.2", "outages-3", "outages-3x2d"],
+    )
+    def test_smoke_log(self, smoke_dataset, config):
+        text = smoke_dataset.console_text
+        result = CorruptionInjector(config, seed=7).corrupt_text(text)
+        lines, counts, windows = corrupt_lines_loop(config, 7, text.splitlines())
+        assert result.text == "\n".join(lines) + "\n"
+        assert result.counts == counts
+        assert result.outage_windows == windows
+        assert result.n_lines_out == len(lines)
+        assert counts  # the log really was corrupted
+
+
+class TestSkewAtTheEndsOfTime:
+    """A skew that would leave datetime's range leaves the line alone."""
+
+    EDGES = {
+        "9999-12-31T23:59:59.999999": "late",
+        "0001-01-01T00:00:00.000000": "early",
+    }
+
+    @pytest.mark.parametrize("stamp", sorted(EDGES))
+    def test_never_raises_and_counts_only_applied_shifts(self, stamp):
+        text = stamp + " c0-0c0s0n0 GPU has fallen off the bus\n"
+        outcomes = set()
+        for seed in range(8):
+            result = CorruptionInjector(
+                ChaosConfig(skew_rate=1.0), seed=seed
+            ).corrupt_text(text)
+            skewed = result.counts.get("skew", 0)
+            assert skewed in (0, 1)
+            assert (result.text != text) == bool(skewed)
+            assert result.text.endswith(text[26:])
+            outcomes.add(skewed)
+        # Over eight seeds some shifts stay in range and some leave it.
+        assert outcomes == {0, 1}
+
+    @pytest.mark.parametrize("stamp", sorted(EDGES))
+    def test_the_shift_is_still_drawn(self, stamp):
+        """An unapplied shift moves no other line's draws."""
+        tail = "2014-03-02T14:55:01.123456 c0-0c0s0n0 GPU XID 13"
+        mid = "2014-01-01T00:00:00.000000 c0-0c0s0n0 GPU XID 13"
+        for seed in range(8):
+            rng = RngTree(seed).fresh_generator("skew")
+            ref_rng = RngTree(seed).fresh_generator("skew")
+            at_edge, _ = modes.skew_timestamps(
+                rng, [stamp + " x", tail], 1.0
+            )
+            in_range, _ = modes.skew_timestamps(ref_rng, [mid, tail], 1.0)
+            assert at_edge[1] == in_range[1]
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestObservedWindows:

@@ -522,6 +522,32 @@ class TestCli:
         listing = capsys.readouterr().out
         assert "complete" in listing
 
+    def test_run_summary_line_counts_warm_stages(self, tmp_path, capsys):
+        """A rerun whose journal is gone finds every stage warm."""
+        from repro.cli import main
+
+        cache = tmp_path / "cache"
+        args = ["run", "--days", "3", "--seed", "7", "--cache-dir", str(cache),
+                "--quiet"]
+        rid = run_id_for(_tiny_scenario())
+        n = len(FIGURES) + 1  # the dataset stage and one per figure
+
+        assert main(args) == 0
+        cold = capsys.readouterr().out.splitlines()
+        assert cold[0] == f"cold run {rid}: 0 stage(s) verified, 0 warm, {n} computed"
+
+        os.unlink(journal_path(ArtifactStore(cache), rid))
+        assert main(args) == 0
+        rerun = capsys.readouterr().out.splitlines()
+        assert rerun[0] == f"cold run {rid}: 0 stage(s) verified, {n} warm, 0 computed"
+        assert rerun[1] == cold[1]  # the document's sha256
+
+        assert main([*args, "--resume"]) == 0
+        resumed = capsys.readouterr().out.splitlines()
+        assert resumed[0] == (
+            f"resumed run {rid}: {n} stage(s) verified, 0 warm, 0 computed"
+        )
+
     def test_chaos_run_rejects_bad_mode(self, capsys):
         from repro.cli import main
 

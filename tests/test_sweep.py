@@ -699,6 +699,28 @@ class TestReducerAndCli:
         table, payload = load_sweep_table(spec, store)
         assert json_path.read_bytes() == payload
 
+    def test_cli_summary_line_counts_warm_points(self, tmp_path, capsys):
+        """The summary line tells a warm rerun from a full recompute."""
+        from repro.cli import main
+
+        spec = _tiny("summary-line", scales=(1.0, 2.0))
+        specfile = tmp_path / "spec.json"
+        specfile.write_text(json.dumps(spec.to_doc()))
+        cache = tmp_path / "cache"
+        common = ["--spec", str(specfile), "--cache-dir", str(cache), "--quiet"]
+        rid = f"sweep-{spec.key()[:16]}"
+
+        assert main(["sweep", "run", *common]) == 0
+        cold = capsys.readouterr().out.splitlines()
+        assert cold[0] == f"cold sweep {rid}: 0 point(s) verified, 0 warm, 2 computed"
+
+        # Journal gone, store intact: every summary is reused.
+        os.unlink(cache / "runs" / f"{rid}.jsonl")
+        assert main(["sweep", "run", *common]) == 0
+        rerun = capsys.readouterr().out.splitlines()
+        assert rerun[0] == f"cold sweep {rid}: 0 point(s) verified, 2 warm, 0 computed"
+        assert rerun[1] == cold[1]  # the table's sha256
+
     def test_cli_requires_a_store(self, capsys):
         from repro.cli import main
 

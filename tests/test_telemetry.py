@@ -1,5 +1,7 @@
 """Tests for console rendering/parsing, SEC rules, nvsmi, jobsnap."""
 
+import datetime as dt
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.telemetry.parser import ConsoleLogParser
 from repro.telemetry.sec import SEC_RULES, UnmatchedLine, classify_line
 from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
+from repro.units import datetime_to_timestamp
 from repro.workload.jobs import JobTraceBuilder
 
 
@@ -121,6 +124,19 @@ class TestRoundTrip:
         parsed, stats = ConsoleLogParser(machine).parse_text(text)
         assert stats.malformed_lines == 1
         assert stats.parsed_events == 1
+
+    def test_non_ascii_stamp_digits_follow_strptime(self, machine):
+        # strptime takes a non-ASCII digit in %Y but not in %m.
+        taken = "\u0662014-01-01T00:00:00.000000 c0-1c0s1n0 GPU XID 48: DBE"
+        refused = "2014-0\u0663-01T00:00:00.000000 c0-1c0s1n0 GPU XID 48: DBE"
+        parsed, stats = ConsoleLogParser(machine).parse_text(
+            f"{taken}\n{refused}\n"
+        )
+        assert stats.parsed_events == 1
+        assert stats.malformed_lines == 1
+        assert float(parsed.time[0]) == datetime_to_timestamp(
+            dt.datetime(2014, 1, 1)
+        )
 
     def test_unknown_xid_collected(self, machine):
         text = "2014-01-01T00:00:00.000000 c0-1c0s1n0 GPU XID 99: new thing\n"

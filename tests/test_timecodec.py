@@ -10,7 +10,8 @@ from the stdlib reference over the study's time range:
   codec element for element;
 * ``parse_timestamp(stamp)`` is bit-identical (float64) to
   ``datetime_to_timestamp(datetime.strptime(stamp, TIMESTAMP_FORMAT))``
-  and rejects exactly the stamps strptime rejects.
+  and rejects exactly the stamps strptime rejects, non-ASCII digits
+  included.
 """
 
 import datetime as dt
@@ -148,3 +149,50 @@ class TestParse:
     def test_accepts_leap_day(self):
         stamp = "2016-02-29T12:34:56.789012"
         assert parse_timestamp(stamp) == _reference_parse(stamp)
+
+
+#: Offsets of the twenty digits in a stamp.
+_DIGIT_AT = [i for i in range(TIMESTAMP_WIDTH) if i not in (4, 7, 10, 13, 16, 19)]
+
+
+class TestNonAsciiDigits:
+    """strptime takes a non-ASCII digit at some offsets and not at
+    others: ``%Y`` matches any ``\\d``, the second digit of ``%d``,
+    ``%H``, ``%M`` and ``%S`` does after some first digits, and ``%m``,
+    ``%f`` and every first digit match ``[0-9]`` only.  The codec must
+    follow it exactly."""
+
+    @pytest.mark.parametrize("at", _DIGIT_AT)
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            "2014-03-02T14:55:01.123456",
+            "2013-12-31T23:59:59.999999",
+            "2016-02-29T10:19:29.000000",
+            "2013-11-19T19:19:19.191919",
+        ],
+    )
+    def test_arabic_indic_digit(self, stamp, at):
+        assert len(_DIGIT_AT) == 20
+        odd = stamp[:at] + chr(0x660 + int(stamp[at])) + stamp[at + 1:]
+        try:
+            ref = _reference_parse(odd)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_timestamp(odd)
+        else:
+            got = parse_timestamp(odd)
+            assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+            assert got == parse_timestamp(stamp)
+
+    def test_both_outcomes_occur(self):
+        stamp = "2014-03-02T14:55:01.123456"
+        accepted = set()
+        for at in _DIGIT_AT:
+            odd = stamp[:at] + chr(0x660 + int(stamp[at])) + stamp[at + 1:]
+            try:
+                parse_timestamp(odd)
+            except ValueError:
+                continue
+            accepted.add(at)
+        assert accepted == {0, 1, 2, 3, 12, 15, 18}
