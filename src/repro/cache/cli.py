@@ -22,6 +22,16 @@ from repro.cache.store import ArtifactStore
 __all__ = ["add_cache_arguments", "cmd_cache"]
 
 
+def _non_negative_finite(text: str) -> float:
+    """Argument type of ``--max-mb``."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):  # also rejects NaN
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative, finite number, got {text!r}"
+        )
+    return value
+
+
 def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     """Attach the ``cache`` subcommand's arguments to ``parser``."""
     parser.add_argument(
@@ -38,7 +48,7 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-mb",
-        type=float,
+        type=_non_negative_finite,
         default=None,
         help="evict: byte budget the store must fit after eviction",
     )
@@ -97,7 +107,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         return 0
 
     # evict
-    if args.max_mb is None or args.max_mb < 0:
+    if args.max_mb is None:
         print("error: evict requires --max-mb >= 0")
         return 2
     budget = int(args.max_mb * 1024 * 1024)

@@ -203,22 +203,25 @@ def _put_console_shards(
     records the digest of the stored container payload, not of the
     text.  Yields each payload once it is stored and its
     :class:`ShardInfo` is appended to ``shards``; the manifest is the
-    caller's to write once the iterator is exhausted.
+    caller's to write once the iterator is exhausted.  Each shard's
+    encode and write is booked under ``cache.persist``; drawing its
+    lines is not, so a render drawn through here books its own time.
     """
     source = iter(lines)
     while batch := tuple(islice(source, DEFAULT_SHARD_LINES)):
-        text = "\n".join(batch) + "\n"
-        payload = serde.encode(text, "text")
-        name = _console_shard_layer(len(shards))
-        store.put_bytes(_layer_key(dkey, name), payload, "text")
-        shards.append(
-            ShardInfo(
-                name=name,
-                lines=len(batch),
-                nbytes=_utf8_len(text),
-                sha256=hashlib.sha256(payload).hexdigest(),
+        with perf.stage("cache.persist"):
+            text = "\n".join(batch) + "\n"
+            payload = serde.encode(text, "text")
+            name = _console_shard_layer(len(shards))
+            store.put_bytes(_layer_key(dkey, name), payload, "text")
+            shards.append(
+                ShardInfo(
+                    name=name,
+                    lines=len(batch),
+                    nbytes=_utf8_len(text),
+                    sha256=hashlib.sha256(payload).hexdigest(),
+                )
             )
-        )
         # Only the joined text stays resident while the consumer runs.
         del batch, payload
         yield text
@@ -253,8 +256,8 @@ def persist_dataset(
         "jobsnap": dataset.jobsnap_records,
         "trace": dataset.trace,
     }
+    deque(payloads, maxlen=0)  # the shards the parse did not draw
     with perf.stage("cache.persist"):
-        deque(payloads, maxlen=0)  # the shards the parse did not draw
         layers[_CONSOLE_MANIFEST_LAYER] = ShardManifest(
             total_lines=sum(s.lines for s in shards),
             total_bytes=sum(s.nbytes for s in shards),

@@ -19,6 +19,7 @@ would sit on disk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,10 +68,10 @@ class ChaosConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {rate}")
         if self.n_outages < 0:
             raise ValueError("n_outages must be non-negative")
-        if self.outage_duration_s <= 0:
-            raise ValueError("outage_duration_s must be positive")
-        if self.max_skew_s < 0:
-            raise ValueError("max_skew_s must be non-negative")
+        if not 0.0 < self.outage_duration_s < math.inf:  # also rejects NaN
+            raise ValueError("outage_duration_s must be positive and finite")
+        if not 0.0 <= self.max_skew_s < math.inf:
+            raise ValueError("max_skew_s must be non-negative and finite")
         if self.max_displace_offset < 1:
             raise ValueError("max_displace_offset must be >= 1")
 

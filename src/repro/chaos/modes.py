@@ -268,7 +268,7 @@ def skew_timestamps(
             when = timestamp_to_datetime(stamp + shift)
         except OverflowError:
             continue
-        new_stamp = when.strftime(_STAMP_FORMAT)
+        new_stamp = when.isoformat(timespec="microseconds")
         out[i] = new_stamp + lines[i][len(new_stamp):]
         n += 1
     return out, n

@@ -11,10 +11,10 @@ Commands
 ``corrupt``       deterministically corrupt an existing log file
 ``lint``          AST determinism/invariant linter over the source tree
 ``cache``         artifact-store maintenance (``info``/``clear``/``evict``)
-``profile``       per-stage wall-time breakdown of one cold pipeline run
 ``run``           crash-safe supervised pipeline run: every stage is
                   journaled into the artifact store; ``--resume``
-                  continues a killed/interrupted run byte-identically
+                  continues a killed/interrupted run byte-identically;
+                  prints and writes its per-stage wall-time profile
 ``chaos-run``     process-fault sweep: kill/tear/ENOSPC a journaled
                   command (``run`` by default, or ``sweep run``) in a
                   real subprocess at every journal barrier and prove the
@@ -56,11 +56,22 @@ def _scenario(args) -> "Scenario":
 
 
 def _positive_finite(text: str) -> float:
-    """Argument type of ``--days`` and ``sweep run --timeout``."""
+    """Argument type of ``--days``, ``corrupt --outage-hours`` and
+    ``sweep run --timeout``."""
     value = float(text)
     if not 0.0 < value < float("inf"):  # also rejects NaN
         raise argparse.ArgumentTypeError(
             f"must be a positive, finite number, got {text!r}"
+        )
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """Argument type of ``fleet-health --top``."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
         )
     return value
 
@@ -150,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_health = sub.add_parser("fleet-health", help="operator triage summary")
     _add_common(p_health)
-    p_health.add_argument("--top", type=int, default=10)
+    p_health.add_argument("--top", type=_non_negative_int, default=10)
 
     p_cal = sub.add_parser(
         "calibration", help="validate measured statistics against RateConfig"
@@ -169,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cor.add_argument("--seed", type=int, default=20131001)
     p_cor.add_argument("--outages", type=int, default=0,
                        help="also drop this many SMW-outage windows")
-    p_cor.add_argument("--outage-hours", type=float, default=6.0,
+    p_cor.add_argument("--outage-hours", type=_positive_finite, default=6.0,
                        help="mean outage duration in hours")
 
     p_lint = sub.add_parser(
@@ -186,14 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.cache.cli import add_cache_arguments
 
     add_cache_arguments(p_cache)
-
-    p_prof = sub.add_parser(
-        "profile", help="per-stage wall-time breakdown of a cold pipeline run"
-    )
-    _add_common(p_prof)
-    from repro.perf.cli import add_profile_arguments
-
-    add_profile_arguments(p_prof)
 
     from repro.supervise.cli import add_chaos_run_arguments, add_run_arguments
 
@@ -397,13 +400,6 @@ def cmd_cache(args) -> int:
     return _cmd_cache(args)
 
 
-def cmd_profile(args) -> int:
-    """Stage-level pipeline profiling (see :mod:`repro.perf.cli`)."""
-    from repro.perf.cli import cmd_profile as _cmd_profile
-
-    return _cmd_profile(args)
-
-
 def cmd_run(args) -> int:
     """Supervised, journaled pipeline run (see :mod:`repro.supervise.cli`)."""
     from repro.supervise.cli import cmd_run as _cmd_run
@@ -434,7 +430,6 @@ _COMMANDS = {
     "corrupt": cmd_corrupt,
     "lint": cmd_lint,
     "cache": cmd_cache,
-    "profile": cmd_profile,
     "run": cmd_run,
     "chaos-run": cmd_chaos_run,
     "sweep": cmd_sweep,

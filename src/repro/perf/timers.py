@@ -12,9 +12,9 @@ Usage::
 
     from repro import perf
 
-    with perf.stage("telemetry.parse"):
-        log, stats = parser.parse_text(text)
-    perf.count("telemetry.lines", stats.total_lines)
+    with perf.stage("telemetry.sort"):
+        parsed = log.sorted_by_time()
+    perf.count("telemetry.events", len(parsed))
 
 Enable around a region to measure it::
 
@@ -27,9 +27,12 @@ Enable around a region to measure it::
     breakdown = perf.snapshot()
 
 Spans nest and repeat: each named stage accumulates total seconds and
-a call count.  The registry is process-global and **not** thread-safe;
-it profiles the single-process pipeline (worker subprocesses have
-their own, disabled, registries).
+a call count.  The pipeline's spans each cover one layer's own work
+and never a lazy source drawn inside them (a generator builds its
+chunk inside its span and yields it outside), so its stage seconds
+sum to at most the wall time.  The registry is process-global and
+**not** thread-safe; it profiles the single-process pipeline (worker
+subprocesses have their own, disabled, registries).
 """
 
 from __future__ import annotations

@@ -130,8 +130,7 @@ class SimulationDataset:
                 with perf.stage("cache.load"):
                     self._console_text = "".join(self._console_shards())
             else:
-                with perf.stage("telemetry.render"):
-                    self._console_text = "\n".join([*self.console_lines(), ""])
+                self._console_text = "\n".join([*self.console_lines(), ""])
         return self._console_text
 
     @property
@@ -151,10 +150,9 @@ class SimulationDataset:
         in for :meth:`console_lines` (the same lines, e.g. teed through
         the cache's shard writer)."""
         if self._parsed is None:
-            with perf.stage("telemetry.parse"):
-                log, stats = ConsoleLogParser(self.machine).parse_lines(
-                    self.console_lines() if lines is None else lines
-                )
+            log, stats = ConsoleLogParser(self.machine).parse_lines(
+                self.console_lines() if lines is None else lines
+            )
             with perf.stage("telemetry.sort"):
                 self._parsed = (log.sorted_by_time(), stats)
             perf.count("telemetry.lines", stats.total_lines)

@@ -10,7 +10,10 @@ and reproducing the cold run's document byte-for-byte.
 
 ``run`` and ``sweep run`` take their journal flags from
 :func:`add_journal_arguments` and run through :func:`run_journaled`,
-which owns the exit-code mapping and the success lines.
+which owns the exit-code mapping and the success lines, and profiles
+the run: each :mod:`repro.perf` stage's seconds and calls, the
+counters and the store's session counters go to a table on stdout and
+to ``runs/<run_id>.report.json`` beside the journal.
 
 ``chaos-run`` is the proof: it sweeps process faults (SIGKILL after a
 commit, torn journal writes, injected ENOSPC) over the journal barriers
@@ -22,7 +25,9 @@ resume matches the cold reference byte-identically
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+import time
 from pathlib import Path
 from typing import Any, Callable
 
@@ -75,8 +80,32 @@ def journal_store(args: Any, command: str) -> Any:
     return store
 
 
+def _profile_table(profile: dict[str, Any]) -> str:
+    """The stage table of a run report: seconds and calls per stage,
+    the wall time no stage booked, the total, then the counters."""
+    stages: dict[str, dict] = profile["stages"]
+    counters: dict[str, int] = profile["counters"]
+    wall_s = profile["wall_s"]
+    width = max(len(name) for name in [*stages, *counters, "total wall"])
+    lines = [f"{'stage':<{width}}  {'seconds':>9}  {'calls':>6}"]
+    for name, stat in stages.items():
+        lines.append(
+            f"{name:<{width}}  {stat['seconds']:>9.3f}  {stat['calls']:>6}"
+        )
+    booked = sum(stat["seconds"] for stat in stages.values())
+    lines.append(f"{'(untimed)':<{width}}  {max(0.0, wall_s - booked):>9.3f}")
+    lines.append(f"{'total wall':<{width}}  {wall_s:>9.3f}")
+    if counters:
+        lines.append("")
+        lines.append("counters:")
+        for name, value in counters.items():
+            lines.append(f"  {name:<{width}}  {value:>12,}")
+    return "\n".join(lines)
+
+
 def run_journaled(
     args: Any,
+    store: Any,
     execute: Callable[[Callable[[str], None]], Any],
     *,
     nouns: tuple[str, str, str],
@@ -85,8 +114,14 @@ def run_journaled(
 
     ``execute(progress)`` returns the command's
     :class:`~repro.supervise.runner.RunReport`; ``nouns`` are its
-    ``(run kind, unit, document)`` words for the messages.
+    ``(run kind, unit, document)`` words for the messages.  The run
+    executes under an enabled :mod:`repro.perf` registry; on success
+    its stage table is printed and written, with ``wall_s`` and the
+    ``store``'s session counters, to ``<run_id>.report.json`` beside
+    the journal.  Worker processes of a parallel sweep keep their own
+    registries, so their stages are not in the report.
     """
+    from repro import perf
     from repro.parallel.pool import ChunkTimeout
     from repro.supervise.journal import JournalError
     from repro.supervise.runner import document_json
@@ -96,6 +131,9 @@ def run_journaled(
     say = (lambda _msg: None) if args.quiet else (
         lambda msg: print(f"  {msg}")
     )
+    perf.reset()
+    perf.enable()
+    t0 = time.perf_counter()
     try:
         report = execute(say)
     except RunInterrupted as exc:
@@ -117,6 +155,13 @@ def run_journaled(
               "the journal is still a valid prefix — rerun with --resume "
               "once the underlying problem is fixed", file=sys.stderr)
         return RUN_IO_ERROR_EXIT
+    finally:
+        perf.disable()
+    profile = {
+        "wall_s": time.perf_counter() - t0,
+        **perf.snapshot(),
+        "store": store.stats.as_dict(),
+    }
 
     mode = "resumed" if report.resumed else "cold"
     torn = " (torn tail truncated)" if report.truncated_tail else ""
@@ -128,6 +173,10 @@ def run_journaled(
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(document_json(report.document))
         print(f"wrote {args.out}")
+    report_path = Path(report.journal_path).with_suffix(".report.json")
+    report_path.write_text(json.dumps(profile, indent=2) + "\n")
+    print(f"\nprofile ({report_path}):")
+    print(_profile_table(profile))
     return 0
 
 
@@ -187,6 +236,7 @@ def cmd_run(args) -> int:
     scenario = _scenario(args)
     return run_journaled(
         args,
+        store,
         lambda say: run_study(
             scenario,
             store,

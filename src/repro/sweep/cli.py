@@ -105,6 +105,7 @@ def _cmd_sweep_run(args) -> int:
     store, spec = selected
     return run_journaled(
         args,
+        store,
         lambda say: run_sweep(
             spec,
             store,

@@ -162,12 +162,13 @@ def point_summary_doc(point: SweepPoint, store: Any) -> dict[str, Any]:
         # corrupted figures never pollute the clean content addresses.
         dataset = dataset.with_console_text(corrupted.text)
 
+    # Parsed before the figures, so no figure's stage times the parse.
+    stats = dataset.parse_stats
     study = TitanStudy(dataset, store=store)
     figures = {
         name: figure_digest(result)
         for name, result in study.figs_all().items()
     }
-    stats = study.ds.parse_stats  # the figures' parse, memoized
     telemetry: dict[str, Any] = {
         name: int(getattr(stats, name)) for name in _PARSE_COUNTERS
     }

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+from repro import perf
 from repro.errors.event import STRUCTURE_CODES, EventLog, structure_from_code
 from repro.errors.xid import ErrorType, from_code
 from repro.telemetry.timecodec import format_timestamps
@@ -30,8 +31,9 @@ __all__ = ["render_event_line", "ConsoleLogWriter", "RENDER_CHUNK_ROWS"]
 #: chunk at a time, so the writer never holds the whole stream's stamp
 #: strings at once.  A parse that streams the render draws its batches
 #: while one window is live, so this matches the parse batch
-#: (:data:`repro.telemetry.parser.PARSE_CHUNK_LINES`).  Purely a memory
-#: knob — the rendered bytes are identical at any value.
+#: (:data:`repro.telemetry.parser.PARSE_CHUNK_LINES`).  A memory knob,
+#: and one ``telemetry.render`` call per window — the rendered bytes are
+#: identical at any value.
 RENDER_CHUNK_ROWS: int = 16_384
 
 #: Short console phrasing per type (the SEC rules in sec.py must match).
@@ -122,36 +124,41 @@ class ConsoleLogWriter:
         """Yield one log line per loggable event, in log order.
 
         Rows render in :data:`RENDER_CHUNK_ROWS` windows, each with one
-        vectorized timestamp pass, so at most one window's stamp
-        strings are alive at a time.
+        vectorized timestamp pass, so at most one window's lines are
+        alive at a time.  A window is built under one
+        ``telemetry.render`` span and yielded after it closes, so the
+        span never times the consumer's work.
         """
         heads = _BODY_HEAD_BY_CODE
         struct_names = _STRUCT_NAME_BY_CODE
         cnames = self.machine.cname_table()
         for start in range(0, len(events), RENDER_CHUNK_ROWS):
-            window = slice(start, start + RENDER_CHUNK_ROWS)
-            # SBE rows get stamps too: skipping them afterwards is
-            # cheaper than masking first.
-            for stamp, gpu, ecode, scode, job, aux in zip(
-                format_timestamps(events.time[window]),
-                events.gpu[window].tolist(),
-                events.etype[window].tolist(),
-                events.structure[window].tolist(),
-                events.job[window].tolist(),
-                events.aux[window].tolist(),
-            ):
-                if ecode == _SBE_CODE:
-                    continue
-                body = heads[ecode]
-                if scode >= 0:
-                    if aux >= 0:
-                        body = f"{body} in {struct_names[scode]} page 0x{aux:06x}"
+            rows = slice(start, start + RENDER_CHUNK_ROWS)
+            window: list[str] = []
+            with perf.stage("telemetry.render"):
+                # SBE rows get stamps too: skipping them afterwards is
+                # cheaper than masking first.
+                for stamp, gpu, ecode, scode, job, aux in zip(
+                    format_timestamps(events.time[rows]),
+                    events.gpu[rows].tolist(),
+                    events.etype[rows].tolist(),
+                    events.structure[rows].tolist(),
+                    events.job[rows].tolist(),
+                    events.aux[rows].tolist(),
+                ):
+                    if ecode == _SBE_CODE:
+                        continue
+                    body = heads[ecode]
+                    if scode >= 0:
+                        if aux >= 0:
+                            body = f"{body} in {struct_names[scode]} page 0x{aux:06x}"
+                        else:
+                            body = f"{body} in {struct_names[scode]}"
+                    if job >= 0:
+                        window.append(f"{stamp} {cnames[gpu]} {body} [job={job}]")
                     else:
-                        body = f"{body} in {struct_names[scode]}"
-                if job >= 0:
-                    yield f"{stamp} {cnames[gpu]} {body} [job={job}]"
-                else:
-                    yield f"{stamp} {cnames[gpu]} {body}"
+                        window.append(f"{stamp} {cnames[gpu]} {body}")
+            yield from window
 
     def lines_reference(self, events: EventLog) -> Iterator[str]:
         """Per-row reference rendering via :func:`render_event_line`.

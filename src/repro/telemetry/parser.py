@@ -431,17 +431,21 @@ class ConsoleLogParser:
         whole stream).  The iterator is drained
         :data:`PARSE_CHUNK_LINES` lines at a time, so at most one batch
         of raw lines is resident; line numbers count from the start of
-        the stream.
+        the stream.  Each batch's decode and the final concatenate are
+        booked under ``telemetry.parse``; drawing the lines is not, so
+        a lazily rendered or read stream books its own time.
         """
         source = iter(lines)
         stats = ParseStats()
         logs: list[EventLog] = []
         line_no = 1
         while batch := tuple(islice(source, PARSE_CHUNK_LINES)):
-            logs.append(self._parse_batch(batch, line_no, stats))
+            with perf.stage("telemetry.parse"):
+                logs.append(self._parse_batch(batch, line_no, stats))
             line_no += len(batch)
             del batch  # one batch resident while the next is drawn
-        log = EventLog.concatenate(logs)
+        with perf.stage("telemetry.parse"):
+            log = EventLog.concatenate(logs)
         if (
             self.error_budget is not None
             and stats.corrupt_fraction > self.error_budget

@@ -3,10 +3,12 @@
 ``repro.chaos.modes`` visits only the hit lines, replays ``displace``
 moves through a look-ahead buffer, reads canonical stamps with
 ``datetime.fromisoformat`` and decodes outage stamps once.  The
-per-line loops it replaced live here unchanged, as oracles, with the
+per-line loops it replaced live here, as oracles, with the
 ``strptime``-only stamp reader: the tests (and the CI chaos job, on
 the paper log) require the injector to equal them byte for byte,
-draw for draw.
+draw for draw.  The loops are unchanged except that
+``skew_timestamps_loop`` writes its stamp with ``isoformat``, which
+zero-pads a year below 1000 where ``strftime("%Y")`` does not.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ def skew_timestamps_loop(
             continue
         shift = float(rng.uniform(-max_skew_s, max_skew_s))
         when = timestamp_to_datetime(stamp + shift)
-        new_stamp = when.strftime(_STAMP_FORMAT)
+        new_stamp = when.isoformat(timespec="microseconds")
         out.append(new_stamp + line[len(new_stamp):])
         n += 1
     return out, n

@@ -17,6 +17,7 @@ The contract under test:
 
 import datetime as dt
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,12 @@ class TestChaosConfig:
             CorruptionInjector(ChaosConfig(garble_rate=2.0))
         with pytest.raises(ValueError):
             CorruptionInjector(ChaosConfig(n_outages=-1))
+        for bad in (math.nan, math.inf, -1.0):
+            with pytest.raises(ValueError, match="max_skew_s"):
+                CorruptionInjector(ChaosConfig(skew_rate=0.5, max_skew_s=bad))
+        for bad in (math.nan, math.inf, 0.0):
+            with pytest.raises(ValueError, match="outage_duration_s"):
+                CorruptionInjector(ChaosConfig.outages_only(2, bad))
 
     def test_outages_only(self):
         config = ChaosConfig.outages_only(3, 2 * HOUR)
@@ -451,7 +458,9 @@ class TestSkewAtTheEndsOfTime:
             skewed = result.counts.get("skew", 0)
             assert skewed in (0, 1)
             assert (result.text != text) == bool(skewed)
-            assert result.text.endswith(text[26:])
+            # An applied skew writes a whole, readable 26-character stamp.
+            assert result.text[26:] == text[26:]
+            assert not np.isnan(modes.line_timestamps([result.text])[0])
             outcomes.add(skewed)
         # Over eight seeds some shifts stay in range and some leave it.
         assert outcomes == {0, 1}

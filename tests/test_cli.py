@@ -57,6 +57,14 @@ class TestParser:
             (["simulate", "--chaos-rate", "nan"], "--chaos-rate"),
             (["simulate", "--chaos-rate", "2"], "--chaos-rate"),
             (["simulate", "--chaos-rate", "inf"], "--chaos-rate"),
+            (["corrupt", "x.log", "--outages", "2", "--outage-hours", "nan"],
+             "--outage-hours"),
+            (["corrupt", "x.log", "--outage-hours", "-5"], "--outage-hours"),
+            (["corrupt", "x.log", "--outage-hours", "inf"], "--outage-hours"),
+            (["cache", "evict", "--max-mb", "nan"], "--max-mb"),
+            (["cache", "evict", "--max-mb", "inf"], "--max-mb"),
+            (["cache", "evict", "--max-mb", "-1"], "--max-mb"),
+            (["fleet-health", "--top", "-3"], "--top"),
         ],
     )
     def test_out_of_range_rate_is_usage_error(self, capsys, argv, option):

@@ -1,24 +1,37 @@
-"""Tests for the repro.perf stage-timer registry and the profile CLI.
+"""Tests for the repro.perf stage-timer registry and the run report.
 
 The registry lives outside the deterministic simulator subtree (it is
 the one place allowed to touch the wall clock), so the key properties
 are: disabled instrumentation is free and side-effect free, enabled
-instrumentation accumulates, and ``python -m repro profile`` surfaces
-the per-stage breakdown.  A structural guard, with no timing, pins that
-a warm load inflates no console shard.
+instrumentation accumulates, each layer books its own work (render,
+parse and persist apart, however one draws the other), and a journaled
+``python -m repro run`` prints the per-stage breakdown and writes it
+to ``runs/<run_id>.report.json``.  A structural guard, with no timing,
+pins that a warm load inflates no console shard.
 """
 
 import dataclasses
 import json
+import math
 import zlib
 from collections import deque
 
 import pytest
 
 from repro import perf
-from repro.cache import ArtifactStore, load_dataset, persist_dataset
+from repro.cache import (
+    ArtifactStore,
+    dataset_key,
+    load_dataset,
+    load_or_simulate,
+    persist_dataset,
+)
 from repro.core.study import TitanStudy
 from repro.perf.timers import _NULL_SPAN, PerfRegistry
+from repro.sim import Scenario
+from repro.sim.simulation import TitanSimulation
+from repro.supervise.runner import run_id_for
+from repro.telemetry.console import RENDER_CHUNK_ROWS
 
 
 @pytest.fixture()
@@ -184,8 +197,52 @@ class TestConsoleTextBooking:
         cold = dataclasses.replace(smoke_dataset, _console_text=None)
         stages = self._stages(cold)
         assert list(stages) == ["telemetry.render"]
-        assert stages["telemetry.render"]["calls"] == 1
+        windows = math.ceil(len(smoke_dataset.events) / RENDER_CHUNK_ROWS)
+        assert windows > 1
+        assert stages["telemetry.render"]["calls"] == windows
         assert cold.console_text == smoke_dataset.console_text
+
+
+@pytest.mark.usefixtures("clean_perf")
+class TestLayerAttribution:
+    """Render, parse and persist each book their own work, whether the
+    parse draws the render directly or through the shard writer."""
+
+    @staticmethod
+    def _booked(run):
+        perf.enable()
+        try:
+            result = run()
+        finally:
+            perf.disable()
+        stages = perf.snapshot()["stages"]
+        perf.reset()
+        return result, stages
+
+    def test_persisting_run_books_like_a_plain_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.cache.pipeline.DEFAULT_SHARD_LINES", 10_000)
+        scenario = Scenario.smoke()
+        plain = TitanSimulation(scenario).run()
+        _, plain_stages = self._booked(lambda: plain.parsed_events)
+        store = ArtifactStore(tmp_path)
+        (persisted, warm), stages = self._booked(
+            lambda: load_or_simulate(scenario, store)
+        )
+        assert not warm
+
+        windows = math.ceil(len(plain.events) / RENDER_CHUNK_ROWS)
+        assert windows > 1
+        assert plain_stages["telemetry.render"]["calls"] == windows
+        assert stages["telemetry.render"]["calls"] == windows
+        assert (
+            stages["telemetry.parse"]["calls"]
+            == plain_stages["telemetry.parse"]["calls"]
+        )
+        assert "cache.persist" not in plain_stages
+        manifest = store.get(f"{dataset_key(scenario)}/layer/console.manifest")
+        assert len(manifest["shards"]) > 1
+        assert stages["cache.persist"]["calls"] == len(manifest["shards"]) + 1
+        assert persisted.parse_stats == plain.parse_stats
 
 
 class TestWarmLoadInflatesNothing:
@@ -216,32 +273,101 @@ class TestWarmLoadInflatesNothing:
 
 
 class TestProfileCli:
-    def test_profile_smoke_json(self, capsys):
+    """The CLI's profile comes from ``repro run`` itself: a stage table
+    on stdout and ``runs/<run_id>.report.json`` beside the journal."""
+
+    ARGS = ["run", "--days", "3", "--seed", "7", "--quiet"]
+
+    @staticmethod
+    def _report(cache):
+        run_id = run_id_for(Scenario.smoke(seed=7, days=3.0))
+        assert (cache / "runs" / f"{run_id}.jsonl").exists()
+        return json.loads((cache / "runs" / f"{run_id}.report.json").read_text())
+
+    def test_profile_smoke_json(self, tmp_path):
+        """Cold then warm, on the report file."""
         from repro.cli import main
 
-        rc = main(
-            ["profile", "--days", "3", "--seed", "7", "--no-cache", "--json"]
-        )
-        assert rc == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["wall_s"] > 0
-        stages = doc["stages"]
-        # The pipeline's load-bearing stages must all be present.
+        cache = tmp_path / "cache"
+        assert main([*self.ARGS, "--cache-dir", str(cache)]) == 0
+        cold = self._report(cache)
+        stages = cold["stages"]
         for name in (
+            "sim.machine",
             "sim.workload",
             "sim.inject",
             "telemetry.render",
             "telemetry.parse",
+            "cache.persist",
         ):
-            assert name in stages, name
-            assert stages[name]["calls"] >= 1
-        assert doc["counters"]["telemetry.lines"] > 0
+            assert stages[name]["calls"] >= 1, name
+        assert any(name.startswith("study.") for name in stages)
+        assert sum(s["seconds"] for s in stages.values()) <= cold["wall_s"]
+        assert cold["counters"]["telemetry.lines"] > 0
+        assert cold["store"]["writes"] > 0
 
-    def test_profile_smoke_table(self, capsys):
+        assert main([*self.ARGS, "--cache-dir", str(cache)]) == 0
+        warm = self._report(cache)
+        assert "cache.load" in warm["stages"]
+        assert "telemetry.render" not in warm["stages"]
+        assert warm["store"]["hits"] > 0
+
+    def test_profile_smoke_table(self, tmp_path, capsys):
         from repro.cli import main
 
-        rc = main(["profile", "--days", "3", "--seed", "7", "--no-cache"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "telemetry.parse" in out
-        assert "total wall" in out
+        cache = tmp_path / "cache"
+        assert main([*self.ARGS, "--cache-dir", str(cache)]) == 0
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in capsys.readouterr().out.splitlines()
+            if line.strip()
+        }
+        report = self._report(cache)
+        for name, stat in report["stages"].items():
+            assert rows[name] == [f"{stat['seconds']:.3f}", str(stat["calls"])]
+        for name in ("telemetry.render", "telemetry.parse", "cache.persist"):
+            assert name in rows, name
+        assert "(untimed)" in rows
+        assert rows["total"] == ["wall", f"{report['wall_s']:.3f}"]
+
+    def test_spans_never_nest(self, tmp_path, monkeypatch, capsys):
+        """No span opens while another is open, on a cold run and on a
+        corrupted sweep point, so stage seconds cannot sum past wall."""
+        from repro.cli import main
+        from repro.perf.timers import _Span
+        from repro.sweep import SweepSpec
+
+        open_spans, nested = [], []
+        enter, leave = _Span.__enter__, _Span.__exit__
+
+        def tracked_enter(span):
+            if open_spans:
+                nested.append((open_spans[-1], span._name))
+            open_spans.append(span._name)
+            return enter(span)
+
+        def tracked_exit(span, *exc):
+            open_spans.pop()
+            return leave(span, *exc)
+
+        monkeypatch.setattr(_Span, "__enter__", tracked_enter)
+        monkeypatch.setattr(_Span, "__exit__", tracked_exit)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            SweepSpec(name="nest", base="smoke", days=3.0,
+                      corruptions=(0.05,)).to_doc()
+        ))
+        cache = str(tmp_path / "cache")
+        assert main([*self.ARGS, "--cache-dir", cache]) == 0
+        assert main(["sweep", "run", "--spec", str(spec), "--cache-dir", cache,
+                     "--jobs", "1", "--quiet"]) == 0
+        assert "telemetry.parse" in capsys.readouterr().out
+        assert not open_spans and nested == []
+
+    def test_profile_command_is_gone(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as info:
+            build_parser().parse_args(["profile"])
+        assert info.value.code == 2
+        assert "invalid choice: 'profile'" in capsys.readouterr().err
