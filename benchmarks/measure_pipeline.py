@@ -20,7 +20,10 @@ document carries a per-stage wall-time breakdown (``stages_s``) next to
 the end-to-end timings, plus a ``gate`` section: the smoke-scenario
 cold budget that CI's perf gate enforces.  ``--gate`` re-runs just the
 smoke cold pipeline and fails if its wall time regresses more than the
-gate tolerance (default 25 %) over the committed budget.
+gate tolerance (default 25 %) over the committed budget, or if the
+block-decoded parse of the same smoke lines, clean and 5%-corrupted,
+is not at least ``DECODER_MIN_RATIO`` times as fast as the regex
+reference (``fast=False``) in the same process.
 
 A ``resume_s`` section measures the supervised runner's crash-recovery
 overhead: a cold ``repro run``, the same run SIGKILLed mid-figures in a
@@ -67,6 +70,11 @@ from repro.cli import main as cli_main  # noqa: E402
 #: cheap gate budget).
 GATE_DAYS = 45.0
 GATE_TOLERANCE = 0.25
+#: Floors of the block-decoded parse's speed over the regex reference
+#: (``fast=False``) on the gate's smoke lines, clean and 5%-corrupted
+#: (injector seed 7): a fast path that silently fell back to its
+#: reference reads about 1x, whatever the host's speed.
+DECODER_MIN_RATIO = {"clean": 5.5, "uniform(0.05)": 4.0}
 
 
 def _timed(argv: list[str], *, profile: bool = False) -> tuple[float, int, str]:
@@ -105,8 +113,44 @@ def _gate_argv(gate: dict) -> list[str]:
     ]
 
 
+def _decoder_ratios(days: float, seed: int) -> dict[str, float]:
+    """Speed of ``ConsoleLogParser(machine).parse_lines`` over the
+    reference ``ConsoleLogParser(machine, fast=False)`` on the same
+    smoke lines: the median of three alternating timings each."""
+    import statistics
+
+    from repro.chaos.injector import ChaosConfig, CorruptionInjector
+    from repro.sim import Scenario
+    from repro.sim.simulation import TitanSimulation
+    from repro.telemetry.parser import ConsoleLogParser
+
+    dataset = TitanSimulation(Scenario.smoke(seed=seed, days=days)).run()
+    text = dataset.console_text
+    logs = {
+        "clean": text,
+        "uniform(0.05)": CorruptionInjector(
+            ChaosConfig.uniform(0.05), seed=7
+        ).corrupt_text(text).text,
+    }
+    ratios = {}
+    for name, log in logs.items():
+        lines = log.splitlines()
+        seconds: dict[bool, list[float]] = {True: [], False: []}
+        for _ in range(3):
+            for fast in (True, False):
+                t0 = time.perf_counter()
+                ConsoleLogParser(dataset.machine, fast=fast).parse_lines(lines)
+                seconds[fast].append(time.perf_counter() - t0)
+        ratios[name] = statistics.median(seconds[False]) / statistics.median(
+            seconds[True]
+        )
+    return ratios
+
+
 def run_gate(out: Path) -> int:
-    """CI perf gate: fail if the smoke cold run regresses past budget."""
+    """CI perf gate: fail if the smoke cold run regresses past budget,
+    or the block decoder's speed over its reference falls below its
+    floor."""
     if not out.exists():
         print(f"gate: no committed benchmark at {out}", file=sys.stderr)
         return 2
@@ -125,11 +169,21 @@ def run_gate(out: Path) -> int:
     if rc != 0:
         print("gate: FAIL (pipeline exited non-zero)")
         return 1
+    failed = False
     if cold_s > limit:
         print(f"gate: FAIL (regressed {cold_s / budget - 1.0:+.0%}, "
               f"allowed +{tolerance:.0%}); per-stage breakdown:")
         for name, seconds in _stage_seconds().items():
             print(f"  {name:<20} {seconds:8.3f} s")
+        failed = True
+    for name, ratio in _decoder_ratios(gate["days"], gate["seed"]).items():
+        floor = DECODER_MIN_RATIO[name]
+        print(f"gate: block decode {name} {ratio:.1f}x the reference "
+              f"(floor {floor:.1f}x)")
+        if ratio < floor:
+            print(f"gate: FAIL (block decode {name} below its floor)")
+            failed = True
+    if failed:
         return 1
     print("gate: OK")
     return 0
@@ -418,7 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
     ap.add_argument("--gate", action="store_true",
                     help="CI mode: time the smoke cold run against the "
-                         "committed gate budget instead of regenerating")
+                         "committed gate budget, and the block decoder "
+                         "against its reference, instead of regenerating")
     ap.add_argument("--memory-gate", action="store_true",
                     help="CI mode: check peak RSS stays flat "
                          "across the scale axis (memory_s budget)")

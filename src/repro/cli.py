@@ -134,6 +134,15 @@ def _load_dataset(args, *, require_ground_truth: bool = False):
     return dataset, store
 
 
+def _draw_layers(dataset) -> None:
+    """Draw the lazy telemetry layers the figures read before the first
+    figure runs, so that each books its own span, not a figure's (as
+    :func:`repro.sweep.engine.point_summary_doc` parses first)."""
+    dataset.parse_stats
+    dataset.nvsmi_table
+    dataset.jobsnap_records
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -266,6 +275,7 @@ def cmd_figures(args) -> int:
     from repro.units import month_labels
 
     dataset, store = _load_dataset(args)
+    _draw_layers(dataset)
     study = TitanStudy(dataset, store=store)
     labels = month_labels()
     print(render_table(["GPU Error", "XID"], study.table1()))
@@ -302,6 +312,7 @@ def cmd_observations(args) -> int:
     from repro.core import TitanStudy, observation_scorecard
 
     dataset, store = _load_dataset(args)
+    _draw_layers(dataset)
     checks = observation_scorecard(TitanStudy(dataset, store=store))
 
     width = max(len(check.name) for check in checks)

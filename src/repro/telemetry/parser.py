@@ -41,6 +41,7 @@ invariant checkable and the property tests enforce it under fuzz.
 from __future__ import annotations
 
 import datetime as _dt
+import math
 import re
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
@@ -140,15 +141,37 @@ _STAMP_DIGIT_AT = np.setdiff1d(np.arange(26), _STAMP_SEP_AT)
 
 #: A job tag ``" [job=<digits>]"`` may end the line; 18 digits keep the
 #: value below the int64 guard, longer numerals take the reference path.
-_JOB_OPEN = np.frombuffer(b" [job=", dtype=np.uint8)
 _JOB_DIGITS = 18
-_JOB_WEIGHTS = 10 ** np.arange(_JOB_DIGITS - 1, -1, -1, dtype=np.int64)
+_JOB_FRAME = len(b" [job=]")
+_JOB_OPEN = np.uint64(int.from_bytes(b" [job=", "little"))
+_JOB_OPEN_MASK = np.uint64(2**48 - 1)
+#: The tag's digits are read right-aligned, as the three words of the
+#: 24 bytes before its ``]``; ``_JOB_KEEP[w, n]`` masks the bytes of
+#: word ``w`` that are digits of an ``n``-digit tag.
+_JOB_KEEP = np.array(
+    [
+        [
+            int.from_bytes(
+                bytes(0xFF if 8 * w + b >= 24 - n else 0 for b in range(8)), "little"
+            )
+            for n in range(_JOB_DIGITS + 1)
+        ]
+        for w in range(3)
+    ],
+    dtype=np.uint64,
+)
+_ASCII_ZEROS = np.uint64(0x3030_3030_3030_3030)
+_SIXES = np.uint64(0x0606_0606_0606_0606)
+_HIGH_NIBBLES = np.uint64(0xF0F0_F0F0_F0F0_F0F0)
 
 #: Microsecond totals this close to the epoch convert to float64
 #: exactly, so ``us / 1e6`` rounds as the reference's int division.
 _EXACT_US = 2**53
 _US_PER_SECOND = 1_000_000
 _EPOCH_ORDINAL = STUDY_EPOCH.toordinal()  # STUDY_EPOCH is midnight
+
+#: Most slots a :class:`_TableIndex` may address.
+_MAX_SLOTS = 1 << 22
 
 
 def _ascii_digits(window: np.ndarray) -> np.ndarray:
@@ -180,6 +203,11 @@ def _windows(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     return sliding_window_view(buf, width)[at]
 
 
+def _words(buf: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word at every offset of ``buf``."""
+    return np.ndarray((len(buf) - 7,), dtype="<u8", buffer=buf, strides=(1,))
+
+
 def _stamp_micros(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Microseconds since the epoch of the stamp at each offset, and
     whether the stamp (and the space after it) is canonical."""
@@ -202,37 +230,151 @@ def _stamp_micros(buf: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.nd
     return us, ok
 
 
-def _job_tags(buf: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The job of each line's trailing ``" [job=<digits>]"`` tag (-1
-    without one), and the offset where the tag (or the line) begins."""
-    digits = _ascii_digits(_windows(buf, end - _JOB_DIGITS - 1, _JOB_DIGITS))
-    is_digit = digits[:, ::-1] <= 9
-    n_digits = np.where(is_digit.all(axis=1), _JOB_DIGITS, is_digit.argmin(axis=1))
-    tag_start = end - n_digits - len(_JOB_OPEN) - 1
-    has_job = (buf[end - 1] == ord("]")) & (n_digits > 0)
-    has_job &= (_windows(buf, tag_start, len(_JOB_OPEN)) == _JOB_OPEN).all(axis=1)
-    in_job = np.arange(_JOB_DIGITS) >= _JOB_DIGITS - n_digits[:, None]
-    in_job &= has_job[:, None]
-    job = np.where(in_job, digits, 0) @ _JOB_WEIGHTS
-    return np.where(has_job, job, -1), np.where(has_job, tag_start, end)
+def _eight_digits(values: np.ndarray) -> np.ndarray:
+    """The number spelled by each word's eight digit values, the first
+    (lowest) byte most significant: pairs, then fours, then the eight
+    combine in place."""
+    values = (values * np.uint64(10) + (values >> np.uint64(8))) & np.uint64(
+        0x00FF_00FF_00FF_00FF
+    )
+    values = (values * np.uint64(100) + (values >> np.uint64(16))) & np.uint64(
+        0x0000_FFFF_0000_FFFF
+    )
+    return (values * np.uint64(10_000) + (values >> np.uint64(32))) & np.uint64(
+        0xFFFF_FFFF
+    )
 
 
-def _lookup(
-    keys: np.ndarray, lengths: np.ndarray, window: np.ndarray, length: np.ndarray
+def _job_tags(
+    buf: np.ndarray, words: np.ndarray, at: np.ndarray, end: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Match the first ``length`` bytes of each window row in a table.
+    """The job of each line's tail from ``at`` to ``end`` (-1 for none),
+    and whether that tail is empty or exactly ``" [job=<1-18 ASCII
+    digits>]"``.
 
-    ``keys`` is a sorted fixed-width bytes array and ``lengths`` the
-    true length of each key.  Returns the key index of every row and
-    whether it matched; a fixed-width key pads with NUL, so a match
-    also requires equal lengths (``b"c0-0c0s0n0\\x00"`` is no cname).
+    The digits are read right-aligned: the three words before the
+    ``]``, with the bytes left of the tag's digits masked to zero, and
+    their eight-digit numbers weighted 10**16, 10**8 and 1.
     """
-    width = keys.dtype.itemsize
-    prefix = np.tri(width + 1, width, -1, dtype=np.uint8)  # row n: n ones
-    probe = window[:, :width] * prefix[np.clip(length, 0, width)]
-    probe = probe.view(keys.dtype)[:, 0]
-    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
-    return at, (keys[at] == probe) & (lengths[at] == length)
+    size = end - at
+    n_digits = np.clip(size - _JOB_FRAME, 0, _JOB_DIGITS)
+    job = np.zeros(len(at), dtype=np.uint64)
+    nibbles = np.zeros(len(at), dtype=np.uint64)
+    for word, keep in enumerate(_JOB_KEEP):
+        # XOR with "0" turns an ASCII digit into its value; a byte is a
+        # digit when its high nibble, and that of its value + 6, is 0.
+        values = (words[end - 25 + 8 * word] ^ _ASCII_ZEROS) & np.take(keep, n_digits)
+        nibbles |= values | (values + _SIXES)
+        job = job * np.uint64(10**8) + _eight_digits(values)
+    tagged = (nibbles & _HIGH_NIBBLES) == 0
+    tagged &= (size > _JOB_FRAME) & (size <= _JOB_FRAME + _JOB_DIGITS)
+    tagged &= buf[end - 1] == ord("]")
+    tagged &= (words[at] & _JOB_OPEN_MASK) == _JOB_OPEN
+    return np.where(tagged, job.astype(np.int64), -1), tagged | (size == 0)
+
+
+class _TableIndex:
+    """Constant-time lookup of which key of a fixed table sits at an offset.
+
+    A guess reads a few byte columns at fixed offsets from an anchor:
+    the key's first byte or, ``from_end``, the byte just past its last.
+    Each column turns its byte into a digit, and the digits address one
+    slot of a dense table, which holds the one key with those bytes, or
+    none.  The columns come from the table alone (see
+    :func:`_separating_columns`); a table that no columns tell apart (a
+    key twice, keys that differ only past the shortest) raises
+    ``ValueError`` rather than guess.
+
+    A guess says nothing of the bytes off its columns; :meth:`equal`
+    checks the guessed key byte for byte.  Keys are numbered by table
+    position, and ``len(keys)`` stands for no key.
+    """
+
+    def __init__(self, keys: list[bytes], *, from_end: bool = False) -> None:
+        lengths = np.fromiter(map(len, keys), dtype=np.int64, count=len(keys))
+        if not len(keys) or lengths.min() == 0:
+            raise ValueError("a table index needs non-empty keys")
+        #: Key lengths, and 0 for no key.
+        self.lengths = np.append(lengths, 0)
+        #: Bytes :meth:`equal` reads from its offset.
+        self.width = -(-int(lengths.max()) // 8) * 8
+        # One NUL-padded row per key, and one for no key: its first byte
+        # is 1, and its empty mask makes it equal no bytes at all.
+        image = np.array([*keys, b"\x01"], dtype=f"S{self.width}")
+        image = image.view(np.uint8).reshape(-1, self.width)
+        shortest = int(lengths.min())
+        first = lengths - shortest if from_end else 0
+        table = _windows(image.ravel(), np.arange(len(keys)) * self.width + first, shortest)
+        columns = _separating_columns(table)
+        offsets = np.arange(-shortest, 0) if from_end else np.arange(shortest)
+        seen = [np.bincount(table[:, c], minlength=256) > 0 for c in columns]
+        n_slots = math.prod(int(present.sum()) for present in seen)
+        if n_slots > _MAX_SLOTS:
+            raise ValueError(f"a table index would need {n_slots} slots")
+        #: Per column, its offset and each byte's weighted digit; a byte
+        #: no key has there addresses past the last slot.
+        self._columns: list[tuple[int, np.ndarray]] = []
+        slot = np.zeros(len(keys), dtype=np.int32)
+        weight = 1
+        for column, present in zip(columns, seen):
+            digit = np.where(present, (np.cumsum(present) - 1) * weight, n_slots)
+            self._columns.append((int(offsets[column]), digit.astype(np.int32)))
+            slot += self._columns[-1][1][table[:, column]]
+            weight *= int(present.sum())
+        self._slots = np.full(n_slots + 1, len(keys), dtype=np.int32)
+        self._slots[slot] = np.arange(len(keys))
+        # The rows as little-endian words, and masks of the key bytes.
+        mask = (np.arange(self.width) < self.lengths[:, None]) * np.uint8(0xFF)
+        self._image = np.ascontiguousarray(image.view("<u8").T)
+        self._mask = np.ascontiguousarray(mask.view("<u8").T)
+
+    def guess(self, buf: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The only key that can be anchored at each offset of ``buf``."""
+        slot = np.zeros(len(at), dtype=np.int32)
+        for offset, digit in self._columns:
+            slot += np.take(digit, np.take(buf, at + offset))
+        return np.take(self._slots, np.minimum(slot, len(self._slots) - 1))
+
+    def equal(self, words: np.ndarray, at: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Whether the bytes from each offset are its key's, byte for
+        byte; ``words`` is :func:`_words` of the buffer."""
+        same = np.ones(len(at), dtype=bool)
+        for i, (image, mask) in enumerate(zip(self._image, self._mask)):
+            same &= (words[at + 8 * i] & np.take(mask, key)) == np.take(image, key)
+        return same
+
+
+def _separating_columns(table: np.ndarray) -> list[int]:
+    """Columns whose bytes tell the rows of ``table`` apart.
+
+    Starts from every column whose byte varies, then drops, widest (most
+    distinct bytes) first, each column the others can spare; raises
+    ``ValueError`` when not even all of them tell the rows apart.
+    """
+    by_column = np.ascontiguousarray(table.T)
+    radix = [int((np.bincount(column, minlength=256) > 0).sum()) for column in by_column]
+
+    def apart(columns: list[int]) -> bool:
+        code = np.zeros(len(table), dtype=np.int64)
+        span = 1
+        for column in columns:
+            if span > 2**54:  # renumber before the next byte overflows
+                code = np.unique(code, return_inverse=True)[1]
+                span = len(table)
+            code *= 256
+            code += by_column[column]
+            span *= 256
+        code.sort()
+        return bool((code[1:] != code[:-1]).all())
+
+    kept = [c for c in range(table.shape[1]) if radix[c] > 1]
+    if not apart(kept):
+        raise ValueError("no byte columns tell the table's keys apart")
+    for column in sorted(kept, key=lambda c: (-radix[c], -c)):
+        rest = [c for c in kept if c != column]
+        if apart(rest):
+            kept = rest
+    return kept
 
 
 class _BlockDecoder:
@@ -248,23 +390,26 @@ class _BlockDecoder:
     reference decodes the same seven columns, so claiming them changes
     nothing but speed.  Lines with an ``in <structure>`` clause are
     left to the reference, as is everything else.
+
+    Cnames and heads are looked up by :class:`_TableIndex`: a cname,
+    with the space that ends it, from a few bytes before that space (its
+    digit places), a head from its first bytes (its XID).  The head's
+    length fixes where a job tag must start.
     """
 
     def __init__(self, machine: TitanMachine, etype_by_head: dict[str, int]) -> None:
-        cnames = np.array(machine.cname_table(), dtype=np.bytes_)
-        self._cname_gpu = np.argsort(cnames, kind="stable")
-        self._cnames = cnames[self._cname_gpu]
-        self._cname_len = np.char.str_len(self._cnames)
-        heads = np.array(list(etype_by_head), dtype=np.bytes_)
-        order = np.argsort(heads, kind="stable")
-        self._heads = heads[order]
-        self._head_len = np.char.str_len(self._heads)
-        etypes = np.array(list(etype_by_head.values()), dtype=np.int16)
-        self._head_etype = etypes[order]
+        # Each cname with the space that ends it.
+        cnames = (" \n".join(machine.cname_table()) + " ").encode().split(b"\n")
+        self._cnames = _TableIndex(cnames, from_end=True)
+        #: A cname ends at the first of its lengths that a space follows.
+        self._cname_lengths = np.flatnonzero(np.bincount(self._cnames.lengths[:-1] - 1))
+        self._heads = _TableIndex([head.encode() for head in etype_by_head])
+        self._head_etype = np.array(list(etype_by_head.values()), dtype=np.int16)
         #: Shortest claimable line: stamp, space, cname, space, head.
-        self._min_len = 28 + int(self._cname_len.min()) + int(self._head_len.min())
-        #: Farthest a fixed-width window reads past a line's start.
-        self._reach = 28 + self._cnames.dtype.itemsize + self._heads.dtype.itemsize
+        self._min_len = int(28 + self._cname_lengths[0] + self._heads.lengths[:-1].min())
+        #: Farthest a read reaches past a line's start: the word that
+        #: opens a job tag after the longest cname and head.
+        self._reach = int(28 + self._cname_lengths[-1] + self._heads.width + 8)
 
     def decode(self, batch: tuple[str, ...]) -> tuple[np.ndarray, EventLog] | None:
         """Batch line indices of the claimed lines, and their rows.
@@ -273,7 +418,7 @@ class _BlockDecoder:
         line holds an embedded newline, so that the newlines of the
         joined text no longer mark line boundaries.
         """
-        # Zero padding lets every fixed-width window read past the end.
+        # Zero padding lets every read run past the end.
         text = "\n".join(batch).encode("utf-8", "surrogatepass")
         buf = np.frombuffer(text + bytes(self._reach), dtype=np.uint8)
         newlines = np.flatnonzero(buf == ord("\n"))
@@ -284,25 +429,25 @@ class _BlockDecoder:
         del text, newlines
         lines = np.flatnonzero(ends - starts >= self._min_len)
         start, end = starts[lines], ends[lines]
+        words = _words(buf)
 
         us, ok = _stamp_micros(buf, start)
-        # The cname: the bytes up to the next space, looked up whole.
-        cname = _windows(buf, start + 27, self._cnames.dtype.itemsize + 1)
-        cname_len = (cname == ord(" ")).argmax(axis=1)
-        gpu_at, hit = _lookup(self._cnames, self._cname_len, cname, cname_len)
-        ok &= hit
-        # The head: everything between the cname and the job tag, whole.
-        body = start + 28 + cname_len
-        job, head_end = _job_tags(buf, end)
-        head = _windows(buf, body, self._heads.dtype.itemsize)
-        head_at, hit = _lookup(self._heads, self._head_len, head, head_end - body)
-        ok &= hit
+        cname = start + 27
+        body = cname + self._cname_lengths[-1] + 1
+        for length in reversed(self._cname_lengths[:-1]):
+            body = np.where(buf[cname + length] == ord(" "), cname + length + 1, body)
+        gpu = self._cnames.guess(buf, body)
+        ok &= self._cnames.equal(words, cname, gpu)
+        head = self._heads.guess(buf, body)
+        ok &= self._heads.equal(words, body, head)
+        job, tail_ok = _job_tags(buf, words, body + self._heads.lengths[head], end)
+        ok &= tail_ok
 
         claimed = np.flatnonzero(ok)
         return lines[claimed], EventLog.from_arrays(
             time=us[claimed] / _US_PER_SECOND,
-            gpu=self._cname_gpu[gpu_at[claimed]],
-            etype=self._head_etype[head_at[claimed]],
+            gpu=gpu[claimed],
+            etype=self._head_etype[head[claimed]],
             job=job[claimed],
         )
 

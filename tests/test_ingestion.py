@@ -7,6 +7,8 @@ raise on arbitrary input, and the ParseStats primary counters must
 always partition the input lines.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,12 @@ from repro.telemetry.nvsmi_text import (
     parse_nvsmi_query,
     render_nvsmi_query,
 )
-from repro.telemetry.parser import ConsoleLogParser
+from repro.telemetry.parser import (
+    ConsoleLogParser,
+    _BlockDecoder,
+    _fast_heads,
+    _TableIndex,
+)
 from repro.telemetry.timecodec import parse_timestamp
 
 
@@ -501,6 +508,151 @@ class TestClaimRule:
         with_clause = sum(" in " in line for line in lines)
         assert with_clause > 0
         assert counters["telemetry.fallback_lines"] == with_clause
+
+
+@pytest.fixture(scope="module")
+def block_decoder(bare_machine):
+    return _BlockDecoder(bare_machine, _fast_heads())
+
+
+@pytest.fixture(scope="module")
+def index_tables(bare_machine):
+    """Per table: a plain dict over it (key -> GPU id or etype code),
+    and the largest value of each of its keys' digit runs."""
+    tables = {"cname": bare_machine.gpu_index_map(), "head": _fast_heads()}
+    field_max = {}
+    for name, table in tables.items():
+        runs = [[int(run) for run in re.findall(r"\d+", key)] for key in table]
+        width = max(map(len, runs))
+        field_max[name] = [
+            max(r[i] for r in runs if len(r) > i) for i in range(width)
+        ]
+    return {name: (tables[name], field_max[name]) for name in tables}
+
+
+#: Characters a near miss draws from: the keys' own alphabet, NUL,
+#: bytes >= 0x80 (one to four UTF-8 bytes, a lone surrogate) and any
+#: other character but the newline that ends a line.
+_NEAR_MISS_CHARS = st.one_of(
+    st.sampled_from("0123456789 -:cnsGPUXID\x00\x80\xff\ud800٣"),
+    st.characters(min_codepoint=0x80),
+    st.characters(exclude_characters="\n"),
+)
+
+
+@st.composite
+def _near_misses(draw, key, field_max):
+    """``key`` with one byte changed, dropped or added, a NUL inside
+    or after it, a leading zero on a digit run, a digit run past its
+    field's range, or a byte >= 0x80 in it."""
+    runs = [m.span() for m in re.finditer(r"\d+", key)]
+    kinds = ["change", "drop", "add", "nul", "high"]
+    kinds += ["leading-zero", "past-range"] if runs else []
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("change", "drop"):
+        at = draw(st.integers(0, len(key) - 1))
+        char = draw(_NEAR_MISS_CHARS) if kind == "change" else ""
+        return key[:at] + char + key[at + 1 :]
+    if kind in ("add", "nul", "high"):
+        at = draw(st.integers(1 if kind == "nul" else 0, len(key)))
+        char = {
+            "add": _NEAR_MISS_CHARS,
+            "nul": st.just("\x00"),
+            "high": st.characters(min_codepoint=0x80),
+        }[kind]
+        return key[:at] + draw(char) + key[at:]
+    field = draw(st.integers(0, len(runs) - 1))
+    start, end = runs[field]
+    if kind == "leading-zero":
+        return key[:start] + "0" + key[start:]
+    top = field_max[field]
+    value = draw(st.integers(top + 1, 10 * top + 9))
+    return key[:start] + str(value) + key[end:]
+
+
+class TestTableIndex:
+    """The block decoder finds cnames and heads through a
+    constant-time index built from their tables; every entry is found,
+    and a near miss of one is claimed exactly when a plain dict over
+    the table holds it."""
+
+    def test_every_entry_is_claimed(self, bare_machine, block_decoder):
+        # Neither log reaches every cname, nor every head.
+        heads = _fast_heads()
+        n = bare_machine.n_gpus
+        gpus = [*range(n), *range(n), *[4321] * (2 * len(heads))]
+        etypes = [heads[_HEAD]] * (2 * n) + 2 * list(heads.values())
+        head_of = dict(zip(heads.values(), heads))
+        # Every job tag length from 1 to 18 digits, and none.
+        jobs = [
+            -1 if row % 2 else (row * 7919 + 1) % 10 ** (1 + row % 18)
+            for row in range(len(gpus))
+        ]
+        lines = tuple(
+            _line(
+                bare_machine.cname(gpu),
+                head=head_of[etype],
+                tail="" if job < 0 else f" [job={job}]",
+            )
+            for gpu, etype, job in zip(gpus, etypes, jobs)
+        )
+        claimed, log = block_decoder.decode(lines)
+        assert np.array_equal(claimed, np.arange(len(lines)))
+        assert np.array_equal(log.gpu, gpus)
+        assert np.array_equal(log.etype, etypes)
+        assert np.array_equal(log.job, jobs)
+
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_near_misses_agree_with_a_dict(
+        self, bare_machine, block_decoder, index_tables, data
+    ):
+        name = data.draw(st.sampled_from(sorted(index_tables)))
+        table, field_max = index_tables[name]
+        key = data.draw(st.sampled_from(sorted(table)))
+        probe = data.draw(_near_misses(key, field_max))
+        tail = data.draw(st.sampled_from(["", " [job=98765]"]))
+        if name == "cname":
+            line = _line(probe, tail=tail)
+        else:
+            line = _line(bare_machine.cname(4321), head=probe, tail=tail)
+        claimed, log = block_decoder.decode((line,))
+        assert len(claimed) == (probe in table), (probe, line)
+        if probe in table:
+            found = log.gpu if name == "cname" else log.etype
+            assert found.tolist() == [table[probe]]
+
+    @pytest.mark.parametrize(
+        ("keys", "from_end"),
+        [
+            pytest.param([b"ab", b"ab"], False, id="key-twice"),
+            pytest.param([b"ab", b"abc"], False, id="differ-past-shortest"),
+            pytest.param([b"xab", b"ab"], True, id="differ-before-shortest"),
+            pytest.param([b"ab", b""], False, id="empty-key"),
+            pytest.param([], False, id="no-keys"),
+            pytest.param(
+                [
+                    bytes(key)
+                    for value in range(10, 210)
+                    for key in ((value, 5, 5), (5, value, 5), (5, 5, value))
+                ],
+                False,
+                id="too-many-slots",
+            ),
+        ],
+    )
+    def test_a_table_it_cannot_tell_apart_raises(self, keys, from_end):
+        with pytest.raises(ValueError):
+            _TableIndex(keys, from_end=from_end)
+
+    def test_a_guess_is_checked_byte_for_byte(self):
+        index = _TableIndex([b"GPU XID 13: x", b"GPU XID 48: y"])
+        buf = np.frombuffer(b"GPU XID 48: z" + bytes(16), dtype=np.uint8)
+        at = np.zeros(1, dtype=np.int64)
+        key = index.guess(buf, at)
+        assert key.tolist() == [1]
+        words = np.ndarray((len(buf) - 7,), "<u8", buffer=buf, strides=(1,))
+        assert index.equal(words, at, key).tolist() == [False]
 
 
 class TestParallelParse:

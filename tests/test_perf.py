@@ -330,9 +330,10 @@ class TestProfileCli:
         assert "(untimed)" in rows
         assert rows["total"] == ["wall", f"{report['wall_s']:.3f}"]
 
-    def test_spans_never_nest(self, tmp_path, monkeypatch, capsys):
-        """No span opens while another is open, on a cold run and on a
-        corrupted sweep point, so stage seconds cannot sum past wall."""
+    def test_spans_never_nest(self, tmp_path, monkeypatch, capsys, clean_perf):
+        """No span opens while another is open, on a cold run, on a
+        corrupted sweep point and on storeless ``observations`` and
+        ``figures`` runs, so stage seconds cannot sum past wall."""
         from repro.cli import main
         from repro.perf.timers import _Span
         from repro.sweep import SweepSpec
@@ -362,6 +363,14 @@ class TestProfileCli:
         assert main(["sweep", "run", "--spec", str(spec), "--cache-dir", cache,
                      "--jobs", "1", "--quiet"]) == 0
         assert "telemetry.parse" in capsys.readouterr().out
+        # With no store the figures run on layers not yet drawn.
+        perf.enable()
+        for command in ("observations", "figures"):
+            perf.reset()
+            main([command, "--days", "3", "--seed", "7", "--no-cache"])
+            stages = perf.snapshot()["stages"]
+            for name in ("telemetry.parse", "telemetry.jobsnap", "study.fig2"):
+                assert name in stages, (command, name)
         assert not open_spans and nested == []
 
     def test_profile_command_is_gone(self, capsys):
