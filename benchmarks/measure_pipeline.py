@@ -20,10 +20,13 @@ document carries a per-stage wall-time breakdown (``stages_s``) next to
 the end-to-end timings, plus a ``gate`` section: the smoke-scenario
 cold budget that CI's perf gate enforces.  ``--gate`` re-runs just the
 smoke cold pipeline and fails if its wall time regresses more than the
-gate tolerance (default 25 %) over the committed budget, or if the
-block-decoded parse of the same smoke lines, clean and 5%-corrupted,
-is not at least ``DECODER_MIN_RATIO`` times as fast as the regex
-reference (``fast=False``) in the same process.
+gate tolerance (default 25 %) over the committed budget, or if a fast
+path is not at least its floor times as fast as its per-row oracle
+(``tests/telemetry_oracles.py``) in the same process: the block-decoded
+parse of the smoke lines, clean and 5%-corrupted, against
+``parse_lines_reference`` (``DECODER_MIN_RATIO``), and
+``ConsoleLogWriter.lines`` over the smoke events against
+``render_lines_reference`` (``RENDER_MIN_RATIO``).
 
 A ``resume_s`` section measures the supervised runner's crash-recovery
 overhead: a cold ``repro run``, the same run SIGKILLed mid-figures in a
@@ -57,10 +60,12 @@ import json
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT))  # the oracles in tests/
 
 from repro import perf  # noqa: E402
 from repro.cli import main as cli_main  # noqa: E402
@@ -70,11 +75,16 @@ from repro.cli import main as cli_main  # noqa: E402
 #: cheap gate budget).
 GATE_DAYS = 45.0
 GATE_TOLERANCE = 0.25
-#: Floors of the block-decoded parse's speed over the regex reference
-#: (``fast=False``) on the gate's smoke lines, clean and 5%-corrupted
-#: (injector seed 7): a fast path that silently fell back to its
-#: reference reads about 1x, whatever the host's speed.
+#: Floors of the block-decoded parse's speed over the parse oracle
+#: (every line through the regex path) on the gate's smoke lines, clean
+#: and 5%-corrupted (injector seed 7): a fast path that silently fell
+#: back to its oracle reads about 1x, whatever the host's speed.
 DECODER_MIN_RATIO = {"clean": 5.5, "uniform(0.05)": 4.0}
+#: Floor of ``ConsoleLogWriter.lines``'s speed over the per-row render
+#: oracle on the gate's smoke events: about half of the 14.3-19.9x
+#: (median about 18x) it read in nine samples on a 2-core host, quiet
+#: and beside other load.
+RENDER_MIN_RATIO = 9.0
 
 
 def _timed(argv: list[str], *, profile: bool = False) -> tuple[float, int, str]:
@@ -113,18 +123,42 @@ def _gate_argv(gate: dict) -> list[str]:
     ]
 
 
-def _decoder_ratios(days: float, seed: int) -> dict[str, float]:
-    """Speed of ``ConsoleLogParser(machine).parse_lines`` over the
-    reference ``ConsoleLogParser(machine, fast=False)`` on the same
-    smoke lines: the median of three alternating timings each."""
+def _median_ratio(fast: Callable[[], object], oracle: Callable[[], object]) -> float:
+    """Median seconds of ``oracle()`` over those of ``fast()``, from
+    three alternating timings each."""
     import statistics
 
+    seconds: dict[Callable[[], object], list[float]] = {fast: [], oracle: []}
+    for _ in range(3):
+        for run in (fast, oracle):
+            t0 = time.perf_counter()
+            run()
+            seconds[run].append(time.perf_counter() - t0)
+    return statistics.median(seconds[oracle]) / statistics.median(seconds[fast])
+
+
+def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
+    """Speed of each fast path over its oracle on the smoke scenario,
+    with its floor: the render of the events, and the parse of the
+    rendered lines, clean and 5%-corrupted."""
     from repro.chaos.injector import ChaosConfig, CorruptionInjector
     from repro.sim import Scenario
     from repro.sim.simulation import TitanSimulation
+    from repro.telemetry.console import ConsoleLogWriter
     from repro.telemetry.parser import ConsoleLogParser
+    from tests.telemetry_oracles import parse_lines_reference, render_lines_reference
 
     dataset = TitanSimulation(Scenario.smoke(seed=seed, days=days)).run()
+    machine, events = dataset.machine, dataset.events
+    ratios = {
+        "render": (
+            _median_ratio(
+                lambda: list(ConsoleLogWriter(machine).lines(events)),
+                lambda: list(render_lines_reference(machine, events)),
+            ),
+            RENDER_MIN_RATIO,
+        )
+    }
     text = dataset.console_text
     logs = {
         "clean": text,
@@ -132,25 +166,19 @@ def _decoder_ratios(days: float, seed: int) -> dict[str, float]:
             ChaosConfig.uniform(0.05), seed=7
         ).corrupt_text(text).text,
     }
-    ratios = {}
     for name, log in logs.items():
         lines = log.splitlines()
-        seconds: dict[bool, list[float]] = {True: [], False: []}
-        for _ in range(3):
-            for fast in (True, False):
-                t0 = time.perf_counter()
-                ConsoleLogParser(dataset.machine, fast=fast).parse_lines(lines)
-                seconds[fast].append(time.perf_counter() - t0)
-        ratios[name] = statistics.median(seconds[False]) / statistics.median(
-            seconds[True]
+        ratio = _median_ratio(
+            lambda lines=lines: ConsoleLogParser(machine).parse_lines(lines),
+            lambda lines=lines: parse_lines_reference(machine, lines),
         )
+        ratios[f"block decode {name}"] = (ratio, DECODER_MIN_RATIO[name])
     return ratios
 
 
 def run_gate(out: Path) -> int:
     """CI perf gate: fail if the smoke cold run regresses past budget,
-    or the block decoder's speed over its reference falls below its
-    floor."""
+    or a fast path's speed over its oracle falls below its floor."""
     if not out.exists():
         print(f"gate: no committed benchmark at {out}", file=sys.stderr)
         return 2
@@ -176,12 +204,10 @@ def run_gate(out: Path) -> int:
         for name, seconds in _stage_seconds().items():
             print(f"  {name:<20} {seconds:8.3f} s")
         failed = True
-    for name, ratio in _decoder_ratios(gate["days"], gate["seed"]).items():
-        floor = DECODER_MIN_RATIO[name]
-        print(f"gate: block decode {name} {ratio:.1f}x the reference "
-              f"(floor {floor:.1f}x)")
+    for name, (ratio, floor) in _oracle_ratios(gate["days"], gate["seed"]).items():
+        print(f"gate: {name} {ratio:.1f}x the oracle (floor {floor:.1f}x)")
         if ratio < floor:
-            print(f"gate: FAIL (block decode {name} below its floor)")
+            print(f"gate: FAIL ({name} below its floor)")
             failed = True
     if failed:
         return 1
@@ -472,8 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
     ap.add_argument("--gate", action="store_true",
                     help="CI mode: time the smoke cold run against the "
-                         "committed gate budget, and the block decoder "
-                         "against its reference, instead of regenerating")
+                         "committed gate budget, and the render and the "
+                         "block decoder against their oracles, instead "
+                         "of regenerating")
     ap.add_argument("--memory-gate", action="store_true",
                     help="CI mode: check peak RSS stays flat "
                          "across the scale axis (memory_s budget)")

@@ -6,6 +6,9 @@ and the first paragraph of each docstring, and writes a compact API
 index.  Run after API changes::
 
     python docs/generate_api.py
+
+``tests/test_docs.py`` fails while the committed index differs from
+:func:`render`.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def public_members(module):
                 yield name, obj
 
 
-def main() -> None:
+def render() -> str:
+    """The API index, as ``docs/API.md`` should hold it."""
     out = [
         "# API reference",
         "",
@@ -75,9 +79,13 @@ def main() -> None:
                     f"{first_paragraph(inspect.getdoc(obj))}"
                 )
             out.append("")
+    return "\n".join(out) + "\n"
+
+
+def main() -> None:
     path = Path(__file__).parent / "API.md"
-    path.write_text("\n".join(out) + "\n")
-    print(f"wrote {path} ({len(out)} lines)")
+    path.write_text(render())
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -24,9 +24,6 @@ must produce bit-identical statistics.
 
 from __future__ import annotations
 
-import os
-from pathlib import Path
-
 from repro.cache.keys import (
     PIPELINE_EPOCH,
     artifact_key,
@@ -71,17 +68,4 @@ __all__ = [
     "persist_dataset",
     "load_dataset",
     "load_or_simulate",
-    "default_cache_dir",
 ]
-
-#: Environment override for every CLI entry point's ``--cache-dir``.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-
-#: Fallback cache location (project-local, like ``.pytest_cache``).
-DEFAULT_CACHE_DIRNAME = ".repro-cache"
-
-
-def default_cache_dir() -> Path:
-    """``$REPRO_CACHE_DIR`` if set, else ``./.repro-cache``."""
-    env = os.environ.get(CACHE_DIR_ENV, "").strip()
-    return Path(env) if env else Path(DEFAULT_CACHE_DIRNAME)

@@ -6,7 +6,9 @@ Actions
 ``clear``  remove every artifact (and stale staging files)
 ``evict``  drop least-recently-modified artifacts to fit a byte budget
 
-Exit codes follow the CLI convention: 0 on success, 2 on bad
+The store is the one every command uses: ``--cache-dir``, else
+``$REPRO_CACHE_DIR``; with neither the command exits 2 and touches
+nothing.  Exit codes follow the CLI convention: 0 on success, 2 on bad
 invocation.  ``--json`` emits machine-readable output for tooling.
 """
 
@@ -14,10 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
-
-from repro.cache import default_cache_dir
-from repro.cache.store import ArtifactStore
 
 __all__ = ["add_cache_arguments", "cmd_cache"]
 
@@ -43,8 +43,7 @@ def add_cache_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         type=Path,
         default=None,
-        help="artifact store root (default: $REPRO_CACHE_DIR or "
-             "./.repro-cache)",
+        help="artifact store root (default: $REPRO_CACHE_DIR)",
     )
     parser.add_argument(
         "--max-mb",
@@ -70,8 +69,16 @@ def _human_bytes(n: int) -> str:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Run one maintenance action; returns the process exit code."""
-    root = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    store = ArtifactStore(root)
+    from repro.cli import _store
+
+    store = _store(args)
+    if store is None:
+        print(
+            "error: repro cache needs an artifact store; "
+            "pass --cache-dir or set $REPRO_CACHE_DIR",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.action == "info":
         info = store.info()

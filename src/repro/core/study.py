@@ -13,11 +13,10 @@ alone consults ``fig14``/``figs16_19`` several times), and with an
 :class:`~repro.cache.store.ArtifactStore` attached the result is also
 persisted under the dataset's content address, so a later process skips
 the computation entirely.  Memoized results are never written back for
-datasets whose observable stream was modified (chaos experiments) or
-that carry a coverage model — those results are not a pure function of
-``(scenario, seed, epoch)``.  The golden-trace suite
-(``tests/test_golden.py``) pins cold, store-backed and warm runs
-bit-for-bit.
+datasets whose observable stream was modified (chaos experiments) —
+those results are not a pure function of ``(scenario, seed, epoch)``.
+The golden-trace suite (``tests/test_golden.py``) pins cold,
+store-backed and warm runs bit-for-bit.
 """
 
 from __future__ import annotations
@@ -56,7 +55,6 @@ from repro.errors.event import EventLog, structure_from_code
 from repro.errors.xid import ErrorType, table1_rows, table2_rows
 from repro.gpu.k20x import MemoryStructure
 from repro.sim.simulation import SimulationDataset
-from repro.telemetry.coverage import LOW_COVERAGE_THRESHOLD, ObservedWindows
 from repro.telemetry.jobsnap import JobSnapshotFramework
 
 __all__ = ["TitanStudy", "FIGURES"]
@@ -89,10 +87,9 @@ FIGURES: tuple[str, ...] = (
 class MonthlyFigure:
     """A monthly-frequency figure (2, 4, 6, 9, 10, 11).
 
-    ``coverage_fraction``/``low_coverage`` annotate the statistic's
-    confidence when telemetry collection had outages: the MTBF is then
-    normalized by *observed* time (gap-bias corrected), and figures
-    computed under thin coverage carry the low-confidence flag.
+    ``coverage_fraction``/``low_coverage`` always hold their defaults:
+    the study normalizes by nominal time.  They stay because every
+    monthly figure's golden digest encodes them.
     """
 
     etype: ErrorType
@@ -154,34 +151,25 @@ class Fig20Result:
 
 
 class TitanStudy:
-    """The full analysis pipeline over one simulated dataset.
-
-    ``coverage`` (optional) declares which time spans the console
-    telemetry actually observed; when given, rate statistics are
-    normalized by observed time and annotated with a low-coverage
-    confidence flag below :data:`LOW_COVERAGE_THRESHOLD`.
-    """
+    """The full analysis pipeline over one simulated dataset."""
 
     def __init__(
         self,
         dataset: SimulationDataset,
         *,
-        coverage: ObservedWindows | None = None,
         store: "Any | None" = None,
     ) -> None:
         self.ds = dataset
-        self.coverage = coverage
         self._log: EventLog | None = None
         self.store = store
         self._memo: dict[str, Any] = {}
         self._dataset_key: str | None = None
         # Persisted figure results must be a pure function of
-        # (scenario, seed, epoch): a modified console stream or an
-        # attached coverage model changes the numbers without changing
-        # the key, so those studies only memoize in-process.
+        # (scenario, seed, epoch): a modified console stream changes
+        # the numbers without changing the key, so those studies only
+        # memoize in-process.
         self._use_store = (
             store is not None
-            and coverage is None
             and dataset.provenance in ("simulated", "cache")
         )
 
@@ -246,18 +234,6 @@ class TitanStudy:
         """Every figure of the paper, as ``{method name: result}``."""
         return {name: getattr(self, name)() for name in FIGURES}
 
-    @property
-    def coverage_fraction(self) -> float:
-        """Observed fraction of the study window (1.0 without a model)."""
-        return 1.0 if self.coverage is None else self.coverage.coverage_fraction
-
-    @property
-    def low_coverage(self) -> bool:
-        return (
-            self.coverage is not None
-            and self.coverage.is_low(LOW_COVERAGE_THRESHOLD)
-        )
-
     # -- shared inputs ---------------------------------------------------------
 
     @property
@@ -284,35 +260,19 @@ class TitanStudy:
     # -- hardware figures --------------------------------------------------------
 
     def fig2(self) -> MonthlyFigure:
-        """Monthly DBE frequency and fleet MTBF (Observation 1).
-
-        With a coverage model attached, the MTBF is gap-bias corrected
-        (normalized by observed rather than nominal time).
-        """
+        """Monthly DBE frequency and fleet MTBF (Observation 1)."""
         return self._figure("fig2", self._fig2)
 
     def _fig2(self) -> MonthlyFigure:
         start, end = self.window
         dbe = self.log.of_type(ErrorType.DBE)
-        if self.coverage is not None and len(dbe):
-            in_coverage = dbe.select(self.coverage.contains(dbe.time))
-            mtbf = (
-                mtbf_hours(dbe, coverage=self.coverage)
-                if len(in_coverage)
-                else None
-            )
-        elif len(dbe):
-            mtbf = mtbf_hours(dbe, span_s=end - start)
-        else:
-            mtbf = None
+        mtbf = mtbf_hours(dbe, span_s=end - start) if len(dbe) else None
         return MonthlyFigure(
             etype=ErrorType.DBE,
             counts=monthly_counts(dbe),
             total=len(dbe),
             mtbf_hours=mtbf,
             burstiness=burstiness_metrics(dbe, start, end),
-            coverage_fraction=self.coverage_fraction,
-            low_coverage=self.low_coverage,
         )
 
     def _spatial(self, etype: ErrorType) -> SpatialFigure:
@@ -350,8 +310,6 @@ class TitanStudy:
             counts=monthly_counts(otb),
             total=len(otb),
             burstiness=burstiness_metrics(otb, start, end),
-            coverage_fraction=self.coverage_fraction,
-            low_coverage=self.low_coverage,
         )
 
     def fig5(self) -> SpatialFigure:
@@ -370,8 +328,6 @@ class TitanStudy:
             etype=ErrorType.ECC_PAGE_RETIREMENT,
             counts=monthly_counts(retirement),
             total=len(retirement),
-            coverage_fraction=self.coverage_fraction,
-            low_coverage=self.low_coverage,
         )
 
     def fig7(self) -> SpatialFigure:
@@ -418,8 +374,6 @@ class TitanStudy:
             burstiness=(
                 burstiness_metrics(events, start, end) if len(events) else None
             ),
-            coverage_fraction=self.coverage_fraction,
-            low_coverage=self.low_coverage,
         )
 
     def fig9(self) -> dict[int, MonthlyFigure]:
@@ -451,8 +405,6 @@ class TitanStudy:
             counts=monthly_counts(filtered),
             total=len(filtered),
             burstiness=burstiness_metrics(filtered, start, end),
-            coverage_fraction=self.coverage_fraction,
-            low_coverage=self.low_coverage,
         )
 
     def fig11(self) -> dict[int, MonthlyFigure]:

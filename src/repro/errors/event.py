@@ -281,7 +281,7 @@ class EventLogBuilder:
         self._maybe_spool()
         return index
 
-    def add_children(
+    def add_many(
         self,
         times: np.ndarray,
         gpus: np.ndarray,
@@ -290,9 +290,9 @@ class EventLogBuilder:
         job: int = -1,
         parent: int = -1,
     ) -> None:
-        """Bulk-append same-type child events sharing one job/parent tag.
+        """Bulk-append same-type events sharing one job/parent tag.
 
-        Vectorized counterpart of calling :meth:`add` once per child
+        Vectorized counterpart of calling :meth:`add` once per event
         with scalar ``job``/``parent`` — used by the cascade echo
         fan-out, where a single parent spawns a child on every other
         GPU of its job allocation.
@@ -325,36 +325,6 @@ class EventLogBuilder:
         self._spool()  # preserve ordering of any pending list rows
         self._chunks.append(log)
         self._frozen_rows += len(log)
-
-    def add_many(
-        self,
-        times: np.ndarray,
-        gpus: np.ndarray,
-        etype: ErrorType,
-        *,
-        structure: MemoryStructure | None = None,
-        jobs: np.ndarray | None = None,
-        aux: np.ndarray | None = None,
-    ) -> None:
-        """Bulk-append same-type events (vectorized injector path)."""
-        times = np.asarray(times, dtype=np.float64)
-        gpus = np.asarray(gpus, dtype=np.int64)
-        if times.shape != gpus.shape:
-            raise ValueError("times and gpus must have matching shapes")
-        n = times.shape[0]
-        scode = -1 if structure is None else STRUCTURE_CODES[structure]
-        self._rows["time"].extend(times.tolist())
-        self._rows["gpu"].extend(gpus.tolist())
-        self._rows["etype"].extend([etype.code] * n)
-        self._rows["structure"].extend([scode] * n)
-        self._rows["job"].extend(
-            [-1] * n if jobs is None else np.asarray(jobs, dtype=np.int64).tolist()
-        )
-        self._rows["parent"].extend([-1] * n)
-        self._rows["aux"].extend(
-            [-1] * n if aux is None else np.asarray(aux, dtype=np.int64).tolist()
-        )
-        self._maybe_spool()
 
     def freeze(self) -> EventLog:
         """Materialize the accumulated rows into an immutable log.

@@ -109,7 +109,7 @@ class CascadeModel:
                 )
                 # Echo fan-out dominates the child count (one child per
                 # allocated GPU); bulk-append instead of per-child add.
-                builder.add_children(
+                builder.add_many(
                     t + delays, others, etype, job=job, parent=i
                 )
 

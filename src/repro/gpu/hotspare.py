@@ -36,6 +36,8 @@ __all__ = ["StressVerdict", "StressResult", "StressTestCampaign"]
 
 
 class StressVerdict(enum.Enum):
+    """Outcome of a stress campaign: failures reproduced, or cleared."""
+
     RETURN_TO_VENDOR = "return_to_vendor"
     CLEARED = "cleared"
 

@@ -159,25 +159,18 @@ class SimulationDataset:
             perf.count("telemetry.events", stats.parsed_events)
         return self._parsed
 
-    def with_console_text(
-        self,
-        text: str,
-        parsed: Optional[tuple[EventLog, ParseStats]] = None,
-    ) -> "SimulationDataset":
+    def with_console_text(self, text: str) -> "SimulationDataset":
         """Dataset variant whose *observable* console stream is replaced.
 
         This is the chaos-experiment hook: the simulation's ground
         truth (injection, fleet, nvsmi ledgers) is shared, but the
         analyses will see ``text`` — e.g. a corrupted rendering — as
-        the console log.  ``parsed`` pre-seeds the parse cache when the
-        caller already parsed the text (it must be the time-sorted log
-        for ``text``); otherwise the default lenient parser runs
-        lazily.
+        the console log, parsed lazily by the default lenient parser.
         """
         import dataclasses
 
         return dataclasses.replace(
-            self, _console_text=text, _parsed=parsed, provenance="modified"
+            self, _console_text=text, _parsed=None, provenance="modified"
         )
 
     @property

@@ -14,7 +14,7 @@ The paper's analyses never see the machine directly; they see
   each job script) — :mod:`jobsnap`, the data source of Figs. 16–20.
 """
 
-from repro.telemetry.console import ConsoleLogWriter, render_event_line
+from repro.telemetry.console import ConsoleLogWriter
 from repro.telemetry.sec import SEC_RULES, SecRule, classify_line
 from repro.telemetry.parser import ConsoleLogParser, ParseStats
 from repro.telemetry.ingestion import (
@@ -52,7 +52,6 @@ from repro.telemetry.jobsnap import (
 
 __all__ = [
     "ConsoleLogWriter",
-    "render_event_line",
     "SEC_RULES",
     "SecRule",
     "classify_line",

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
+import numpy as np
+
 from repro import perf
-from repro.errors.event import STRUCTURE_CODES, EventLog, structure_from_code
-from repro.errors.xid import ErrorType, from_code
+from repro.errors.event import STRUCTURE_CODES, EventLog
+from repro.errors.xid import ErrorType
 from repro.telemetry.timecodec import format_timestamps
 from repro.topology.machine import TitanMachine
-from repro.units import timestamp_to_datetime
 
-__all__ = ["render_event_line", "ConsoleLogWriter", "RENDER_CHUNK_ROWS"]
+__all__ = ["ConsoleLogWriter", "RENDER_CHUNK_ROWS"]
 
 #: Row granularity of the streaming render: timestamps vectorize one
 #: chunk at a time, so the writer never holds the whole stream's stamp
@@ -58,35 +59,6 @@ _PHRASES: dict[ErrorType, str] = {
     ErrorType.MCU_HALT_NEW: "Internal micro-controller halt",
 }
 
-
-def render_event_line(
-    time: float,
-    cname: str,
-    etype: ErrorType,
-    *,
-    structure_name: str | None = None,
-    page: int | None = None,
-    job: int = -1,
-) -> str:
-    """Render one console log line; raises for unloggable types (SBE)."""
-    if etype is ErrorType.SBE:
-        raise ValueError("single-bit errors are never written to the console log")
-    stamp = timestamp_to_datetime(time).strftime("%Y-%m-%dT%H:%M:%S.%f")
-    phrase = _PHRASES[etype]
-    if etype is ErrorType.OFF_THE_BUS:
-        body = phrase  # host-side message, no XID
-    else:
-        body = f"GPU XID {etype.xid}: {phrase}"
-    if structure_name is not None:
-        body += f" in {structure_name}"
-        if page is not None and page >= 0:
-            body += f" page 0x{page:06x}"
-    line = f"{stamp} {cname} {body}"
-    if job >= 0:
-        line += f" [job={job}]"
-    return line
-
-
 _SBE_CODE: int = ErrorType.SBE.code
 
 #: etype code → constant line-body head ("GPU XID n: phrase", or the
@@ -110,11 +82,10 @@ _STRUCT_NAME_BY_CODE: list[str] = [
 class ConsoleLogWriter:
     """Streams an :class:`EventLog` out as Titan console-log text.
 
-    The hot path renders from precomputed tables (body heads per etype
-    code, structure names per code, the machine-wide cname table, and
-    the fixed-format timestamp codec); it is byte-identical to calling
-    :func:`render_event_line` per row, which remains as the verification
-    reference (see ``lines_reference``).
+    Lines render from precomputed tables (body heads per etype code,
+    structure names per code, the machine-wide cname table, and the
+    fixed-format timestamp codec).  The tests pin them byte for byte to
+    a per-row reference render kept outside the package.
     """
 
     def __init__(self, machine: TitanMachine) -> None:
@@ -128,6 +99,11 @@ class ConsoleLogWriter:
         alive at a time.  A window is built under one
         ``telemetry.render`` span and yielded after it closes, so the
         span never times the consumer's work.
+
+        Raises ``ValueError`` for a rendered row whose GPU id is outside
+        ``[0, n_gpus)`` or whose time has no stamp (see
+        :func:`~repro.telemetry.timecodec.format_timestamps`); SBE rows
+        are skipped whatever they hold.
         """
         heads = _BODY_HEAD_BY_CODE
         struct_names = _STRUCT_NAME_BY_CODE
@@ -136,12 +112,25 @@ class ConsoleLogWriter:
             rows = slice(start, start + RENDER_CHUNK_ROWS)
             window: list[str] = []
             with perf.stage("telemetry.render"):
-                # SBE rows get stamps too: skipping them afterwards is
-                # cheaper than masking first.
+                etypes = events.etype[rows]
+                gpus = events.gpu[rows]
+                skipped = etypes == _SBE_CODE
+                outside = np.flatnonzero(
+                    ~skipped & ((gpus < 0) | (gpus >= len(cnames)))
+                )
+                if len(outside):
+                    row = int(outside[0])
+                    raise ValueError(
+                        f"row {start + row}: GPU id {int(gpus[row])} is outside "
+                        f"[0, {len(cnames)})"
+                    )
+                # SBE rows get stamps too, of time 0 whatever they
+                # hold: skipping them in the loop is cheaper than
+                # selecting the other rows first.
                 for stamp, gpu, ecode, scode, job, aux in zip(
-                    format_timestamps(events.time[rows]),
-                    events.gpu[rows].tolist(),
-                    events.etype[rows].tolist(),
+                    format_timestamps(np.where(skipped, 0.0, events.time[rows])),
+                    gpus.tolist(),
+                    etypes.tolist(),
                     events.structure[rows].tolist(),
                     events.job[rows].tolist(),
                     events.aux[rows].tolist(),
@@ -159,27 +148,6 @@ class ConsoleLogWriter:
                     else:
                         window.append(f"{stamp} {cnames[gpu]} {body}")
             yield from window
-
-    def lines_reference(self, events: EventLog) -> Iterator[str]:
-        """Per-row reference rendering via :func:`render_event_line`.
-
-        Kept (and exercised by the tests) to pin the fast path's output;
-        use :meth:`lines` everywhere else.
-        """
-        for i in range(len(events)):
-            etype = from_code(int(events.etype[i]))
-            if etype is ErrorType.SBE:
-                continue
-            structure = structure_from_code(int(events.structure[i]))
-            page = int(events.aux[i])
-            yield render_event_line(
-                float(events.time[i]),
-                self.machine.cname(int(events.gpu[i])),
-                etype,
-                structure_name=None if structure is None else structure.value,
-                page=page if page >= 0 else None,
-                job=int(events.job[i]),
-            )
 
     def to_text(self, events: EventLog) -> str:
         parts = list(self.lines(events))

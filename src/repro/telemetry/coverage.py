@@ -12,10 +12,9 @@ MTBF (gap bias).  Field follow-ups (Cui et al. on H100 clusters; Haque
 ``[start, end)`` intervals inside the study window.  It can be built
 from known outage windows (the chaos injector reports its ground
 truth), inferred from suspicious gaps in a parsed event stream, or
-taken as full coverage.  The MTBF/rate analyses accept it and
-normalize by *observed* seconds instead of the nominal span; results
-carry a ``low_coverage`` confidence flag once the observed fraction
-drops below :data:`LOW_COVERAGE_THRESHOLD`.
+taken as full coverage.  The MTBF analysis accepts it and normalizes
+by *observed* seconds instead of the nominal span; :meth:`is_low`
+flags an observed fraction below :data:`LOW_COVERAGE_THRESHOLD`.
 """
 
 from __future__ import annotations

@@ -54,12 +54,13 @@ from repro import perf
 from repro.errors.event import EventLog, EventLogBuilder
 from repro.errors.xid import ErrorType
 from repro.gpu.k20x import MemoryStructure
+from repro.telemetry.console import _BODY_HEAD_BY_CODE
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
     QuarantineSink,
 )
-from repro.telemetry.sec import SEC_RULES, SecRule, UnmatchedLine, classify_line
+from repro.telemetry.sec import UnmatchedLine, classify_line
 from repro.telemetry.timecodec import parse_timestamp
 from repro.topology.machine import TitanMachine
 from repro.units import STUDY_EPOCH
@@ -92,26 +93,16 @@ _STRUCT_BY_NAME = {s.value: s for s in MemoryStructure}
 #: a page/job field is corruption, not data.
 _MAX_INT_FIELD = 2**62
 
-#: Lazily built block-decoder table: body-head string → etype code, for
-#: every constant head the writer can emit.  The map is derived by
-#: running :func:`classify_line` on each head, so the block decoder
-#: classifies exactly as the catalog-ordered reference path does; any
-#: line that is not byte-for-byte canonical writer output — corruption,
-#: splices, unknown XIDs, non-GPU chatter, non-canonical cnames — goes
-#: to the unchanged reference path.
-_FAST_HEADS: dict[str, int] | None = None
-
-
-def _fast_heads() -> dict[str, int]:
-    global _FAST_HEADS
-    if _FAST_HEADS is None:
-        from repro.telemetry.console import _BODY_HEAD_BY_CODE
-
-        _FAST_HEADS = {
-            head: classify_line(head, SEC_RULES).code
-            for head in _BODY_HEAD_BY_CODE.values()
-        }
-    return _FAST_HEADS
+#: Block-decoder table: body-head string → etype code, for every
+#: constant head the writer can emit.  The map is derived by running
+#: :func:`classify_line` on each head, so the block decoder classifies
+#: exactly as the catalog-ordered reference path does; any line that is
+#: not byte-for-byte canonical writer output — corruption, splices,
+#: unknown XIDs, non-GPU chatter, non-canonical cnames — goes to the
+#: unchanged reference path.
+_ETYPE_BY_HEAD: dict[str, int] = {
+    head: classify_line(head).code for head in _BODY_HEAD_BY_CODE.values()
+}
 
 
 def _split_lines(text: str, block: int = 1 << 16) -> Iterator[str]:
@@ -497,8 +488,6 @@ class ConsoleLogParser:
     ----------
     machine:
         Topology used to decode cnames into GPU slots.
-    rules:
-        SEC classification rules (defaults to the paper's catalog).
     strict:
         Raise :class:`IngestionError` on the first rejected line
         instead of counting it.  Non-GPU noise is still tolerated —
@@ -513,42 +502,29 @@ class ConsoleLogParser:
         the full stream is parsed, carrying the partial log.
     quarantine:
         Optional sink receiving every rejected line.
-    fast:
-        Block-decode byte-for-byte canonical writer lines with numpy
-        (see :class:`_BlockDecoder`) and send every other line, in line
-        order, through the regex reference path.  The block decoder
-        claims only lines on which the two agree, so output is
-        identical either way; ``fast=False`` runs the reference alone
-        and exists for the equivalence tests.  Block decoding only
-        engages for the default rule catalog — custom ``rules`` always
-        classify through the reference.
+
+    Lines classify through the SEC rule catalog
+    (:data:`~repro.telemetry.sec.SEC_RULES`), which the block decoder's
+    head table follows; a new XID goes into the catalog.
     """
 
     def __init__(
         self,
         machine: TitanMachine,
-        rules: tuple[SecRule, ...] = SEC_RULES,
         *,
         strict: bool = False,
         resync: bool = True,
         error_budget: float | None = None,
         quarantine: QuarantineSink | None = None,
-        fast: bool = True,
     ) -> None:
         self.machine = machine
-        self.rules = rules
         self.strict = bool(strict)
         self.resync = bool(resync)
         if error_budget is not None and not 0.0 <= error_budget <= 1.0:
             raise ValueError("error_budget must be in [0, 1] or None")
         self.error_budget = error_budget
         self.quarantine = quarantine
-        self.fast = bool(fast)
-        self._decoder = (
-            _BlockDecoder(machine, _fast_heads())
-            if self.fast and rules is SEC_RULES
-            else None
-        )
+        self._decoder = _BlockDecoder(machine, _ETYPE_BY_HEAD)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -615,7 +591,7 @@ class ConsoleLogParser:
         split seam), which makes the log equal the reference's row for
         row.
         """
-        decoded = None if self._decoder is None else self._decoder.decode(batch)
+        decoded = self._decoder.decode(batch)
         claimed_at, claimed = decoded or (np.empty(0, dtype=np.int64), EventLog.empty())
         left = np.ones(len(batch), dtype=bool)
         left[claimed_at] = False
@@ -658,7 +634,7 @@ class ConsoleLogParser:
         if self.resync and self._try_split_seam(builder, stats, line_no, line):
             return
         try:
-            etype = classify_line(match["body"], self.rules)
+            etype = classify_line(match["body"])
         except UnmatchedLine:
             # A spliced body can hide a valid record further in; prefer
             # recovery over rejection.
@@ -741,7 +717,7 @@ class ConsoleLogParser:
         if head_match is None:
             return False
         try:
-            etype = classify_line(head_match["body"], self.rules)
+            etype = classify_line(head_match["body"])
         except UnmatchedLine:
             return False
         if etype is None or not self._emit(builder, stats, head_match, etype):
@@ -779,7 +755,7 @@ class ConsoleLogParser:
             match = _LINE_RE.match(tail)
             if match is not None:
                 try:
-                    etype = classify_line(match["body"], self.rules)
+                    etype = classify_line(match["body"])
                 except UnmatchedLine:
                     etype = None
                 if etype is not None and self._emit(builder, stats, match, etype):

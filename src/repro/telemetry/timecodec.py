@@ -7,9 +7,10 @@ tens of microseconds per line — at fleet scale that is the single
 largest term in the telemetry round trip — so this module provides a
 hand-rolled codec for exactly that format:
 
-* :func:`format_timestamp` — seconds-since-study-epoch → stamp text,
-  byte-identical to
-  ``timestamp_to_datetime(ts).strftime("%Y-%m-%dT%H:%M:%S.%f")``;
+* :func:`format_timestamps` — seconds-since-study-epoch → stamp text,
+  byte-identical, element for element, to
+  ``timestamp_to_datetime(ts).isoformat(timespec="microseconds")``
+  (``strftime`` with the same format, for years from 1000 on);
 * :func:`parse_timestamp` — stamp text → seconds-since-study-epoch,
   value-identical (bit-for-bit ``float64``) to
   ``datetime_to_timestamp(datetime.strptime(stamp, ...))``.  On every
@@ -28,7 +29,7 @@ Both directions memoize the calendar work per *day*: the date prefix
 (``YYYY-MM-DD``) is computed once per distinct day and reused for every
 stamp on that day, so the per-line cost collapses to integer slicing
 and arithmetic.  Microsecond rounding on the formatting side replicates
-``datetime.timedelta(seconds=ts)`` exactly (``math.modf`` + round-half-
+``datetime.timedelta(seconds=ts)`` exactly (``np.modf`` + round-half-
 even); the parsing side uses pure integer arithmetic and one final
 division, matching ``timedelta.total_seconds()`` bit for bit.  The
 equivalence is locked by property tests against the stdlib reference
@@ -38,7 +39,6 @@ equivalence is locked by property tests against the stdlib reference
 from __future__ import annotations
 
 import datetime as _dt
-import math
 from collections.abc import Iterable
 
 import numpy as np
@@ -48,7 +48,6 @@ from repro.units import DAY, HOUR, MINUTE, STUDY_EPOCH, datetime_to_timestamp
 __all__ = [
     "TIMESTAMP_FORMAT",
     "TIMESTAMP_WIDTH",
-    "format_timestamp",
     "format_timestamps",
     "parse_timestamp",
 ]
@@ -68,6 +67,14 @@ _SECONDS_PER_MINUTE = int(MINUTE)
 
 _EPOCH_ORDINAL = STUDY_EPOCH.toordinal()  # STUDY_EPOCH is midnight
 
+#: Days from the epoch to the first and the last date a stamp spells
+#: (years 1 to 9999).
+_FIRST_DAY = _dt.date.min.toordinal() - _EPOCH_ORDINAL
+_LAST_DAY = _dt.date.max.toordinal() - _EPOCH_ORDINAL
+#: No time this far from the epoch (about 31,700 years) falls inside
+#: those years, and every nearer one counts its microseconds in int64.
+_MAX_SECONDS = 1e12
+
 #: Per-day memo tables.  A 21-month study touches ~640 distinct days;
 #: hostile (chaos-corrupted) streams can mint more, so both tables are
 #: bounded — on overflow they reset rather than grow without limit.
@@ -83,57 +90,40 @@ _2D_TEXT: tuple[str, ...] = tuple(f"{i:02d}" for i in range(60))
 _2D_VALUE: dict[str, int] = {f"{i:02d}": i for i in range(100)}
 
 
-def _total_microseconds(ts: float) -> int:
-    """Whole microseconds in ``ts`` seconds, rounded half-to-even.
-
-    Replicates ``datetime.timedelta(seconds=ts)`` normalization: the
-    integral part converts exactly, the fractional part rounds to the
-    nearest microsecond with banker's rounding — so the formatted stamp
-    is byte-identical to the ``timestamp_to_datetime`` + ``strftime``
-    reference for every float.
-    """
-    frac, whole = math.modf(ts)
-    return int(whole) * _US_PER_SECOND + round(frac * 1e6)
-
-
 def _date_of_day(day: int) -> str:
     """Memoized ``YYYY-MM-DD`` prefix for a day offset from the epoch."""
     date = _DATE_OF_DAY.get(day)
     if date is None:
         if len(_DATE_OF_DAY) >= _MEMO_LIMIT:
             _DATE_OF_DAY.clear()
-        date = _dt.date.fromordinal(_EPOCH_ORDINAL + day).strftime("%Y-%m-%d")
+        date = _dt.date.fromordinal(_EPOCH_ORDINAL + day).isoformat()
         _DATE_OF_DAY[day] = date
     return date
 
 
-def format_timestamp(ts: float) -> str:
-    """Render seconds-since-epoch as ``YYYY-MM-DDTHH:MM:SS.ffffff``."""
-    day, us = divmod(_total_microseconds(float(ts)), _US_PER_DAY)
-    second, us = divmod(us, _US_PER_SECOND)
-    minute, second = divmod(second, _SECONDS_PER_MINUTE)
-    hour, minute = divmod(minute, _SECONDS_PER_MINUTE)
-    return f"{_date_of_day(day)}T{hour:02d}:{minute:02d}:{second:02d}.{us:06d}"
-
-
 def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
-    """Vectorized :func:`format_timestamp` over an array of timestamps.
+    """Render seconds-since-epoch as ``YYYY-MM-DDTHH:MM:SS.ffffff`` stamps.
 
-    Byte-identical, element for element, to the scalar codec in a loop:
-    the µs normalization maps ``math.modf`` + ``round`` (half-even) to
-    ``np.modf`` + ``np.rint`` — the same IEEE-754 operations — and the
-    divmod cascade runs once per *array* instead of once per stamp.
-    Timestamps must stay within int64 µs range (±292k years — every
-    simulated stream qualifies); the scalar codec has no such bound.
+    The µs normalization maps ``timedelta``'s ``modf`` + ``round``
+    (half-even) to ``np.modf`` + ``np.rint`` — the same IEEE-754
+    operations — and the divmod cascade runs once per *array* instead
+    of once per stamp.  Raises ``ValueError`` for a time that is not
+    finite or whose stamp would fall outside years 1–9999.
     """
     arr = np.asarray(times, dtype=np.float64)
     if arr.size == 0:
         return []
+    near = np.abs(arr) < _MAX_SECONDS  # False for NaN too
+    if not near.all():
+        raise _unstamped(arr[~near])
     frac, whole = np.modf(arr)
     total_us = whole.astype(np.int64) * _US_PER_SECOND + np.rint(
         frac * 1e6
     ).astype(np.int64)
     day, us = np.divmod(total_us, _US_PER_DAY)
+    outside = (day < _FIRST_DAY) | (day > _LAST_DAY)
+    if outside.any():
+        raise _unstamped(arr[outside])
     second, us = np.divmod(us, _US_PER_SECOND)
     minute, second = np.divmod(second, _SECONDS_PER_MINUTE)
     hour, minute = np.divmod(minute, _SECONDS_PER_MINUTE)
@@ -153,6 +143,11 @@ def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
             last_day = d
         append(f"{date}T{two[h]}:{two[m]}:{two[s]}.{u:06d}")
     return out
+
+
+def _unstamped(times: np.ndarray) -> ValueError:
+    """The error for the first of ``times``, none of which has a stamp."""
+    return ValueError(f"time {float(times[0])!r} s has no stamp in years 1-9999")
 
 
 def parse_timestamp(stamp: str) -> float:

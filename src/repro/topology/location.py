@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "NodeLocation",
     "format_cname",
     "parse_cname",
-    "parse_cname_cached",
     "position_index",
     "position_fields",
 ]
@@ -102,8 +100,8 @@ class NodeLocation:
 
     @classmethod
     def from_cname(cls, cname: str) -> "NodeLocation":
-        """Parse a Cray cname into a location (memoized parse)."""
-        return cls(*parse_cname_cached(cname))
+        """Parse a Cray cname into a location."""
+        return cls(*parse_cname(cname))
 
 
 def format_cname(row: int, col: int, cage: int, slot: int, node: int) -> str:
@@ -127,18 +125,6 @@ def parse_cname(cname: str) -> tuple[int, int, int, int, int]:
         int(match["slot"]),
         int(match["node"]),
     )
-
-
-@lru_cache(maxsize=65_536)
-def parse_cname_cached(cname: str) -> tuple[int, int, int, int, int]:
-    """Memoized :func:`parse_cname` for hot decode paths.
-
-    Successful parses are cached (the fleet has only 19,200 canonical
-    names); failures raise without being cached, so hostile garbage
-    cannot fill the table.  ``parse_cname`` itself stays uncached as
-    the verification reference.
-    """
-    return parse_cname(cname)
 
 
 def position_index(

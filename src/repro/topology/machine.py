@@ -89,8 +89,8 @@ class TitanMachine:
 
         # Lazily built bidirectional cname tables (see cname_table /
         # gpu_index_map): one formatted string per GPU and the inverse
-        # dict.  The string-parsing paths remain as the verification
-        # reference (cname_reference / gpu_from_cname_reference).
+        # dict.  Spellings the dict misses go through the string parse
+        # (gpu_from_cname_reference).
         self._cname_table: list[str] | None = None
         self._gpu_by_cname: dict[str, int] | None = None
 
@@ -161,9 +161,8 @@ class TitanMachine:
         """Canonical cname of every GPU, indexed by GPU id.
 
         Built once per machine (18,688 strings) and shared by the
-        console writer's and parser's hot paths; the table is the
-        memoized image of :meth:`cname_reference` over all GPU ids and
-        the tests assert the two agree element-for-element.
+        console writer's and parser's hot paths; the tests assert that
+        entry ``g`` equals ``location(g).cname`` for every GPU id.
         """
         if self._cname_table is None:
             self._cname_table = [
@@ -196,17 +195,6 @@ class TitanMachine:
     def cname(self, gpu: int) -> str:
         """Cray cname of one GPU's node (memoized table lookup)."""
         return self.cname_table()[int(gpu)]
-
-    def cname_reference(self, gpu: int) -> str:
-        """Uncached cname formatting — the verification reference."""
-        g = int(gpu)
-        return format_cname(
-            int(self._row[g]),
-            int(self._col[g]),
-            int(self._cage[g]),
-            int(self._slot[g]),
-            int(self._node[g]),
-        )
 
     def gpu_from_cname(self, cname: str) -> int:
         """GPU id for a cname; raises if the node is a service node.

@@ -30,6 +30,8 @@ __all__ = ["UserClass", "UserProfile", "UserPopulation"]
 
 
 class UserClass(enum.Enum):
+    """Workload archetype of a user (see the module docstring)."""
+
     ORDINARY = "ordinary"
     CAPABILITY = "capability"
     MARATHON = "marathon"

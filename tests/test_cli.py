@@ -330,6 +330,25 @@ class TestCacheCommand:
         assert len(out["evicted"]) == 6
         assert out["total_bytes"] == 0
 
+    def test_no_store_exits_2_and_creates_nothing(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # The store rule every command shares: --cache-dir, else
+        # $REPRO_CACHE_DIR, else none (no ./.repro-cache fallback).
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        for action in (["info"], ["clear"], ["evict", "--max-mb", "1"]):
+            assert main(["cache", *action]) == 2, action
+            err = capsys.readouterr().err
+            assert "--cache-dir" in err and "$REPRO_CACHE_DIR" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_env_var_names_the_store(self, tmp_path, capsys, monkeypatch):
+        envstore = tmp_path / "envstore"
+        envstore.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(envstore))
+        assert main(["cache", "info", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["root"] == str(envstore)
+
     def test_cache_action_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["cache"])

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro import perf
 from repro.chaos.injector import ChaosConfig, CorruptionInjector
 from repro.errors.xid import ErrorType
-from repro.telemetry.console import render_event_line
 from repro.telemetry.ingestion import (
     IngestionDegraded,
     IngestionError,
@@ -34,12 +33,13 @@ from repro.telemetry.nvsmi_text import (
     render_nvsmi_query,
 )
 from repro.telemetry.parser import (
+    _ETYPE_BY_HEAD,
     ConsoleLogParser,
     _BlockDecoder,
-    _fast_heads,
     _TableIndex,
 )
 from repro.telemetry.timecodec import parse_timestamp
+from tests.telemetry_oracles import parse_lines_reference, render_event_line
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +296,8 @@ def _assert_same_parse(machine, lines):
     """The default parser (block decoder + reference fallback) and the
     regex reference alone must be observably identical: same log rows,
     same statistics."""
-    fast_log, fast_stats = ConsoleLogParser(machine, fast=True).parse_lines(lines)
-    slow_log, slow_stats = ConsoleLogParser(machine, fast=False).parse_lines(lines)
+    fast_log, fast_stats = ConsoleLogParser(machine).parse_lines(lines)
+    slow_log, slow_stats = parse_lines_reference(machine, lines)
     _assert_logs_equal(fast_log, slow_log)
     assert fast_stats == slow_stats
     assert fast_stats.accounted == fast_stats.total_lines
@@ -306,7 +306,7 @@ def _assert_same_parse(machine, lines):
 
 class TestFastSlowEquivalence:
     """The block decoder leaves every doubtful line to the regex
-    reference, so the default and ``fast=False`` parses are the same
+    reference, so the default parse and the parse oracle are the same
     function."""
 
     def test_clean_console_text(self, smoke_dataset):
@@ -512,14 +512,14 @@ class TestClaimRule:
 
 @pytest.fixture(scope="module")
 def block_decoder(bare_machine):
-    return _BlockDecoder(bare_machine, _fast_heads())
+    return _BlockDecoder(bare_machine, _ETYPE_BY_HEAD)
 
 
 @pytest.fixture(scope="module")
 def index_tables(bare_machine):
     """Per table: a plain dict over it (key -> GPU id or etype code),
     and the largest value of each of its keys' digit runs."""
-    tables = {"cname": bare_machine.gpu_index_map(), "head": _fast_heads()}
+    tables = {"cname": bare_machine.gpu_index_map(), "head": _ETYPE_BY_HEAD}
     field_max = {}
     for name, table in tables.items():
         runs = [[int(run) for run in re.findall(r"\d+", key)] for key in table]
@@ -578,7 +578,7 @@ class TestTableIndex:
 
     def test_every_entry_is_claimed(self, bare_machine, block_decoder):
         # Neither log reaches every cname, nor every head.
-        heads = _fast_heads()
+        heads = _ETYPE_BY_HEAD
         n = bare_machine.n_gpus
         gpus = [*range(n), *range(n), *[4321] * (2 * len(heads))]
         etypes = [heads[_HEAD]] * (2 * n) + 2 * list(heads.values())

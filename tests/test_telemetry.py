@@ -4,13 +4,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.errors.event import EventLogBuilder
+from repro.errors.event import STRUCTURE_CODES, EventLog, EventLogBuilder
 from repro.errors.xid import ErrorType
 from repro.gpu.fleet import GPUFleet
 from repro.gpu.k20x import MemoryStructure
 from repro.rng import RngTree
-from repro.telemetry.console import ConsoleLogWriter, render_event_line
+from repro.telemetry.console import RENDER_CHUNK_ROWS, ConsoleLogWriter
 from repro.telemetry.jobsnap import JobSnapshotFramework
 from repro.telemetry.nvsmi import NvidiaSmi
 from repro.telemetry.parser import ConsoleLogParser
@@ -19,6 +21,8 @@ from repro.topology.machine import TitanMachine
 from repro.topology.thermal import ThermalModel
 from repro.units import datetime_to_timestamp
 from repro.workload.jobs import JobTraceBuilder
+from tests.telemetry_oracles import render_event_line, render_lines_reference
+from tests.test_timecodec import _EDGE_TS, _TS_RANGE
 
 
 @pytest.fixture(scope="module")
@@ -151,15 +155,115 @@ class TestRoundTrip:
 
     def test_fast_lines_match_reference(self, machine):
         # The table-driven writer must be byte-identical to the per-row
-        # render_event_line reference, including the SBE skip.
+        # render oracle, including the SBE skip.
         log = self.build_log(machine)
         writer = ConsoleLogWriter(machine)
-        assert list(writer.lines(log)) == list(writer.lines_reference(log))
+        assert list(writer.lines(log)) == list(render_lines_reference(machine, log))
 
     def test_fast_lines_match_reference_at_scale(self, smoke_dataset):
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.events
-        assert list(writer.lines(events)) == list(writer.lines_reference(events))
+        assert list(writer.lines(events)) == list(
+            render_lines_reference(smoke_dataset.machine, events)
+        )
+
+
+def _one_row(time=0.0, gpu=7, etype=ErrorType.GRAPHICS_ENGINE_EXCEPTION):
+    return EventLog.from_arrays(
+        time=np.array([time]), gpu=np.array([gpu]), etype=np.array([etype.code])
+    )
+
+
+#: The first second past year 9999 and the last before year 1.
+_PAST_9999 = datetime_to_timestamp(dt.datetime(9999, 12, 31, 23, 59, 59)) + 1.0
+_BEFORE_1 = datetime_to_timestamp(dt.datetime(1, 1, 1)) - 1.0
+
+
+class TestUnrepresentableRows:
+    """A row the console cannot spell raises instead of rendering a
+    line that parses back as a wrong event; SBE rows are skipped
+    whatever they hold."""
+
+    @pytest.mark.parametrize(
+        "time",
+        [float("inf"), -float("inf"), float("nan"), 9.3e18, -9.3e18,
+         _PAST_9999, _BEFORE_1],
+    )
+    def test_time_without_a_stamp_raises(self, machine, time):
+        log = _one_row(time=time)
+        with pytest.raises(ValueError, match="no stamp"):
+            list(ConsoleLogWriter(machine).lines(log))
+        with pytest.raises(ValueError, match="no stamp"):
+            list(render_lines_reference(machine, log))
+
+    @pytest.mark.parametrize("gpu", [-1, -18_688, 18_688, 10**12])
+    def test_gpu_outside_the_machine_raises(self, machine, gpu):
+        log = _one_row(gpu=gpu)
+        with pytest.raises(ValueError, match="outside"):
+            list(ConsoleLogWriter(machine).lines(log))
+        with pytest.raises(ValueError, match="outside"):
+            list(render_lines_reference(machine, log))
+
+    def test_sbe_rows_are_skipped_whatever_they_hold(self, machine):
+        log = EventLog.from_arrays(
+            time=np.array([float("inf"), 5.0, float("nan")]),
+            gpu=np.array([-1, 7, 10**12]),
+            etype=np.array([ErrorType.SBE.code, ErrorType.DBE.code,
+                            ErrorType.SBE.code]),
+        )
+        lines = list(ConsoleLogWriter(machine).lines(log))
+        assert lines == list(render_lines_reference(machine, log))
+        assert lines == [f"2013-06-01T00:00:05.000000 {machine.cname(7)} "
+                         "GPU XID 48: DBE (Double Bit Error) detected"]
+
+    @pytest.mark.parametrize("year", [1, 500, 999, 1000, 9999])
+    def test_every_year_gets_four_digits_and_parses_back(self, machine, year):
+        time = datetime_to_timestamp(dt.datetime(year, 3, 4, 5, 6, 7))
+        (line,) = ConsoleLogWriter(machine).lines(_one_row(time=time))
+        assert line.startswith(f"{year:04d}-03-04T05:06:07.000000 ")
+        assert list(render_lines_reference(machine, _one_row(time=time))) == [line]
+        parsed, stats = ConsoleLogParser(machine).parse_lines([line])
+        assert stats.parsed_events == 1
+        assert float(parsed.time[0]) == time
+
+
+#: Times across the study window with a year of slack either side, and
+#: the µs rounding edges the timestamp codec is tested on.
+_RENDER_TIMES = st.one_of(_TS_RANGE, st.sampled_from(_EDGE_TS))
+
+
+@st.composite
+def _event_logs(draw):
+    """Event logs of every etype (SBE rows included), with and without
+    a structure and a page, and jobs from -1 up to 18 digits."""
+    rows = draw(st.lists(
+        st.tuples(
+            _RENDER_TIMES,
+            st.integers(0, 18_687),
+            st.sampled_from([t.code for t in ErrorType]),
+            st.sampled_from([-1, *STRUCTURE_CODES.values()]),
+            st.integers(-1, 10**18 - 1),
+            st.one_of(st.just(-1), st.integers(0, 2**40)),
+        ),
+        max_size=40,
+    ))
+    names = ("time", "gpu", "etype", "structure", "job", "aux")
+    return EventLog.from_arrays(
+        **{name: [row[i] for row in rows] for i, name in enumerate(names)}
+    )
+
+
+class TestRenderWindows:
+    """The writer renders the same bytes at any window size."""
+
+    @given(log=_event_logs())
+    @settings(max_examples=150, deadline=None)
+    def test_any_window_size_renders_the_oracle(self, machine, log):
+        want = list(render_lines_reference(machine, log))
+        for rows in (1, 7, RENDER_CHUNK_ROWS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr("repro.telemetry.console.RENDER_CHUNK_ROWS", rows)
+                assert list(ConsoleLogWriter(machine).lines(log)) == want, rows
 
 
 class TestNvsmi:

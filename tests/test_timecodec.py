@@ -4,10 +4,9 @@ The codec (``repro.telemetry.timecodec``) replaces strptime/strftime in
 the telemetry hot loops; its entire contract is *indistinguishability*
 from the stdlib reference over the study's time range:
 
-* ``format_timestamp(ts)`` is byte-identical to
+* ``format_timestamps`` (the vectorized renderer) is byte-identical,
+  element for element, to
   ``timestamp_to_datetime(ts).strftime(TIMESTAMP_FORMAT)``;
-* ``format_timestamps`` (the vectorized renderer) matches the scalar
-  codec element for element;
 * ``parse_timestamp(stamp)`` is bit-identical (float64) to
   ``datetime_to_timestamp(datetime.strptime(stamp, TIMESTAMP_FORMAT))``
   and rejects exactly the stamps strptime rejects, non-ASCII digits
@@ -24,7 +23,6 @@ from hypothesis import strategies as st
 from repro.telemetry.timecodec import (
     TIMESTAMP_FORMAT,
     TIMESTAMP_WIDTH,
-    format_timestamp,
     format_timestamps,
     parse_timestamp,
 )
@@ -67,20 +65,20 @@ class TestFormat:
     @given(ts=_TS_RANGE)
     @settings(max_examples=300, deadline=None)
     def test_matches_strftime(self, ts):
-        assert format_timestamp(ts) == _reference_format(ts)
+        assert format_timestamps([ts]) == [_reference_format(ts)]
 
     @pytest.mark.parametrize("ts", _EDGE_TS)
     def test_rounding_edges(self, ts):
-        assert format_timestamp(ts) == _reference_format(ts)
+        assert format_timestamps([ts]) == [_reference_format(ts)]
 
     def test_width(self):
-        assert len(format_timestamp(0.0)) == TIMESTAMP_WIDTH
+        assert len(format_timestamps([0.0])[0]) == TIMESTAMP_WIDTH
 
     @given(tss=st.lists(_TS_RANGE, max_size=50))
     @settings(max_examples=100, deadline=None)
     def test_vectorized_matches_scalar(self, tss):
         assert format_timestamps(np.asarray(tss)) == [
-            format_timestamp(ts) for ts in tss
+            _reference_format(ts) for ts in tss
         ]
 
     def test_vectorized_empty(self):
@@ -106,8 +104,8 @@ class TestParse:
     @given(ts=_TS_RANGE)
     @settings(max_examples=200, deadline=None)
     def test_round_trip_through_text(self, ts):
-        stamp = format_timestamp(ts)
-        assert format_timestamp(parse_timestamp(stamp)) == stamp
+        (stamp,) = format_timestamps([ts])
+        assert format_timestamps([parse_timestamp(stamp)]) == [stamp]
 
     @pytest.mark.parametrize(
         "stamp",
