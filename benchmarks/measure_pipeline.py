@@ -22,11 +22,13 @@ cold budget that CI's perf gate enforces.  ``--gate`` re-runs just the
 smoke cold pipeline and fails if its wall time regresses more than the
 gate tolerance (default 25 %) over the committed budget, or if a fast
 path is not at least its floor times as fast as its per-row oracle
-(``tests/telemetry_oracles.py``) in the same process: the block-decoded
-parse of the smoke lines, clean and 5%-corrupted, against
-``parse_lines_reference`` (``DECODER_MIN_RATIO``), and
+(``tests/telemetry_oracles.py``, ``tests/kernel_oracles.py``) in the
+same process: the block-decoded parse of the smoke lines, clean and
+5%-corrupted, against ``parse_lines_reference`` (``DECODER_MIN_RATIO``),
 ``ConsoleLogWriter.lines`` over the smoke events against
-``render_lines_reference`` (``RENDER_MIN_RATIO``).
+``render_lines_reference`` (``RENDER_MIN_RATIO``), and the Fig. 13
+follow matrix, the XID 13 keep mask and the average ranks on the parsed
+smoke log against their loops (``KERNEL_MIN_RATIO``).
 
 A ``resume_s`` section measures the supervised runner's crash-recovery
 overhead: a cold ``repro run``, the same run SIGKILLed mid-figures in a
@@ -85,6 +87,17 @@ DECODER_MIN_RATIO = {"clean": 5.5, "uniform(0.05)": 4.0}
 #: (median about 18x) it read in nine samples on a 2-core host, quiet
 #: and beside other load.
 RENDER_MIN_RATIO = 9.0
+#: Floors of the figure kernels' speed over their loops in
+#: ``tests/kernel_oracles.py`` on the gate's smoke log: the Fig. 13
+#: follow matrix, the 5-second XID 13 keep mask and the average ranks
+#: of the GPU column.  Each is about half of the lower readings on a
+#: 2-core host, quiet and beside a running test suite (9.6-10.0x,
+#: 33.7-53.3x and 5.1-7.6x over three runs).
+KERNEL_MIN_RATIO = {
+    "follow_probability_matrix": 5.0,
+    "sequential_keep_mask": 17.0,
+    "rankdata_average": 3.0,
+}
 
 
 def _timed(argv: list[str], *, profile: bool = False) -> tuple[float, int, str]:
@@ -139,13 +152,23 @@ def _median_ratio(fast: Callable[[], object], oracle: Callable[[], object]) -> f
 
 def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
     """Speed of each fast path over its oracle on the smoke scenario,
-    with its floor: the render of the events, and the parse of the
-    rendered lines, clean and 5%-corrupted."""
+    with its floor: the render of the events, the parse of the rendered
+    lines, clean and 5%-corrupted, and the figure kernels on the parsed
+    log."""
     from repro.chaos.injector import ChaosConfig, CorruptionInjector
+    from repro.core.filtering import sequential_keep_mask
+    from repro.core.heatmap import follow_probability_matrix
+    from repro.core.stats import rankdata_average
+    from repro.errors.xid import ErrorType
     from repro.sim import Scenario
     from repro.sim.simulation import TitanSimulation
     from repro.telemetry.console import ConsoleLogWriter
     from repro.telemetry.parser import ConsoleLogParser
+    from tests.kernel_oracles import (
+        follow_matrix_loop,
+        rankdata_average_loop,
+        sequential_keep_mask_loop,
+    )
     from tests.telemetry_oracles import parse_lines_reference, render_lines_reference
 
     dataset = TitanSimulation(Scenario.smoke(seed=seed, days=days)).run()
@@ -173,6 +196,24 @@ def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
             lambda lines=lines: parse_lines_reference(machine, lines),
         )
         ratios[f"block decode {name}"] = (ratio, DECODER_MIN_RATIO[name])
+    log = dataset.parsed_events
+    xid13 = log.of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION).time
+    kernels = {
+        "follow_probability_matrix": (
+            lambda: follow_probability_matrix(log),
+            lambda: follow_matrix_loop(log),
+        ),
+        "sequential_keep_mask": (
+            lambda: sequential_keep_mask(xid13, 5.0),
+            lambda: sequential_keep_mask_loop(xid13, 5.0),
+        ),
+        "rankdata_average": (
+            lambda: rankdata_average(log.gpu),
+            lambda: rankdata_average_loop(log.gpu),
+        ),
+    }
+    for name, (kernel, loop) in kernels.items():
+        ratios[name] = (_median_ratio(kernel, loop), KERNEL_MIN_RATIO[name])
     return ratios
 
 
@@ -498,9 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--out", type=Path, default=ROOT / "BENCH_pipeline.json")
     ap.add_argument("--gate", action="store_true",
                     help="CI mode: time the smoke cold run against the "
-                         "committed gate budget, and the render and the "
-                         "block decoder against their oracles, instead "
-                         "of regenerating")
+                         "committed gate budget, and the render, the "
+                         "block decoder and the figure kernels against "
+                         "their oracles, instead of regenerating")
     ap.add_argument("--memory-gate", action="store_true",
                     help="CI mode: check peak RSS stays flat "
                          "across the scale axis (memory_s budget)")

@@ -7,9 +7,11 @@ Actions
 ``evict``  drop least-recently-modified artifacts to fit a byte budget
 
 The store is the one every command uses: ``--cache-dir``, else
-``$REPRO_CACHE_DIR``; with neither the command exits 2 and touches
-nothing.  Exit codes follow the CLI convention: 0 on success, 2 on bad
-invocation.  ``--json`` emits machine-readable output for tooling.
+``$REPRO_CACHE_DIR``; with neither, or with a path that is not a
+directory, the command exits 2 and touches nothing.  No action creates
+anything, so a mistyped path is reported, not made.  Exit codes follow
+the CLI convention: 0 on success, 2 on bad invocation.  ``--json``
+emits machine-readable output for tooling.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ def cmd_cache(args: argparse.Namespace) -> int:
             "pass --cache-dir or set $REPRO_CACHE_DIR",
             file=sys.stderr,
         )
+        return 2
+    if not store.root.is_dir():
+        print(f"error: no artifact store at {store.root}", file=sys.stderr)
         return 2
 
     if args.action == "info":

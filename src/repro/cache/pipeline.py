@@ -12,20 +12,25 @@ This module closes the loop.  :func:`persist_dataset` writes a
 into an :class:`~repro.cache.store.ArtifactStore`, all under one
 dataset key:
 
-====================  ======  ============================================
-layer                 kind    contents
-====================  ======  ============================================
-``console.manifest``  json    shard list of the console log: line count,
-                              text size and container digest of every
-                              shard
-``console.NNNNNN``    text    the console log in whole-line-aligned
-                              shards of up to ``DEFAULT_SHARD_LINES``
-                              lines (zlib-compressed)
-``parsed``            pickle  ``(EventLog, ParseStats)`` — the SEC output
-``nvsmi``             npz     the fleet nvidia-smi table
-``jobsnap``           pickle  per-job snapshot records (Figs. 16–20 data)
-``trace``             pickle  the columnar job accounting trace
-====================  ======  ============================================
+====================  =======  ===========================================
+layer                 kind     contents
+====================  =======  ===========================================
+``console.manifest``  json     shard list of the console log: line count,
+                               text size and container digest of every
+                               shard
+``console.NNNNNN``    text     the console log in whole-line-aligned
+                               shards of up to ``DEFAULT_SHARD_LINES``
+                               lines (zlib-compressed)
+``parsed``            columns  the SEC output: the seven ``EventLog``
+                               columns, each 64-byte aligned with its
+                               dtype, and ``ParseStats`` in the JSON
+                               header; a load returns the columns as
+                               read-only views of the one verified
+                               payload, copying nothing
+``nvsmi``             npz      the fleet nvidia-smi table
+``jobsnap``           pickle   per-job snapshot records (Figs. 16–20 data)
+``trace``             pickle   the columnar job accounting trace
+====================  =======  ===========================================
 
 Shards are written first and the manifest last, so a crash mid-persist
 leaves no manifest and the layer reads as absent.  No step holds the
@@ -37,7 +42,9 @@ console shards.
 :func:`load_or_simulate` rebuilds a dataset from these layers —
 skipping simulation, console rendering *and* parsing — or
 transparently falls back to a cold :class:`TitanSimulation` run (and
-persists the result) when any layer is missing or fails its checksum.
+persists the result) when any layer is missing, fails its checksum or
+is stored under another kind than :data:`DATASET_LAYERS` names (a
+``parsed`` layer in the older ``pickle`` form, say).
 A load checks every console shard without inflating it: the store
 verifies the container's SHA-256, and that digest must be the one the
 manifest recorded.  The lines are inflated lazily, only if something
@@ -53,6 +60,7 @@ via ``require_ground_truth=True``, which always simulates.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
@@ -60,15 +68,19 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import TYPE_CHECKING, Any, Optional
 
+import numpy as np
+
 from repro import perf
 from repro.cache import serde
 from repro.cache.keys import PIPELINE_EPOCH, dataset_key
 from repro.cache.store import ArtifactStore
+from repro.errors.event import EventLog
 from repro.sim.simulation import (
     GroundTruthUnavailable,
     SimulationDataset,
     TitanSimulation,
 )
+from repro.telemetry.parser import ParseStats
 from repro.topology.machine import TitanMachine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,7 +115,7 @@ _CONSOLE_MANIFEST_LAYER = "console.manifest"
 #: console shards are listed by the manifest).
 DATASET_LAYERS: tuple[tuple[str, str], ...] = (
     (_CONSOLE_MANIFEST_LAYER, "json"),
-    ("parsed", "pickle"),
+    ("parsed", "columns"),
     ("nvsmi", "npz"),
     ("jobsnap", "pickle"),
     ("trace", "pickle"),
@@ -251,7 +263,7 @@ def persist_dataset(
     if dataset._parsed is None:
         dataset._parse(chain.from_iterable(map(str.splitlines, payloads)))
     layers: dict[str, Any] = {
-        "parsed": (dataset.parsed_events, dataset.parse_stats),
+        "parsed": _parsed_columns(dataset.parsed_events, dataset.parse_stats),
         "nvsmi": dataset.nvsmi_table,
         "jobsnap": dataset.jobsnap_records,
         "trace": dataset.trace,
@@ -277,18 +289,25 @@ def load_dataset(
     """Reconstruct a dataset from the store, or ``None`` on any miss.
 
     Every layer is checksum-verified up front, and every layer but the
-    console shards is decoded: a truncated, garbled or stale artifact
+    console shards is decoded: a truncated, garbled or stale artifact,
+    or one stored under another kind than :data:`DATASET_LAYERS` names,
     degrades to a miss — the caller then recomputes — never to a
     partially-wrong dataset.
     """
     dkey = dataset_key(scenario, epoch=epoch)
     decoded: dict[str, Any] = {}
     with perf.stage("cache.load"):
-        for layer, _kind in DATASET_LAYERS:
-            obj = store.get(_layer_key(dkey, layer))
-            if obj is None:
+        for layer, kind in DATASET_LAYERS:
+            entry = store.get_bytes(_layer_key(dkey, layer))
+            if entry is None or entry[1] != kind:
                 return None
-            decoded[layer] = obj
+            try:
+                decoded[layer] = serde.decode(entry[0], kind)
+            except serde.SerdeError:
+                return None
+        parsed = _parsed_from_columns(decoded["parsed"])
+        if parsed is None:
+            return None
         console = _console_shard_source(
             store, dkey, decoded[_CONSOLE_MANIFEST_LAYER]
         )
@@ -300,10 +319,36 @@ def load_dataset(
         trace=decoded["trace"],
         provenance="cache",
         _console_shards=console,
-        _parsed=tuple(decoded["parsed"]),
+        _parsed=parsed,
         _nvsmi_table=decoded["nvsmi"],
         _jobsnap=decoded["jobsnap"],
     )
+
+
+def _parsed_columns(
+    log: EventLog, stats: ParseStats
+) -> tuple[dict[str, np.ndarray], dict[str, Any]]:
+    """The ``parsed`` layer's ``columns`` form: the log's columns, and
+    ``stats`` as a JSON document."""
+    doc = dataclasses.asdict(stats)
+    doc["unknown_xids_seen"] = sorted(stats.unknown_xids_seen)
+    columns = {f.name: getattr(log, f.name) for f in dataclasses.fields(EventLog)}
+    return columns, doc
+
+
+def _parsed_from_columns(obj: Any) -> Optional[tuple[EventLog, ParseStats]]:
+    """Inverse of :func:`_parsed_columns`, or ``None`` if ``obj`` does not
+    hold exactly the log's columns and the stats' fields.  The columns
+    are used as they come, so the log views the layer's payload."""
+    columns, doc = obj
+    try:
+        log = EventLog(**columns)
+        stats = ParseStats(
+            **{**doc, "unknown_xids_seen": set(doc["unknown_xids_seen"])}
+        )
+    except (KeyError, TypeError, ValueError):
+        return None
+    return log, stats
 
 
 def _console_manifest(doc: Any) -> Optional[ShardManifest]:

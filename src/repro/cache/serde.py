@@ -4,19 +4,32 @@ Every artifact is a ``(kind, bytes)`` pair; the kind names the codec so
 a store entry is self-describing and :meth:`ArtifactStore.get` can
 decode without the caller restating the type.
 
-=========  ==============================================================
-kind       payload
-=========  ==============================================================
-``text``   UTF-8 text, zlib-compressed (console logs compress ~10×)
-``json``   canonical JSON document (sorted keys)
-``npz``    dict of numpy arrays via ``np.savez_compressed``
-``pickle`` arbitrary analysis result objects (figure dataclasses)
-=========  ==============================================================
+===========  ============================================================
+kind         payload
+===========  ============================================================
+``text``     UTF-8 text, zlib-compressed (console logs compress ~10×)
+``json``     canonical JSON document (sorted keys)
+``npz``      dict of numpy arrays via ``np.savez_compressed``
+``pickle``   arbitrary analysis result objects (figure dataclasses)
+``columns``  ``(dict of 1-D numpy arrays, JSON document)``, decoded as
+             read-only views of the payload itself (see below)
+===========  ============================================================
 
 ``pickle`` is acceptable here because the store is a *local, private*
 cache whose entries are checksummed at the container layer — a garbled
 payload fails the SHA-256 check before ``pickle.loads`` ever sees it —
 and entries are only ever written by this package.
+
+A ``columns`` payload is laid out for a decode that copies nothing::
+
+    4-byte BE header length | header JSON | zero pad | column | zero pad | ...
+
+The header is ``{"columns": [[name, dtype, length], ...], "meta": doc}``
+and every column starts at the next 64-byte boundary of the payload
+after the header or the column before it.  :func:`decode` returns each
+column as an ``np.frombuffer`` view of the payload bytes: read-only,
+aligned for its dtype when the payload buffer is, and valid for as long
+as any view holds the payload.
 """
 
 from __future__ import annotations
@@ -35,7 +48,11 @@ __all__ = ["KINDS", "encode", "decode", "SerdeError"]
 #: level 1 already compresses ~10× at a fraction of level 9's cost.
 _TEXT_COMPRESSION_LEVEL = 1
 
-KINDS: tuple[str, ...] = ("text", "json", "npz", "pickle")
+KINDS: tuple[str, ...] = ("text", "json", "npz", "pickle", "columns")
+
+#: Alignment of every column of a ``columns`` payload.
+_COLUMN_ALIGN = 64
+_COLUMN_HEADER_LEN_BYTES = 4
 
 
 class SerdeError(ValueError):
@@ -66,6 +83,8 @@ def encode(obj: Any, kind: str) -> bytes:
         return buf.getvalue()
     if kind == "pickle":
         return pickle.dumps(obj, protocol=4)
+    if kind == "columns":
+        return _encode_columns(obj)
     raise SerdeError(f"unknown artifact kind {kind!r} (want one of {KINDS})")
 
 
@@ -81,8 +100,67 @@ def decode(payload: bytes, kind: str) -> Any:
                 return {name: archive[name].copy() for name in archive.files}
         if kind == "pickle":
             return pickle.loads(payload)
+        if kind == "columns":
+            return _decode_columns(payload)
     except SerdeError:
         raise
     except Exception as exc:
         raise SerdeError(f"cannot decode {kind} payload: {exc}") from exc
     raise SerdeError(f"unknown artifact kind {kind!r} (want one of {KINDS})")
+
+
+def _aligned(offset: int) -> int:
+    return -(-offset // _COLUMN_ALIGN) * _COLUMN_ALIGN
+
+
+def _encode_columns(obj: Any) -> bytes:
+    """``columns`` payload of ``(arrays, meta)``: see the module docstring."""
+    if not (
+        isinstance(obj, tuple)
+        and len(obj) == 2
+        and isinstance(obj[0], dict)
+        and all(
+            isinstance(name, str)
+            and isinstance(col, np.ndarray)
+            and col.ndim == 1
+            and not col.dtype.hasobject
+            for name, col in obj[0].items()
+        )
+    ):
+        raise SerdeError("columns artifact needs (dict[str, 1-D array], meta)")
+    arrays, meta = obj
+    header = encode(
+        {
+            "columns": [
+                [name, col.dtype.str, len(col)] for name, col in arrays.items()
+            ],
+            "meta": meta,
+        },
+        "json",
+    )
+    parts: list[Any] = [len(header).to_bytes(_COLUMN_HEADER_LEN_BYTES, "big"), header]
+    end = _COLUMN_HEADER_LEN_BYTES + len(header)
+    for col in arrays.values():
+        start = _aligned(end)
+        parts.append(bytes(start - end))
+        parts.append(np.ascontiguousarray(col).view(np.uint8))
+        end = start + col.nbytes
+    return b"".join(parts)
+
+
+def _decode_columns(payload: bytes) -> tuple[dict[str, np.ndarray], Any]:
+    """Inverse of :func:`_encode_columns`: views of ``payload``, no copies."""
+    end = _COLUMN_HEADER_LEN_BYTES + int.from_bytes(
+        payload[:_COLUMN_HEADER_LEN_BYTES], "big"
+    )
+    header = json.loads(payload[_COLUMN_HEADER_LEN_BYTES:end].decode("utf-8"))
+    arrays: dict[str, np.ndarray] = {}
+    for name, dtype, length in header["columns"]:
+        start = _aligned(end)
+        arrays[name] = np.frombuffer(
+            payload, dtype=np.dtype(dtype), count=length, offset=start
+        )
+        end = start + arrays[name].nbytes
+    if end != len(payload):
+        raise SerdeError(f"columns end at byte {end} of a {len(payload)}-byte payload")
+    return arrays, header["meta"]

@@ -48,7 +48,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, BinaryIO
 
 from repro.cache import serde
 from repro.cache.serde import SerdeError
@@ -158,9 +158,11 @@ class ArtifactStore:
     """A content-addressed artifact cache rooted at a directory."""
 
     def __init__(self, root: str | Path) -> None:
+        """Open the store at ``root``.  Opening creates nothing: the
+        first write creates the directories it needs, and a store that
+        was never written reads as empty."""
         self.root = Path(root)
         self._objects = self.root / "objects"
-        self._objects.mkdir(parents=True, exist_ok=True)
         self.stats = StoreStats()
         self._sweep_stale_tmp()
 
@@ -235,15 +237,18 @@ class ArtifactStore:
         ``sha256`` is the header digest the payload was just checked
         against: a caller that recorded it at write time pins the exact
         payload bytes with it, without hashing or decoding them again.
+        The payload is read into a buffer of its own, so a caller may
+        keep views of it without holding the rest of the container.
         """
         path = self._path(key)
         try:
-            blob = path.read_bytes()
+            fh = open(path, "rb")
         except FileNotFoundError:
             self.stats.misses += 1
             return None
         try:
-            entry = self._parse_container(blob)
+            with fh:
+                entry = self._read_container(fh)
         except CorruptArtifact:
             self._drop_corrupt(key)
             return None
@@ -260,15 +265,21 @@ class ArtifactStore:
         return entry
 
     @classmethod
-    def _parse_container(cls, blob: bytes) -> tuple[bytes, str, str]:
-        """``(payload, kind, sha256)`` of a whole container, checked."""
-        header, start = cls._parse_header_only(blob)
+    def _read_container(cls, fh: BinaryIO) -> tuple[bytes, str, str]:
+        """``(payload, kind, sha256)`` of an open container, checked.
+
+        The header is read first; the file must then hold exactly the
+        ``nbytes`` it claims after it, and only those are read."""
+        header, start = cls._read_header(fh)
         kind, nbytes, digest = header["kind"], header["nbytes"], header["sha256"]
-        if len(blob) - start != nbytes:
+        size = os.fstat(fh.fileno()).st_size
+        if size - start != nbytes:
             raise CorruptArtifact(
-                f"payload is {len(blob) - start} bytes, header claims {nbytes}"
+                f"payload is {size - start} bytes, header claims {nbytes}"
             )
-        payload = blob[start:]
+        payload = fh.read(nbytes)
+        if len(payload) != nbytes:
+            raise CorruptArtifact(f"payload ends after {len(payload)} bytes")
         if _sha256_hex(payload) != digest:
             raise CorruptArtifact("payload checksum mismatch")
         if kind not in serde.KINDS:
@@ -350,8 +361,7 @@ class ArtifactStore:
             try:
                 stat = path.stat()
                 with open(path, "rb") as fh:
-                    head = fh.read(len(_MAGIC) + _HEADER_LEN_BYTES + _MAX_HEADER_BYTES)
-                header, _start = self._parse_header_only(head)
+                    header, _start = self._read_header(fh)
             except (OSError, CorruptArtifact):
                 continue
             found.append(
@@ -365,21 +375,22 @@ class ArtifactStore:
         return found
 
     @staticmethod
-    def _parse_header_only(head: bytes) -> tuple[dict, int]:
-        """``(header, payload offset)`` from a container's leading bytes;
+    def _read_header(fh: BinaryIO) -> tuple[dict, int]:
+        """``(header, payload offset)`` read from the start of a container;
         a header of any other shape than ``kind``/``nbytes``/``sha256``
         is a :class:`CorruptArtifact`, never an escaping exception."""
         base = len(_MAGIC) + _HEADER_LEN_BYTES
-        if len(head) < base or not head.startswith(_MAGIC):
+        prefix = fh.read(base)
+        if len(prefix) < base or not prefix.startswith(_MAGIC):
             raise CorruptArtifact("bad magic or truncated container")
-        header_len = int.from_bytes(head[len(_MAGIC):base], "big")
+        header_len = int.from_bytes(prefix[len(_MAGIC):], "big")
         if not 0 < header_len <= _MAX_HEADER_BYTES:
             raise CorruptArtifact(f"implausible header length {header_len}")
-        start = base + header_len
-        if len(head) < start:
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
             raise CorruptArtifact("truncated header")
         try:
-            header = json.loads(head[base:start].decode("ascii"))
+            header = json.loads(raw.decode("ascii"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise CorruptArtifact(f"unreadable header: {exc}") from exc
         if not (
@@ -389,7 +400,7 @@ class ArtifactStore:
             and isinstance(header.get("sha256"), str)
         ):
             raise CorruptArtifact("header lacks a kind, nbytes or sha256")
-        return header, start
+        return header, base + header_len
 
     def total_bytes(self) -> int:
         return sum(entry.nbytes for entry in self.entries())

@@ -75,8 +75,16 @@ def follow_probability_matrix(
     A type-i event at ``t`` is followed by type j iff some type-j event
     ``s`` has ``t < s <= t + window_s`` (machine-wide, like the paper),
     with ``t + window_s`` rounded once as a float; cell (i, j) is the
-    fraction of type-i events followed.  Each pair is counted with one
-    binary search per event of its *smaller* side:
+    fraction of type-i events followed.
+
+    A same-type pair is counted in one pass over its sorted stream, by
+    runs of equal times: the first later event of every event in a run
+    is the first event of the next run, so the whole run is followed
+    iff that time is at most the run's ``t + window_s``.  Each event
+    that ends its run is compared with its array neighbour, and only
+    the events tied with their neighbour search for their run's end.
+    Every other pair is counted with one binary search per event of its
+    *smaller* side:
 
     * type i no larger: the first type-j event after ``t`` is
       ``tj[searchsorted(tj, t, "right")]``; test it against ``t + w``;
@@ -106,7 +114,19 @@ def follow_probability_matrix(
             tj = times_by_type[j]
             if tj.size == 0:
                 continue
-            if ti.size <= tj.size:
+            if i == j:
+                # ti[k + 1] is the first later event of ti[k] when ti[k]
+                # ends its run; an event tied with the next one shares
+                # its run's answer, read at the run's end.
+                run_end = ti[1:] != ti[:-1]
+                end_followed = run_end & (ti[1:] <= ends[i][:-1])
+                followed = np.count_nonzero(end_followed)
+                tied = ti[:-1][~run_end]
+                if tied.size:
+                    last = ti.searchsorted(tied, side="right") - 1
+                    inside = last < ti.size - 1
+                    followed += np.count_nonzero(end_followed[last[inside]])
+            elif ti.size <= tj.size:
                 nxt = tj.searchsorted(ti, side="right")
                 inside = nxt < tj.size
                 followed = np.count_nonzero(tj[nxt[inside]] <= ends[i][inside])

@@ -41,6 +41,7 @@ from repro.cache import (
 )
 from repro.cache import serde, sweep_point_key
 from repro.cache.store import _MAGIC
+from repro.errors.event import EventLog
 from repro.sim import Scenario
 from repro.sweep import RateMultipliers, SweepSpec, expand, preset
 
@@ -258,6 +259,31 @@ class TestSerde:
         else:
             assert decoded == obj
 
+    def test_columns_decode_to_views_of_the_payload(self):
+        arrays = {
+            "t": np.array([0.5, -0.0, np.inf]),
+            "code": np.array([13, 31], dtype=np.int16),  # 4 bytes: pads
+            "none": np.empty(0, dtype=np.int64),
+            "gpu": np.arange(5, dtype=np.int64)[::2],  # not contiguous
+        }
+        meta = {"stats": [1, 2], "seen": ["79"]}
+        payload = serde.encode((arrays, meta), "columns")
+        decoded, got_meta = serde.decode(payload, "columns")
+        assert got_meta == meta
+        assert list(decoded) == list(arrays)
+        for name, col in arrays.items():
+            view = decoded[name]
+            assert view.dtype == col.dtype
+            assert np.array_equal(view.view(np.uint8), col.copy().view(np.uint8))
+            assert view.base is payload and not view.flags.writeable
+            offset = view.ctypes.data - np.frombuffer(payload, np.uint8).ctypes.data
+            assert offset % 64 == 0, name
+        for bad in (payload[:-1], payload + b"\x00", b"\x00\x00\x00\x09{}"):
+            with pytest.raises(serde.SerdeError):
+                serde.decode(bad, "columns")
+        with pytest.raises(serde.SerdeError):
+            serde.encode(({"x": np.ones((2, 2))}, {}), "columns")
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(serde.SerdeError):
             serde.encode("x", "parquet")
@@ -312,7 +338,7 @@ class TestStore:
         "damage",
         [
             "truncate", "garble_payload", "garble_header", "bad_magic",
-            "empty", *_ILL_TYPED_HEADERS,
+            "empty", "trailing_bytes", "nbytes_over", *_ILL_TYPED_HEADERS,
         ],
     )
     def test_corruption_degrades_to_miss(self, tmp_path, damage):
@@ -328,6 +354,18 @@ class TestStore:
                 _MAGIC + len(text).to_bytes(4, "big") + text + blob[end:]
             )
             assert store.entries() == []  # inventory skips it, no raise
+        elif damage == "nbytes_over":
+            # A well-formed header that claims more payload than follows.
+            base = len(_MAGIC) + 4
+            end = base + int.from_bytes(blob[len(_MAGIC):base], "big")
+            header = json.loads(blob[base:end])
+            header["nbytes"] += 3
+            text = json.dumps(header).encode("ascii")
+            path.write_bytes(
+                _MAGIC + len(text).to_bytes(4, "big") + text + blob[end:]
+            )
+        elif damage == "trailing_bytes":
+            path.write_bytes(blob + b"\n\x00")
         elif damage == "truncate":
             path.write_bytes(blob[: len(blob) // 2])
         elif damage == "garble_payload":
@@ -419,6 +457,7 @@ class TestStoreHardening:
 
     def test_open_keeps_live_writer_staging(self, tmp_path):
         store = ArtifactStore(tmp_path)
+        store.put("k", "x", "text")  # opening creates nothing; a write does
         # pid 1 is always alive (signal-0 gives EPERM, not ESRCH), and
         # our own pid is skipped outright: both must survive the sweep.
         own = store._objects / f"a.art.tmp-{os.getpid()}-0"
@@ -430,6 +469,7 @@ class TestStoreHardening:
 
     def test_open_sweeps_garbled_staging_name(self, tmp_path):
         store = ArtifactStore(tmp_path)
+        store.put("k", "x", "text")  # opening creates nothing; a write does
         junk = store._objects / "k.art.tmp-notapid"
         junk.write_bytes(b"junk")
         ArtifactStore(tmp_path)
@@ -561,8 +601,24 @@ class TestPipeline:
         assert warm.provenance == "cache"
         assert warm.console_text == cold.console_text
         assert len(warm.parsed_events) == len(cold.parsed_events)
-        np.testing.assert_array_equal(
-            warm.parsed_events.time, cold.parsed_events.time
+        columns = [f.name for f in dataclasses.fields(EventLog)]
+        assert len(columns) == 7
+        for name in columns:
+            got = getattr(warm.parsed_events, name)
+            want = getattr(cold.parsed_events, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(
+                got.view(np.uint8), want.view(np.uint8)
+            ), name  # bit for bit, so -0.0 and NaN payloads count too
+            assert not got.flags.writeable, name
+            assert got.flags.aligned, name
+        # The copy fence: every column is a view of the one verified
+        # payload; a codec that copies after the read fails here.
+        payload = warm.parsed_events.time.base
+        assert isinstance(payload, bytes)
+        assert all(
+            getattr(warm.parsed_events, name).base is payload
+            for name in columns
         )
         np.testing.assert_array_equal(
             warm.nvsmi_table["sbe_total"], cold.nvsmi_table["sbe_total"]
@@ -685,6 +741,28 @@ class TestPipeline:
         reloaded, warm = load_or_simulate(SMOKE, store)
         assert warm
         assert reloaded.console_text == cold.console_text
+
+    def test_pickled_parsed_layer_is_a_miss(self, tmp_path, warm_store):
+        """Every layer is current but ``parsed``, which is in the older
+        ``pickle`` form: the store reads as a miss, is persisted again
+        with ``parsed`` as columns, and then loads warm."""
+        _, cold = warm_store
+        store = ArtifactStore(tmp_path)
+        dkey = persist_dataset(store, cold)
+        parsed = f"{dkey}/layer/parsed"
+        assert store.get_verified(parsed)[1] == "columns"
+        store.put(parsed, (cold.parsed_events, cold.parse_stats), "pickle")
+        assert load_dataset(store, SMOKE) is None
+
+        _, warm = load_or_simulate(SMOKE, store)
+        assert not warm
+        assert store.get_verified(parsed)[1] == "columns"
+        reloaded, warm = load_or_simulate(SMOKE, store)
+        assert warm
+        assert reloaded.parse_stats == cold.parse_stats
+        assert np.array_equal(
+            reloaded.parsed_events.time, cold.parsed_events.time
+        )
 
 
 class TestStudyMemoization:

@@ -342,6 +342,29 @@ class TestCacheCommand:
             assert "--cache-dir" in err and "$REPRO_CACHE_DIR" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_store_exits_2_and_creates_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A mistyped path is reported, not made into an empty store,
+        # whether it comes from --cache-dir or $REPRO_CACHE_DIR.
+        missing = tmp_path / "typo_store"
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        actions = (["info"], ["clear"], ["evict", "--max-mb", "1"])
+        for action in actions:
+            assert main(["cache", *action, "--cache-dir", str(missing)]) == 2
+            assert str(missing) in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(missing))
+        for action in actions:
+            assert main(["cache", *action]) == 2
+            assert str(missing) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        # An existing directory is a store with nothing in it yet: the
+        # actions read it and leave it as it was.
+        missing.mkdir()
+        for action in actions:
+            assert main(["cache", *action]) == 0
+        assert list(missing.iterdir()) == []
+
     def test_env_var_names_the_store(self, tmp_path, capsys, monkeypatch):
         envstore = tmp_path / "envstore"
         envstore.mkdir()

@@ -146,6 +146,7 @@ class StoreMachine(RuleBasedStateMachine):
         """A new process opens the same root: fresh counters, stale
         staging files from dead writers reclaimed, live ones kept."""
         live = self._object_path("alpha") + f"{_TMP_MARKER}{os.getpid()}-0"
+        os.makedirs(os.path.dirname(live), exist_ok=True)
         with open(live, "wb") as fh:
             fh.write(b"still being written")
         self.store = ArtifactStore(self.root)
