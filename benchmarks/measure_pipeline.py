@@ -26,7 +26,9 @@ path is not at least its floor times as fast as its per-row oracle
 same process: the block-decoded parse of the smoke lines, clean and
 5%-corrupted, against ``parse_lines_reference`` (``DECODER_MIN_RATIO``),
 ``ConsoleLogWriter.lines`` over the smoke events against
-``render_lines_reference`` (``RENDER_MIN_RATIO``), and the Fig. 13
+``render_lines_reference`` (``RENDER_MIN_RATIO``), the job lookups the
+smoke simulation makes against ``job_on_gpu_scan``
+(``tests/workload_oracles.py``, ``LOOKUP_MIN_RATIO``), and the Fig. 13
 follow matrix, the XID 13 keep mask and the average ranks on the parsed
 smoke log against their loops (``KERNEL_MIN_RATIO``).
 
@@ -64,6 +66,9 @@ import tempfile
 import time
 from collections.abc import Callable
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -83,10 +88,17 @@ GATE_TOLERANCE = 0.25
 #: back to its oracle reads about 1x, whatever the host's speed.
 DECODER_MIN_RATIO = {"clean": 5.5, "uniform(0.05)": 4.0}
 #: Floor of ``ConsoleLogWriter.lines``'s speed over the per-row render
-#: oracle on the gate's smoke events: about half of the 14.3-19.9x
-#: (median about 18x) it read in nine samples on a 2-core host, quiet
-#: and beside other load.
-RENDER_MIN_RATIO = 9.0
+#: oracle on the gate's smoke events: about half of the block render's
+#: lowest reading on a 2-core host (46.7x and 48.3x quiet, 52.9x beside
+#: a running test suite; 40.7-60.5x over a dozen earlier samples).  The
+#: per-row writer it replaced read about 18x.
+RENDER_MIN_RATIO = 20.0
+#: Floor of ``JobLocator.job_on_gpu``'s speed over the per-job scan it
+#: replaced (``tests/workload_oracles.py``), replaying the lookups the
+#: gate's smoke simulation makes: about half of the 3.3-3.4x it read on
+#: a 2-core host, quiet and beside a running test suite.  The scan
+#: itself reads 1x.
+LOOKUP_MIN_RATIO = 1.6
 #: Floors of the figure kernels' speed over their loops in
 #: ``tests/kernel_oracles.py`` on the gate's smoke log: the Fig. 13
 #: follow matrix, the 5-second XID 13 keep mask and the average ranks
@@ -152,9 +164,9 @@ def _median_ratio(fast: Callable[[], object], oracle: Callable[[], object]) -> f
 
 def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
     """Speed of each fast path over its oracle on the smoke scenario,
-    with its floor: the render of the events, the parse of the rendered
-    lines, clean and 5%-corrupted, and the figure kernels on the parsed
-    log."""
+    with its floor: the render of the events, the simulation's job
+    lookups, the parse of the rendered lines, clean and 5%-corrupted,
+    and the figure kernels on the parsed log."""
     from repro.chaos.injector import ChaosConfig, CorruptionInjector
     from repro.core.filtering import sequential_keep_mask
     from repro.core.heatmap import follow_probability_matrix
@@ -169,9 +181,17 @@ def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
         rankdata_average_loop,
         sequential_keep_mask_loop,
     )
+    from repro.workload.lookup import JobLocator
     from tests.telemetry_oracles import parse_lines_reference, render_lines_reference
+    from tests.workload_oracles import job_on_gpu_scan
 
-    dataset = TitanSimulation(Scenario.smoke(seed=seed, days=days)).run()
+    # Record the job lookups the injectors make, to replay them.
+    with mock.patch.object(
+        JobLocator, "job_on_gpu", autospec=True, side_effect=JobLocator.job_on_gpu
+    ) as lookups:
+        dataset = TitanSimulation(Scenario.smoke(seed=seed, days=days)).run()
+    locator = lookups.call_args_list[0].args[0]
+    queries = [call.args[1:] for call in lookups.call_args_list]
     machine, events = dataset.machine, dataset.events
     ratios = {
         "render": (
@@ -180,7 +200,14 @@ def _oracle_ratios(days: float, seed: int) -> dict[str, tuple[float, float]]:
                 lambda: list(render_lines_reference(machine, events)),
             ),
             RENDER_MIN_RATIO,
-        )
+        ),
+        "job lookups": (
+            _median_ratio(
+                lambda: [locator.job_on_gpu(t, gpu) for t, gpu in queries],
+                lambda: [job_on_gpu_scan(locator, t, gpu) for t, gpu in queries],
+            ),
+            LOOKUP_MIN_RATIO,
+        ),
     }
     text = dataset.console_text
     logs = {

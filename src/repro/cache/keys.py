@@ -59,7 +59,7 @@ PIPELINE_EPOCH: int = 1
 #:     from repro.lint.flow import surface_digest
 #:     ctxs = [build_context(p) for p in iter_python_files(['src'])]
 #:     print(surface_digest(build_project(ctxs)))"
-PIPELINE_SURFACE: str = "9199d9a91b28cb4f"
+PIPELINE_SURFACE: str = "228f9f64d7d4a9b3"
 
 
 def canonical_encode(obj: Any) -> Any:

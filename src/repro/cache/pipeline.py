@@ -65,7 +65,7 @@ import hashlib
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Optional
 
 import numpy as np
@@ -204,39 +204,74 @@ def _utf8_len(text: str) -> int:
 
 
 def _put_console_shards(
-    store: ArtifactStore, dkey: str, lines: Iterable[str], shards: list[ShardInfo]
+    store: ArtifactStore, dkey: str, blocks: Iterable[str], shards: list[ShardInfo]
 ) -> Iterator[str]:
-    """Write ``lines`` as console shard artifacts, one at a time.
+    """Write the log in ``blocks`` as console shard artifacts, one at a time.
 
-    Each shard is the newline-terminated join of up to
-    :data:`DEFAULT_SHARD_LINES` whole lines, so the payloads concatenate
-    to the rendered log byte for byte; one shard's lines are resident
-    at a time.  The text is encoded once, and its :class:`ShardInfo`
-    records the digest of the stored container payload, not of the
-    text.  Yields each payload once it is stored and its
-    :class:`ShardInfo` is appended to ``shards``; the manifest is the
-    caller's to write once the iterator is exhausted.  Each shard's
-    encode and write is booked under ``cache.persist``; drawing its
-    lines is not, so a render drawn through here books its own time.
+    ``blocks`` are runs of whole, newline-terminated lines.  Each shard
+    is cut from them right after its :data:`DEFAULT_SHARD_LINES`-th
+    newline, so the payloads concatenate to the log byte for byte, and
+    no line is split out of its block to be joined again; one shard's
+    text is resident at a time.  Yields each shard's text once it is
+    stored and its :class:`ShardInfo` is appended to ``shards``; the
+    manifest is the caller's to write once the iterator is exhausted.
+    Each shard's cut, encode and write is booked under
+    ``cache.persist``, in one span; drawing its blocks is not, so a
+    render drawn through here books its own time.
     """
-    source = iter(lines)
-    while batch := tuple(islice(source, DEFAULT_SHARD_LINES)):
+    parts: list[str] = []
+    lines = 0
+    for block in blocks:
+        count = block.count("\n")  # unbooked: a memchr pass per block
+        start = 0
+        while lines + count >= DEFAULT_SHARD_LINES:
+            with perf.stage("cache.persist"):
+                need = DEFAULT_SHARD_LINES - lines
+                cut = _after_newlines(block, start, need)
+                parts.append(block[start:cut])
+                text = "".join(parts)
+                _put_console_shard(store, dkey, text, DEFAULT_SHARD_LINES, shards)
+            yield text
+            parts, lines, count, start = [], 0, count - need, cut
+        if count:
+            parts.append(block[start:] if start else block)
+            lines += count
+    if parts:
         with perf.stage("cache.persist"):
-            text = "\n".join(batch) + "\n"
-            payload = serde.encode(text, "text")
-            name = _console_shard_layer(len(shards))
-            store.put_bytes(_layer_key(dkey, name), payload, "text")
-            shards.append(
-                ShardInfo(
-                    name=name,
-                    lines=len(batch),
-                    nbytes=_utf8_len(text),
-                    sha256=hashlib.sha256(payload).hexdigest(),
-                )
-            )
-        # Only the joined text stays resident while the consumer runs.
-        del batch, payload
+            text = "".join(parts)
+            _put_console_shard(store, dkey, text, lines, shards)
         yield text
+
+
+def _put_console_shard(
+    store: ArtifactStore, dkey: str, text: str, lines: int, shards: list[ShardInfo]
+) -> None:
+    """Store ``text`` as the next shard, encoded once; its
+    :class:`ShardInfo` records the digest of the stored container
+    payload, not of the text."""
+    payload = serde.encode(text, "text")
+    name = _console_shard_layer(len(shards))
+    store.put_bytes(_layer_key(dkey, name), payload, "text")
+    shards.append(
+        ShardInfo(
+            name=name,
+            lines=lines,
+            nbytes=_utf8_len(text),
+            sha256=hashlib.sha256(payload).hexdigest(),
+        )
+    )
+
+
+def _after_newlines(text: str, start: int, n: int) -> int:
+    """The offset just past the ``n``-th newline of ``text`` from
+    ``start``, which ``text`` must hold; counted a MiB at a time, and
+    only the MiB that holds it split."""
+    step = 1 << 20
+    while (count := text.count("\n", start, start + step)) < n:
+        n -= count
+        start += step
+    piece = text[start : start + step]
+    return start + len(piece) - len(piece.split("\n", n)[-1])
 
 
 def persist_dataset(
@@ -247,10 +282,11 @@ def persist_dataset(
 ) -> str:
     """Write every observable layer of ``dataset``; returns the dataset key.
 
-    The console shards stream from ``dataset.console_lines()``.  When
-    the dataset is not parsed yet, the parse reads the lines as they
-    pass through the shard writer, so a log that is not resident is
-    rendered once and never held as one string.
+    The console shards are cut from the dataset's console blocks: the
+    resident text, or the render's windows.  When the dataset is not
+    parsed yet, the parse reads the shards' lines as they pass through
+    the shard writer, so a log that is not resident is rendered once
+    and never held as one string.
     """
     if dataset.provenance == "modified":
         raise ValueError(
@@ -259,7 +295,7 @@ def persist_dataset(
         )
     dkey = dataset_key(dataset.scenario, epoch=epoch)
     shards: list[ShardInfo] = []
-    payloads = _put_console_shards(store, dkey, dataset.console_lines(), shards)
+    payloads = _put_console_shards(store, dkey, dataset._console_blocks(), shards)
     if dataset._parsed is None:
         dataset._parse(chain.from_iterable(map(str.splitlines, payloads)))
     layers: dict[str, Any] = {
@@ -292,21 +328,26 @@ def load_dataset(
     console shards is decoded: a truncated, garbled or stale artifact,
     or one stored under another kind than :data:`DATASET_LAYERS` names,
     degrades to a miss — the caller then recomputes — never to a
-    partially-wrong dataset.
+    partially-wrong dataset.  A layer read and then rejected counts as
+    a store miss, not a hit.
     """
     dkey = dataset_key(scenario, epoch=epoch)
     decoded: dict[str, Any] = {}
     with perf.stage("cache.load"):
         for layer, kind in DATASET_LAYERS:
             entry = store.get_bytes(_layer_key(dkey, layer))
-            if entry is None or entry[1] != kind:
+            if entry is None:
                 return None
             try:
+                if entry[1] != kind:
+                    raise serde.SerdeError(f"layer {layer} is {entry[1]}, not {kind}")
                 decoded[layer] = serde.decode(entry[0], kind)
             except serde.SerdeError:
+                store.stats.reject_hit()
                 return None
         parsed = _parsed_from_columns(decoded["parsed"])
         if parsed is None:
+            store.stats.reject_hit()
             return None
         console = _console_shard_source(
             store, dkey, decoded[_CONSOLE_MANIFEST_LAYER]
@@ -373,11 +414,13 @@ def _console_shard_source(
     no longer matches the manifest raises :class:`ShardCorruption`.
     """
     manifest = _console_manifest(doc)
-    if manifest is None:
+    if manifest is None or any(
+        shard.name != _console_shard_layer(index)
+        for index, shard in enumerate(manifest.shards)
+    ):
+        store.stats.reject_hit()
         return None
-    for index, shard in enumerate(manifest.shards):
-        if shard.name != _console_shard_layer(index):
-            return None
+    for shard in manifest.shards:
         if _shard_payload(store, dkey, shard) is None:
             return None
 
@@ -398,12 +441,14 @@ def _shard_payload(
     store: ArtifactStore, dkey: str, shard: ShardInfo
 ) -> Optional[bytes]:
     """The shard's verified compressed payload, if the manifest's digest
-    names it; ``None`` if it is missing, corrupt or another artifact."""
+    names it; ``None`` if it is missing, corrupt or another artifact
+    (a store miss either way)."""
     entry = store.get_verified(_layer_key(dkey, shard.name))
     if entry is None:
         return None
     payload, kind, digest = entry
     if kind != "text" or digest != shard.sha256:
+        store.stats.reject_hit()
         return None
     return payload
 

@@ -123,6 +123,12 @@ class StoreStats:
     corrupt_dropped: int = 0
     evicted: int = 0
 
+    def reject_hit(self) -> None:
+        """Book the last hit as a miss: its reader rejected the artifact
+        (stored under another kind, in an older form, or undecodable)."""
+        self.hits -= 1
+        self.misses += 1
+
     def as_dict(self) -> dict[str, int]:
         return {
             "hits": self.hits,

@@ -83,17 +83,20 @@ def follow_probability_matrix(
     iff that time is at most the run's ``t + window_s``.  Each event
     that ends its run is compared with its array neighbour, and only
     the events tied with their neighbour search for their run's end.
-    Every other pair is counted with one binary search per event of its
-    *smaller* side:
+    Every other pair of types is counted from the binary searches of
+    its *smaller* stream's times ``s`` in the larger stream ``tb``, one
+    pass for both directions: ``left = searchsorted(tb, s)``, from which
+    ``searchsorted(tb, s, "right")`` differs only where ``s`` equals a
+    ``tb`` time (there it is searched again).
 
-    * type i no larger: the first type-j event after ``t`` is
-      ``tj[searchsorted(tj, t, "right")]``; test it against ``t + w``;
-    * type j smaller: each ``s`` covers the type-i events ``k`` with
-      ``ti[k] < s <= (ti + w)[k]``, the index range
-      ``[searchsorted(ti + w, s), searchsorted(ti, s))``.  The sorted
-      ``ti + w`` array is searched (never ``s - w``, which rounds
-      differently), and the union of these ranges -- both ends grow
-      with ``s`` -- is counted in one pass.
+    * small to large: the first large event after ``s`` is
+      ``tb[right]``; test it against ``s + w``;
+    * large to small: each ``s`` covers the large events ``k`` with
+      ``tb[k] < s <= (tb + w)[k]``, the index range
+      ``[searchsorted(tb + w, s), left)``.  The sorted ``tb + w`` array
+      is searched (never ``s - w``, which rounds differently), and the
+      union of these ranges -- both ends grow with ``s`` -- is counted
+      in one pass.
     """
     if not window_s > 0:  # also rejects NaN, which no window means
         raise ValueError(f"window must be positive, got {window_s!r}")
@@ -110,30 +113,33 @@ def follow_probability_matrix(
         ti = times_by_type[i]
         if ti.size == 0:
             continue
-        for j in range(k):
-            tj = times_by_type[j]
-            if tj.size == 0:
+        # ti[k + 1] is the first later event of ti[k] when ti[k] ends its
+        # run; an event tied with the next one shares its run's answer,
+        # read at the run's end.
+        run_end = ti[1:] != ti[:-1]
+        end_followed = run_end & (ti[1:] <= ends[i][:-1])
+        followed = np.count_nonzero(end_followed)
+        tied = ti[:-1][~run_end]
+        if tied.size:
+            last = ti.searchsorted(tied, side="right") - 1
+            inside = last < ti.size - 1
+            followed += np.count_nonzero(end_followed[last[inside]])
+        matrix[i, i] = followed / ti.size
+        for j in range(i + 1, k):
+            if times_by_type[j].size == 0:
                 continue
-            if i == j:
-                # ti[k + 1] is the first later event of ti[k] when ti[k]
-                # ends its run; an event tied with the next one shares
-                # its run's answer, read at the run's end.
-                run_end = ti[1:] != ti[:-1]
-                end_followed = run_end & (ti[1:] <= ends[i][:-1])
-                followed = np.count_nonzero(end_followed)
-                tied = ti[:-1][~run_end]
-                if tied.size:
-                    last = ti.searchsorted(tied, side="right") - 1
-                    inside = last < ti.size - 1
-                    followed += np.count_nonzero(end_followed[last[inside]])
-            elif ti.size <= tj.size:
-                nxt = tj.searchsorted(ti, side="right")
-                inside = nxt < tj.size
-                followed = np.count_nonzero(tj[nxt[inside]] <= ends[i][inside])
-            else:
-                lo = ends[i].searchsorted(tj)
-                hi = ti.searchsorted(tj)
-                lo[1:] = np.maximum(lo[1:], hi[:-1])
-                followed = int(np.maximum(hi - lo, 0).sum())
-            matrix[i, j] = followed / ti.size
+            small, large = (i, j) if ti.size <= times_by_type[j].size else (j, i)
+            ts, tl = times_by_type[small], times_by_type[large]
+            left = tl.searchsorted(ts)
+            right = left.copy()
+            # Only a key not below the time it lands on can equal it.
+            tied = np.flatnonzero(~(ts < tl.take(left, mode="clip")))
+            right[tied] = tl.searchsorted(ts[tied], side="right")
+            inside = right < tl.size
+            matrix[small, large] = (
+                np.count_nonzero(tl[right[inside]] <= ends[small][inside]) / ts.size
+            )
+            lo = ends[large].searchsorted(ts)
+            lo[1:] = np.maximum(lo[1:], left[:-1])
+            matrix[large, small] = int(np.maximum(left - lo, 0).sum()) / tl.size
     return FollowMatrix(tuple(types), float(window_s), matrix, counts)

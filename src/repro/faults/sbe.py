@@ -240,15 +240,19 @@ class SbeInjector:
             user_factor = self.rng.lognormal(-0.5 * sigma**2, sigma, size=n_users)
             lam = lam * user_factor[trace.user]
         counts = self.rng.poisson(lam)
+        # Each run's prone cards are prone_ranks[prone_lo:prone_hi].
+        prone_lo = np.searchsorted(prone_ranks, trace.run_start, side="left")
+        prone_hi = np.searchsorted(
+            prone_ranks, trace.run_start + trace.run_length, side="left"
+        )
         for job in np.flatnonzero(counts):
             n = int(counts[job])
-            starts, lengths = trace.job_runs(int(job))
+            runs = slice(trace.run_offsets[job], trace.run_offsets[job + 1])
             # prone cards inside this job's rank runs
-            pieces = []
-            for s, l in zip(starts, lengths):
-                lo = np.searchsorted(prone_ranks, s, side="left")
-                hi = np.searchsorted(prone_ranks, s + l, side="left")
-                pieces.append(prone_ranks[lo:hi])
+            pieces = [
+                prone_ranks[lo:hi]
+                for lo, hi in zip(prone_lo[runs].tolist(), prone_hi[runs].tolist())
+            ]
             ranks = np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
             if ranks.size == 0:
                 continue  # numerical fluke: λ>0 requires a prone card

@@ -122,15 +122,29 @@ class SimulationDataset:
             return chain.from_iterable(map(str.splitlines, self._console_shards()))
         return ConsoleLogWriter(self.machine).lines(self.injection.events)
 
+    def _console_blocks(self) -> Iterator[str]:
+        """The console log as text blocks of whole, newline-terminated
+        lines, from the same source :meth:`console_lines` reads: the
+        resident text as one block, the store's shards, or the render's
+        windows."""
+        if self._console_text is not None:
+            return iter((self._console_text,) if self._console_text else ())
+        if self._console_shards is not None:
+            return self._console_shards()
+        return ConsoleLogWriter(self.machine).blocks(self.injection.events)
+
     @property
     def console_text(self) -> str:
-        """The console log as one string (materialized on first use)."""
+        """The console log as one string (materialized on first use):
+        the shards joined, or the events rendered into one buffer."""
         if self._console_text is None:
             if self._console_shards is not None:
                 with perf.stage("cache.load"):
                     self._console_text = "".join(self._console_shards())
             else:
-                self._console_text = "\n".join([*self.console_lines(), ""])
+                self._console_text = ConsoleLogWriter(self.machine).to_text(
+                    self.injection.events
+                )
         return self._console_text
 
     @property

@@ -43,6 +43,7 @@ from __future__ import annotations
 import datetime as _dt
 import math
 import re
+import weakref
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import islice
@@ -312,7 +313,10 @@ class _TableIndex:
             self._columns.append((int(offsets[column]), digit.astype(np.int32)))
             slot += self._columns[-1][1][table[:, column]]
             weight *= int(present.sum())
-        self._slots = np.full(n_slots + 1, len(keys), dtype=np.int32)
+        #: Each slot's key, in the narrowest dtype that holds ``len(keys)``.
+        self._slots = np.full(
+            n_slots + 1, len(keys), dtype=np.min_scalar_type(len(keys))
+        )
         self._slots[slot] = np.arange(len(keys))
         # The rows as little-endian words, and masks of the key bytes.
         mask = (np.arange(self.width) < self.lengths[:, None]) * np.uint8(0xFF)
@@ -443,6 +447,21 @@ class _BlockDecoder:
         )
 
 
+#: The block decoder of each machine, built on first use: it holds no
+#: state of a parse, so every parser of one machine shares it.
+_DECODERS: "weakref.WeakKeyDictionary[TitanMachine, _BlockDecoder]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _block_decoder(machine: TitanMachine) -> _BlockDecoder:
+    decoder = _DECODERS.get(machine)
+    if decoder is None:
+        decoder = _BlockDecoder(machine, _ETYPE_BY_HEAD)
+        _DECODERS[machine] = decoder
+    return decoder
+
+
 @dataclass
 class ParseStats:
     """Counters the parser accumulates over a log stream.
@@ -524,7 +543,7 @@ class ConsoleLogParser:
             raise ValueError("error_budget must be in [0, 1] or None")
         self.error_budget = error_budget
         self.quarantine = quarantine
-        self._decoder = _BlockDecoder(machine, _ETYPE_BY_HEAD)
+        self._decoder = _block_decoder(machine)
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -7,10 +7,11 @@ tens of microseconds per line — at fleet scale that is the single
 largest term in the telemetry round trip — so this module provides a
 hand-rolled codec for exactly that format:
 
-* :func:`format_timestamps` — seconds-since-study-epoch → stamp text,
-  byte-identical, element for element, to
+* :func:`stamp_bytes` — seconds-since-study-epoch → the stamps' ASCII
+  bytes, one 26-byte row per time, byte-identical, row for row, to
   ``timestamp_to_datetime(ts).isoformat(timespec="microseconds")``
-  (``strftime`` with the same format, for years from 1000 on);
+  (``strftime`` with the same format, for years from 1000 on); the
+  console writer copies the rows into its line blocks;
 * :func:`parse_timestamp` — stamp text → seconds-since-study-epoch,
   value-identical (bit-for-bit ``float64``) to
   ``datetime_to_timestamp(datetime.strptime(stamp, ...))``.  On every
@@ -28,7 +29,8 @@ hand-rolled codec for exactly that format:
 Both directions memoize the calendar work per *day*: the date prefix
 (``YYYY-MM-DD``) is computed once per distinct day and reused for every
 stamp on that day, so the per-line cost collapses to integer slicing
-and arithmetic.  Microsecond rounding on the formatting side replicates
+and arithmetic (on the formatting side, array arithmetic with no
+per-stamp Python at all).  Microsecond rounding on the formatting side replicates
 ``datetime.timedelta(seconds=ts)`` exactly (``np.modf`` + round-half-
 even); the parsing side uses pure integer arithmetic and one final
 division, matching ``timedelta.total_seconds()`` bit for bit.  The
@@ -48,8 +50,9 @@ from repro.units import DAY, HOUR, MINUTE, STUDY_EPOCH, datetime_to_timestamp
 __all__ = [
     "TIMESTAMP_FORMAT",
     "TIMESTAMP_WIDTH",
-    "format_timestamps",
     "parse_timestamp",
+    "stamp_bytes",
+    "stamp_microseconds",
 ]
 
 #: The one and only console timestamp format (reference codec).
@@ -82,8 +85,26 @@ _DATE_OF_DAY: dict[int, str] = {}
 _DAY_US_OF_DATE: dict[str, int] = {}
 _MEMO_LIMIT = 16_384
 
-#: Rendered two-digit fields (hours, minutes, seconds are all < 60).
-_2D_TEXT: tuple[str, ...] = tuple(f"{i:02d}" for i in range(60))
+#: A stamp is assembled as seven little-endian 4-byte words: ``YYYY``,
+#: ``-MM-``, ``DDTH``, ``H:MM``, ``:SS.``, the first four and the last
+#: two microsecond digits.  Words two and three follow the minute of
+#: the day (word two's ``DD`` half is the date's); word four the second.
+_MINUTE_WORDS: np.ndarray = np.frombuffer(
+    "".join(f"\0\0T{m // 60:02d}:{m % 60:02d}" for m in range(24 * 60)).encode(
+        "ascii"
+    ),
+    dtype="<u4",
+).reshape(-1, 2)
+_SECOND_WORDS: np.ndarray = np.frombuffer(
+    "".join(f":{s:02d}." for s in range(60)).encode("ascii"), dtype="<u4"
+)
+#: Four ASCII digits of every value below 10,000, one word each.
+_4D_WORDS: np.ndarray = np.frombuffer(
+    "".join(f"{i:04d}" for i in range(10_000)).encode("ascii"), dtype="<u4"
+)
+_2D_WORDS: np.ndarray = np.frombuffer(
+    "".join(f"{i:02d}\0\0" for i in range(100)).encode("ascii"), dtype="<u4"
+)
 
 #: Two-digit ASCII field → value.  ``parse_timestamp`` decodes hour,
 #: minute and second through this table; a miss is not two digits.
@@ -101,18 +122,17 @@ def _date_of_day(day: int) -> str:
     return date
 
 
-def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
-    """Render seconds-since-epoch as ``YYYY-MM-DDTHH:MM:SS.ffffff`` stamps.
+def stamp_microseconds(times: np.ndarray | Iterable[float]) -> np.ndarray:
+    """Microseconds since the epoch of each time, as
+    ``timedelta(seconds=t)`` counts them.
 
     The µs normalization maps ``timedelta``'s ``modf`` + ``round``
-    (half-even) to ``np.modf`` + ``np.rint`` — the same IEEE-754
-    operations — and the divmod cascade runs once per *array* instead
-    of once per stamp.  Raises ``ValueError`` for a time that is not
-    finite or whose stamp would fall outside years 1–9999.
+    (half-even) to ``np.modf`` + ``np.rint``, the same IEEE-754
+    operations.  Raises ``ValueError`` for a time that is not finite
+    or whose stamp would fall outside years 1-9999, naming the first
+    time that is not finite or near, else the first one outside.
     """
     arr = np.asarray(times, dtype=np.float64)
-    if arr.size == 0:
-        return []
     near = np.abs(arr) < _MAX_SECONDS  # False for NaN too
     if not near.all():
         raise _unstamped(arr[~near])
@@ -120,29 +140,42 @@ def format_timestamps(times: np.ndarray | Iterable[float]) -> list[str]:
     total_us = whole.astype(np.int64) * _US_PER_SECOND + np.rint(
         frac * 1e6
     ).astype(np.int64)
-    day, us = np.divmod(total_us, _US_PER_DAY)
-    outside = (day < _FIRST_DAY) | (day > _LAST_DAY)
+    outside = (total_us < _FIRST_DAY * _US_PER_DAY) | (
+        total_us >= (_LAST_DAY + 1) * _US_PER_DAY
+    )
     if outside.any():
         raise _unstamped(arr[outside])
+    return total_us
+
+
+def stamp_bytes(microseconds: np.ndarray) -> np.ndarray:
+    """ASCII ``YYYY-MM-DDTHH:MM:SS.ffffff`` stamps of the microsecond
+    counts :func:`stamp_microseconds` returns, one
+    :data:`TIMESTAMP_WIDTH`-byte ``uint8`` row each.
+
+    The divmod cascade runs once per *array*, and each stamp is seven
+    words looked up in small tables: the date's per distinct day, the
+    clock's by minute of the day and second, the fraction's by its
+    first four and last two digits.
+    """
+    day, us = np.divmod(np.asarray(microseconds, dtype=np.int64), _US_PER_DAY)
     second, us = np.divmod(us, _US_PER_SECOND)
     minute, second = np.divmod(second, _SECONDS_PER_MINUTE)
-    hour, minute = np.divmod(minute, _SECONDS_PER_MINUTE)
-    two = _2D_TEXT
-    out: list[str] = []
-    append = out.append
-    # Streams are near-sorted, so consecutive stamps usually share a
-    # date prefix; track the last one instead of re-querying the memo.
-    last_day: int | None = None
-    date = ""
-    for d, h, m, s, u in zip(
-        day.tolist(), hour.tolist(), minute.tolist(),
-        second.tolist(), us.tolist(),
-    ):
-        if d != last_day:
-            date = _date_of_day(d)
-            last_day = d
-        append(f"{date}T{two[h]}:{two[m]}:{two[s]}.{u:06d}")
-    return out
+    us_high, us_low = np.divmod(us, 100)
+    distinct, inverse = np.unique(day, return_inverse=True)
+    dates = "".join(_date_of_day(d) + "\0\0" for d in distinct.tolist())
+    date_words = np.frombuffer(dates.encode("ascii"), dtype="<u4").reshape(-1, 3)
+    date_words = np.take(date_words, inverse, axis=0)
+    minute_words = np.take(_MINUTE_WORDS, minute, axis=0)
+    words = np.empty((len(day), 7), dtype="<u4")
+    words[:, 0] = date_words[:, 0]
+    words[:, 1] = date_words[:, 1]
+    words[:, 2] = date_words[:, 2] | minute_words[:, 0]
+    words[:, 3] = minute_words[:, 1]
+    words[:, 4] = np.take(_SECOND_WORDS, second)
+    words[:, 5] = np.take(_4D_WORDS, us_high)
+    words[:, 6] = np.take(_2D_WORDS, us_low)
+    return words.view(np.uint8)[:, :TIMESTAMP_WIDTH]
 
 
 def _unstamped(times: np.ndarray) -> ValueError:

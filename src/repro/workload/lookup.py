@@ -2,8 +2,9 @@
 
 Fault injectors repeatedly ask "which job ran on GPU *g* at time *t*?"
 and "which jobs were running at *t*?".  :class:`JobLocator` answers both
-using arrays sorted by start time plus run-interval searches, keeping
-each query O(active jobs · log runs) without materializing node lists.
+from a day-bucket index of the jobs and of their allocation runs,
+without materializing node lists: a GPU lookup is one vectorized test
+over the runs of one bucket.
 """
 
 from __future__ import annotations
@@ -53,6 +54,21 @@ class JobLocator:
             for b in range(int(first[j]), int(last[j]) + 1):
                 buckets[b].append(j)
         self._buckets = [np.asarray(b, dtype=np.int64) for b in buckets]
+        # Per bucket, every run of its jobs, flattened in job order: the
+        # run's job, its first and past-the-end rank, and the job's
+        # start and end time.
+        self._bucket_runs = []
+        for jobs in self._buckets:
+            first = trace.run_offsets[jobs]
+            runs = trace.run_offsets[jobs + 1] - first
+            run = np.repeat(first - (np.cumsum(runs) - runs), runs) + np.arange(
+                int(runs.sum())
+            )
+            job = np.repeat(jobs, runs)
+            lo = trace.run_start[run]
+            self._bucket_runs.append(
+                (job, lo, lo + trace.run_length[run], trace.start[job], trace.end[job])
+            )
 
     def running_at(self, time: float) -> np.ndarray:
         """Job indices running at ``time`` (started ≤ t < end)."""
@@ -66,15 +82,21 @@ class JobLocator:
         return candidates[mask]
 
     def job_on_gpu(self, time: float, gpu: int) -> int:
-        """Job index occupying ``gpu`` at ``time``, or −1."""
-        rank = int(self.allocation_rank[gpu])
-        for j in self.running_at(time):
-            starts, lengths = self.trace.job_runs(int(j))
-            # runs are few; linear scan is cheapest
-            for s, l in zip(starts, lengths):
-                if s <= rank < s + l:
-                    return int(j)
-        return -1
+        """Job index occupying ``gpu`` at ``time``, or −1; the lowest
+        such index if several jobs claim it.
+
+        One vectorized test over the runs of ``time``'s bucket; they are
+        in job order, so the first hit is the lowest job.
+        """
+        rank = self.allocation_rank[gpu]
+        b = int(np.floor(time / self.BUCKET_S)) - self._bucket0
+        if not 0 <= b < len(self._bucket_runs):
+            return -1
+        job, lo, hi, start, end = self._bucket_runs[b]
+        hit = np.flatnonzero(
+            (start <= time) & (end > time) & (lo <= rank) & (hi > rank)
+        )
+        return int(job[hit[0]]) if len(hit) else -1
 
     def job_gpus(self, job: int) -> np.ndarray:
         """GPU ids allocated to a job (requires the inverse rank map)."""

@@ -40,6 +40,7 @@ from repro.cache import (
     scenario_fingerprint,
 )
 from repro.cache import serde, sweep_point_key
+from repro.cache.pipeline import DEFAULT_SHARD_LINES
 from repro.cache.store import _MAGIC
 from repro.errors.event import EventLog
 from repro.sim import Scenario
@@ -704,18 +705,17 @@ class TestPipeline:
     def test_v1_console_manifest_is_a_miss(self, tmp_path, warm_store):
         """A version-1 manifest records digests of the shard *text*: it
         must read as a miss, never be checked against container digests,
-        and be re-persisted as version 2."""
+        and be re-persisted as version 2.  Every other layer is current,
+        so the manifest is the one layer rejected, and it counts as a
+        store miss, not a hit."""
         _, cold = warm_store
         store = ArtifactStore(tmp_path)
-        dkey = dataset_key(SMOKE)
+        dkey = persist_dataset(store, cold)
         text = cold.console_text
         encoded = text.encode("utf-8")
+        assert text.count("\n") < DEFAULT_SHARD_LINES  # one shard
         for layer, obj, kind in (
             ("console.000000", text, "text"),
-            ("parsed", (cold.parsed_events, cold.parse_stats), "pickle"),
-            ("nvsmi", cold.nvsmi_table, "npz"),
-            ("jobsnap", cold.jobsnap_records, "pickle"),
-            ("trace", cold.trace, "pickle"),
             ("console.manifest", {
                 "version": 1,
                 "total_lines": text.count("\n"),
@@ -729,7 +729,9 @@ class TestPipeline:
             }, "json"),
         ):
             store.put(f"{dkey}/layer/{layer}", obj, kind)
-        assert load_dataset(store, SMOKE) is None
+        fresh = ArtifactStore(tmp_path)
+        assert load_dataset(fresh, SMOKE) is None
+        assert (fresh.stats.hits, fresh.stats.misses) == (4, 1)
 
         _, warm = load_or_simulate(SMOKE, store)
         assert not warm
@@ -752,7 +754,10 @@ class TestPipeline:
         parsed = f"{dkey}/layer/parsed"
         assert store.get_verified(parsed)[1] == "columns"
         store.put(parsed, (cold.parsed_events, cold.parse_stats), "pickle")
-        assert load_dataset(store, SMOKE) is None
+        fresh = ArtifactStore(tmp_path)
+        assert load_dataset(fresh, SMOKE) is None
+        # The manifest is read and kept; ``parsed`` is read and rejected.
+        assert (fresh.stats.hits, fresh.stats.misses) == (1, 1)
 
         _, warm = load_or_simulate(SMOKE, store)
         assert not warm

@@ -59,8 +59,9 @@ def parse_in_batches(machine, lines, batch_lines, **kwargs):
         return ConsoleLogParser(machine, **kwargs).parse_lines(lines)
 
 
-def put_shards(store, lines, shard_lines):
-    """Store ``lines`` as console shards of ``shard_lines`` lines each.
+def put_blocks(store, blocks, shard_lines):
+    """Store the text ``blocks`` (runs of newline-terminated lines) as
+    console shards of ``shard_lines`` lines each.
 
     Returns the manifest the persist would write and the payloads the
     writer yielded.
@@ -68,13 +69,27 @@ def put_shards(store, lines, shard_lines):
     shards = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("repro.cache.pipeline.DEFAULT_SHARD_LINES", shard_lines)
-        payloads = list(_put_console_shards(store, DKEY, lines, shards))
+        payloads = list(_put_console_shards(store, DKEY, blocks, shards))
     manifest = ShardManifest(
         total_lines=sum(s.lines for s in shards),
         total_bytes=sum(s.nbytes for s in shards),
         shards=tuple(shards),
     )
     return manifest, payloads
+
+
+def put_shards(store, lines, shard_lines, block_lines=3):
+    """:func:`put_blocks` of ``lines``, ``block_lines`` to a block, so
+    that shards are cut both inside blocks and between them."""
+    lines = list(lines)
+    return put_blocks(
+        store,
+        (
+            "".join(f"{line}\n" for line in lines[i : i + block_lines])
+            for i in range(0, len(lines), block_lines)
+        ),
+        shard_lines,
+    )
 
 
 def load_shards(store, manifest):
@@ -247,10 +262,11 @@ class TestParseEquivalence:
         )
         lines = data.draw(st.lists(line, max_size=60))
         shard_size = data.draw(st.integers(min_value=1, max_value=50))
+        block_lines = data.draw(st.integers(min_value=1, max_value=70))
         batch_lines = data.draw(st.integers(min_value=1, max_value=50))
         store = ArtifactStore(tmp_path_factory.mktemp("prop-shards"))
 
-        manifest, _ = put_shards(store, lines, shard_size)
+        manifest, _ = put_shards(store, lines, shard_size, block_lines)
         assert manifest.total_lines == len(lines)
         expected_text = "\n".join(lines) + "\n" if lines else ""
         assert "".join(load_shards(store, manifest)()) == expected_text
@@ -490,20 +506,22 @@ class TestShardedCacheLayer:
         self, store, smoke_dataset, small_shards, monkeypatch
     ):
         """Persisting an unparsed simulation feeds the parse and the
-        shards from one render; the whole text is never built."""
+        shards from one render, in window blocks; the whole text is
+        never built."""
         text = smoke_dataset.console_text
         log, stats = smoke_dataset.parsed_events, smoke_dataset.parse_stats
         renders = []
-        render = ConsoleLogWriter.lines
+        for name in ("lines", "blocks", "to_text"):
+            render = getattr(ConsoleLogWriter, name)
 
-        def counting_render(writer, events):
-            renders.append(events)
-            return render(writer, events)
+            def counting_render(writer, events, name=name, render=render):
+                renders.append(name)
+                return render(writer, events)
 
-        monkeypatch.setattr(ConsoleLogWriter, "lines", counting_render)
+            monkeypatch.setattr(ConsoleLogWriter, name, counting_render)
         replica = _streamed_replica(smoke_dataset)
         dkey = persist_dataset(store, replica)
-        assert len(renders) == 1
+        assert renders == ["blocks"]
         assert replica._console_text is None
         assert_logs_equal(replica.parsed_events, log)
         assert replica.parse_stats == stats
@@ -531,9 +549,15 @@ class TestWriterShards:
     def test_console_shards_match_to_text(self, store, smoke_dataset):
         writer = ConsoleLogWriter(smoke_dataset.machine)
         events = smoke_dataset.injection.events
-        manifest, payloads = put_shards(store, writer.lines(events), 7_000)
+        manifest, payloads = put_blocks(store, writer.blocks(events), 7_000)
         assert len(manifest.shards) >= 2
+        assert [s.lines for s in manifest.shards[:-1]] == [7_000] * (
+            len(manifest.shards) - 1
+        )
         assert "".join(payloads) == writer.to_text(events)
+        assert [
+            line for payload in payloads for line in payload.splitlines()
+        ] == list(writer.lines(events))
         assert list(load_shards(store, manifest)()) == payloads
 
 
