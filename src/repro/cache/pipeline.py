@@ -22,11 +22,14 @@ layer                 kind     contents
                                shards of up to ``DEFAULT_SHARD_LINES``
                                lines (zlib-compressed)
 ``parsed``            columns  the SEC output: the seven ``EventLog``
-                               columns, each 64-byte aligned with its
-                               dtype, and ``ParseStats`` in the JSON
-                               header; a load returns the columns as
+                               columns with their dtypes, and
+                               ``ParseStats`` in the JSON header; a
+                               constant column (``parent``, −1 on every
+                               parsed row) is one fill value in the
+                               header, every other column 64-byte
+                               aligned bytes; a load returns them as
                                read-only views of the one verified
-                               payload, copying nothing
+                               payload or of the fill, copying nothing
 ``nvsmi``             npz      the fleet nvidia-smi table
 ``jobsnap``           pickle   per-job snapshot records (Figs. 16–20 data)
 ``trace``             pickle   the columnar job accounting trace
@@ -44,7 +47,9 @@ skipping simulation, console rendering *and* parsing — or
 transparently falls back to a cold :class:`TitanSimulation` run (and
 persists the result) when any layer is missing, fails its checksum or
 is stored under another kind than :data:`DATASET_LAYERS` names (a
-``parsed`` layer in the older ``pickle`` form, say).
+``parsed`` layer in the older ``pickle`` form, say), or when the
+``parsed`` columns' dtypes are not :class:`EventLog`'s (a layer written
+when ``gpu`` was int64).
 A load checks every console shard without inflating it: the store
 verifies the container's SHA-256, and that digest must be the one the
 manifest recorded.  The lines are inflated lazily, only if something
@@ -379,8 +384,9 @@ def _parsed_columns(
 
 def _parsed_from_columns(obj: Any) -> Optional[tuple[EventLog, ParseStats]]:
     """Inverse of :func:`_parsed_columns`, or ``None`` if ``obj`` does not
-    hold exactly the log's columns and the stats' fields.  The columns
-    are used as they come, so the log views the layer's payload."""
+    hold exactly the log's columns, with its dtypes, and the stats'
+    fields.  The columns are used as they come, so the log views the
+    layer's payload."""
     columns, doc = obj
     try:
         log = EventLog(**columns)
@@ -388,6 +394,12 @@ def _parsed_from_columns(obj: Any) -> Optional[tuple[EventLog, ParseStats]]:
             **{**doc, "unknown_xids_seen": set(doc["unknown_xids_seen"])}
         )
     except (KeyError, TypeError, ValueError):
+        return None
+    empty = EventLog.empty()
+    if any(
+        getattr(log, f.name).dtype != getattr(empty, f.name).dtype
+        for f in dataclasses.fields(EventLog)
+    ):
         return None
     return log, stats
 

@@ -12,7 +12,8 @@ kind         payload
 ``npz``      dict of numpy arrays via ``np.savez_compressed``
 ``pickle``   arbitrary analysis result objects (figure dataclasses)
 ``columns``  ``(dict of 1-D numpy arrays, JSON document)``, decoded as
-             read-only views of the payload itself (see below)
+             read-only views of the payload itself, or of one fill value
+             for a constant column (see below)
 ===========  ============================================================
 
 ``pickle`` is acceptable here because the store is a *local, private*
@@ -24,12 +25,27 @@ A ``columns`` payload is laid out for a decode that copies nothing::
 
     4-byte BE header length | header JSON | zero pad | column | zero pad | ...
 
-The header is ``{"columns": [[name, dtype, length], ...], "meta": doc}``
-and every column starts at the next 64-byte boundary of the payload
-after the header or the column before it.  :func:`decode` returns each
-column as an ``np.frombuffer`` view of the payload bytes: read-only,
-aligned for its dtype when the payload buffer is, and valid for as long
-as any view holds the payload.
+The header is ``{"columns": [entry, ...], "meta": doc}``, one entry per
+column in order:
+
+===============================  ===========================================
+entry                            column
+===============================  ===========================================
+``[name, dtype, length]``        stored: its bytes start at the next 64-byte
+                                 boundary of the payload after the header or
+                                 the stored column before it
+``[name, dtype, length, fill]``  constant: every element has the bytes of
+                                 ``fill`` (one element, hex), and the
+                                 payload holds none of them
+===============================  ===========================================
+
+A column is constant when its elements are bit-identical, so ``0.0``
+and ``-0.0`` differ and a NaN keeps its payload bits; an empty column
+is stored.  :func:`decode` returns a stored column as an
+``np.frombuffer`` view of the payload bytes: read-only, aligned for its
+dtype when the payload buffer is, and valid for as long as any view
+holds the payload.  A constant column decodes as a read-only
+``np.broadcast_to`` view of its one fill element (stride 0).
 """
 
 from __future__ import annotations
@@ -129,33 +145,43 @@ def _encode_columns(obj: Any) -> bytes:
     ):
         raise SerdeError("columns artifact needs (dict[str, 1-D array], meta)")
     arrays, meta = obj
-    header = encode(
-        {
-            "columns": [
-                [name, col.dtype.str, len(col)] for name, col in arrays.items()
-            ],
-            "meta": meta,
-        },
-        "json",
-    )
+    entries: list[list[Any]] = []
+    stored: list[np.ndarray] = []
+    for name, col in arrays.items():
+        raw = np.ascontiguousarray(col).view(np.uint8)
+        entry: list[Any] = [name, col.dtype.str, len(col)]
+        step = col.dtype.itemsize
+        if len(col) and np.array_equal(raw[step:], raw[:-step]):
+            entry.append(raw[:step].tobytes().hex())
+        else:
+            stored.append(raw)
+        entries.append(entry)
+    header = encode({"columns": entries, "meta": meta}, "json")
     parts: list[Any] = [len(header).to_bytes(_COLUMN_HEADER_LEN_BYTES, "big"), header]
     end = _COLUMN_HEADER_LEN_BYTES + len(header)
-    for col in arrays.values():
+    for raw in stored:
         start = _aligned(end)
         parts.append(bytes(start - end))
-        parts.append(np.ascontiguousarray(col).view(np.uint8))
-        end = start + col.nbytes
+        parts.append(raw)
+        end = start + raw.nbytes
     return b"".join(parts)
 
 
 def _decode_columns(payload: bytes) -> tuple[dict[str, np.ndarray], Any]:
-    """Inverse of :func:`_encode_columns`: views of ``payload``, no copies."""
+    """Inverse of :func:`_encode_columns`: views of ``payload``, or of a
+    constant column's fill, with no copies."""
     end = _COLUMN_HEADER_LEN_BYTES + int.from_bytes(
         payload[:_COLUMN_HEADER_LEN_BYTES], "big"
     )
     header = json.loads(payload[_COLUMN_HEADER_LEN_BYTES:end].decode("utf-8"))
     arrays: dict[str, np.ndarray] = {}
-    for name, dtype, length in header["columns"]:
+    for name, dtype, length, *fill in header["columns"]:
+        if fill:
+            value = np.frombuffer(bytes.fromhex(*fill), dtype=np.dtype(dtype))
+            if value.size != 1:
+                raise SerdeError(f"column {name} has a {value.size}-element fill")
+            arrays[name] = np.broadcast_to(value, (length,))
+            continue
         start = _aligned(end)
         arrays[name] = np.frombuffer(
             payload, dtype=np.dtype(dtype), count=length, offset=start

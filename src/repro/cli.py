@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--outdir", type=Path, default=None,
                        help="write figure CSVs here as well")
 
-    p_obs = sub.add_parser("observations", help="Observation 1-14 scorecard")
+    p_obs = sub.add_parser("observations", help="Observation scorecard (12 checks)")
     _add_common(p_obs)
 
     p_health = sub.add_parser("fleet-health", help="operator triage summary")

@@ -9,7 +9,8 @@ noticing:
   floats, sorted keys, stable dataclass field order), so "bit-for-bit
   identical" is a literal statement about every array element — plus a
   small human-readable scalar summary for diagnosing drift;
-* the **Observation 1–14 scorecard** verdicts;
+* the **Observation scorecard** verdicts: 12 checks covering
+  Observations 1–4, 6, 7 and 10–14;
 * the **headline statistics**
   (:func:`repro.core.observations.headline_statistics`) — the same
   single definition the sweep's replica bands are computed from.

@@ -103,7 +103,7 @@ def follow_probability_matrix(
     in_order = log.is_sorted()
     times_by_type = []
     for etype in types:
-        times = log.time[log.etype == etype.code]
+        times = log.time[log.rows_of_type(etype)]
         times_by_type.append(times if in_order else np.sort(times, kind="stable"))
     k = len(types)
     counts = np.asarray([t.size for t in times_by_type], dtype=np.int64)

@@ -1,8 +1,8 @@
-"""The Observation 1–14 scorecard as a reusable library primitive.
+"""The Observation scorecard as a reusable library primitive.
 
 The paper condenses its findings into fourteen numbered Observations;
-``python -m repro observations`` prints a pass/fail scorecard for all
-of them.  A sweep (:mod:`repro.sweep`) reruns the same scorecard on
+``python -m repro observations`` prints a pass/fail scorecard of 12
+checks, which cover Observations 1–4, 6, 7 and 10–14.  A sweep (:mod:`repro.sweep`) reruns the same scorecard on
 every grid point — on *corrupted* telemetry along its ``corruptions``
 axis, to measure at which damage level each finding first flips — so
 the check logic lives here: one definition, two consumers.
@@ -46,7 +46,8 @@ def _check(name: str, predicate) -> ObservationCheck:
 
 
 def observation_scorecard(study: "TitanStudy") -> list[ObservationCheck]:
-    """Score every Observation 1–14 claim against one study.
+    """Score the 12 Observation checks (Obs 1–4, 6, 7 and 10–14)
+    against one study.
 
     Never raises for data-quality reasons: checks that cannot be
     evaluated on the surviving telemetry fail with a recorded detail.

@@ -21,6 +21,7 @@ store-backed and warm runs bit-for-bit.
 
 from __future__ import annotations
 
+from collections.abc import Hashable
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -150,6 +151,12 @@ class Fig20Result:
     excluding_offenders: UserCorrelation
 
 
+def _read_only(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    for column in arrays.values():
+        column.setflags(write=False)
+    return arrays
+
+
 class TitanStudy:
     """The full analysis pipeline over one simulated dataset."""
 
@@ -163,6 +170,7 @@ class TitanStudy:
         self._log: EventLog | None = None
         self.store = store
         self._memo: dict[str, Any] = {}
+        self._inputs: dict[Hashable, Any] = {}
         self._dataset_key: str | None = None
         # Persisted figure results must be a pure function of
         # (scenario, seed, epoch): a modified console stream changes
@@ -235,6 +243,12 @@ class TitanStudy:
         return {name: getattr(self, name)() for name in FIGURES}
 
     # -- shared inputs ---------------------------------------------------------
+
+    def _input(self, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """An input several figures share, computed once per study."""
+        if key not in self._inputs:
+            self._inputs[key] = compute()
+        return self._inputs[key]
 
     @property
     def log(self) -> EventLog:
@@ -347,18 +361,24 @@ class TitanStudy:
 
     # -- software figures -----------------------------------------------------------
 
-    def _stream(self, etype: ErrorType) -> tuple[np.ndarray, np.ndarray]:
-        """Log rows and times of one error stream, without copying the
-        stream's other columns."""
-        rows = np.flatnonzero(self.log.etype == etype.code)
-        return rows, self.log.time[rows]
+    def _keep(self, etype: ErrorType, dedup_window_s: float) -> np.ndarray:
+        """The sequential child filter's keep mask over the log rows of
+        one stream (Figs. 10 and 12 share XID 13's), read-only."""
+
+        def compute() -> np.ndarray:
+            times = self.log.time[self.log.rows_of_type(etype)]
+            keep = sequential_keep_mask(times, dedup_window_s)
+            keep.setflags(write=False)
+            return keep
+
+        return self._input(("keep", etype, dedup_window_s), compute)
 
     def _parents(self, etype: ErrorType, dedup_window_s: float) -> EventLog:
         """One stream after the sequential child filter (job-wide echoes
         collapse to one event; a pure Poisson driver stream is
         untouched).  Only the kept rows are copied out of the log."""
-        rows, times = self._stream(etype)
-        return self.log.select(rows[sequential_keep_mask(times, dedup_window_s)])
+        rows = self.log.rows_of_type(etype)
+        return self.log.select(rows[self._keep(etype, dedup_window_s)])
 
     def _monthly(
         self, etype: ErrorType, dedup_window_s: float = 5.0
@@ -424,8 +444,8 @@ class TitanStudy:
         return self._figure("fig12", self._fig12)
 
     def _fig12(self, window_s: float = 5.0) -> Fig12Result:
-        rows, times = self._stream(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
-        keep = sequential_keep_mask(times, window_s)
+        rows = self.log.rows_of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
+        keep = self._keep(ErrorType.GRAPHICS_ENGINE_EXCEPTION, window_s)
         gpus = self.log.gpu[rows]
         machine = self.ds.machine
         n_all = np.bincount(gpus, minlength=machine.n_gpus)
@@ -509,18 +529,30 @@ class TitanStudy:
     # -- correlation figures -------------------------------------------------------------
 
     def _snapshot_arrays(self) -> dict[str, np.ndarray]:
-        return JobSnapshotFramework.to_arrays(self.ds.jobsnap_records)
+        """The job-snapshot columns of Figs. 16–20, read-only."""
+        records = self.ds.jobsnap_records
+        return self._input(
+            "snapshots", lambda: _read_only(JobSnapshotFramework.to_arrays(records))
+        )
 
     def _excluded_arrays(self, k: int = 10) -> dict[str, np.ndarray]:
-        arrays = self._snapshot_arrays()
-        slots = offender_slots(self._sbe_totals(), k)
-        return exclude_jobs_using(
-            arrays,
-            self.ds.trace,
-            slots,
-            self.ds.machine.allocation_rank,
-            arrays["job"],
-        )
+        """The snapshot columns of the jobs that used none of the top-``k``
+        offender slots, read-only."""
+
+        def compute() -> dict[str, np.ndarray]:
+            arrays = self._snapshot_arrays()
+            slots = offender_slots(self._sbe_totals(), k)
+            return _read_only(
+                exclude_jobs_using(
+                    arrays,
+                    self.ds.trace,
+                    slots,
+                    self.ds.machine.allocation_rank,
+                    arrays["job"],
+                )
+            )
+
+        return self._input(("excluded", k), compute)
 
     def figs16_19(
         self, *, offender_k: int = 10, rng: np.random.Generator | None = None

@@ -9,7 +9,7 @@ columns rather than object lists:
 column                dtype      meaning
 ====================  =========  ===============================================
 ``time``              float64    seconds since the study epoch
-``gpu``               int64      GPU id (node slot) reporting the event
+``gpu``               int32      GPU id (node slot) reporting the event
 ``etype``             int16      :class:`ErrorType` code
 ``structure``         int16      :class:`MemoryStructure` ordinal, −1 if n/a
 ``job``               int64      batch job id, −1 if none/unknown
@@ -17,9 +17,16 @@ column                dtype      meaning
 ``aux``               int64      type-specific detail (page address, …)
 ====================  =========  ===============================================
 
+``job`` and ``aux`` stay int64: the parser accepts numerals below
+2**62 in those fields.
+
 Logs are built incrementally through :class:`EventLogBuilder` and then
 frozen; a frozen :class:`EventLog` is immutable and cheap to mask,
-merge and sort.
+merge and sort.  Because it is immutable, a log keeps what it derives
+from its own columns: each type's row indices, found by one scan of
+``etype`` on first use, and the answer of :meth:`EventLog.is_sorted`.
+These are not fields, so they stay out of ``==``, ``repr`` and
+pickles.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ def structure_from_code(code: int) -> MemoryStructure | None:
 _COLUMNS = ("time", "gpu", "etype", "structure", "job", "parent", "aux")
 _DTYPES = {
     "time": np.float64,
-    "gpu": np.int64,
+    "gpu": np.int32,
     "etype": np.int16,
     "structure": np.int16,
     "job": np.int64,
@@ -85,6 +92,12 @@ class EventLog:
             if col.shape != (n,):
                 raise ValueError(f"column {name!r} has shape {col.shape}, want ({n},)")
             col.setflags(write=False)
+        object.__setattr__(self, "_rows_by_code", {})
+        object.__setattr__(self, "_in_order", None)
+
+    def __reduce__(self) -> tuple[type["EventLog"], tuple[np.ndarray, ...]]:
+        """Pickle the columns alone; the copy finds its rows afresh."""
+        return type(self), tuple(getattr(self, name) for name in _COLUMNS)
 
     # -- construction --------------------------------------------------------
 
@@ -174,10 +187,33 @@ class EventLog:
         remapped.setflags(write=False)
         return out
 
+    def rows_of_type(self, *etypes: ErrorType) -> np.ndarray:
+        """Ascending row indices of the events whose type is one of
+        ``etypes``.
+
+        Each type's rows come from one scan of ``etype``, made on the
+        first call that asks for the type; the log keeps them read-only,
+        as int32 while its row numbers fit (half the resident bytes of
+        ``intp``), and returns the same array for one type.
+        """
+        rows = [self._rows_of_code(code) for code in sorted({t.code for t in etypes})]
+        if len(rows) == 1:
+            return rows[0]
+        return np.sort(np.concatenate([np.empty(0, dtype=np.int32), *rows]))
+
+    def _rows_of_code(self, code: int) -> np.ndarray:
+        rows = self._rows_by_code.get(code)
+        if rows is None:
+            rows = np.flatnonzero(self.etype == code)
+            if len(self) <= np.iinfo(np.int32).max:
+                rows = rows.astype(np.int32)
+            rows.setflags(write=False)
+            self._rows_by_code[code] = rows
+        return rows
+
     def of_type(self, *etypes: ErrorType) -> "EventLog":
         """Events whose type is one of ``etypes``."""
-        codes = np.asarray([t.code for t in etypes], dtype=np.int16)
-        return self.select(np.isin(self.etype, codes))
+        return self.select(self.rows_of_type(*etypes))
 
     def in_window(self, start: float, end: float) -> "EventLog":
         """Events with ``start <= time < end``."""
@@ -197,7 +233,11 @@ class EventLog:
         return out
 
     def is_sorted(self) -> bool:
-        return bool(np.all(np.diff(self.time) >= 0))
+        """Whether ``time`` never falls from one row to the next (found
+        once per log)."""
+        if self._in_order is None:
+            object.__setattr__(self, "_in_order", bool(np.all(np.diff(self.time) >= 0)))
+        return bool(self._in_order)
 
     # -- small conveniences used throughout core/ --------------------------------
 

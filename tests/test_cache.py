@@ -266,6 +266,7 @@ class TestSerde:
             "code": np.array([13, 31], dtype=np.int16),  # 4 bytes: pads
             "none": np.empty(0, dtype=np.int64),
             "gpu": np.arange(5, dtype=np.int64)[::2],  # not contiguous
+            "parent": np.full(4, -1, dtype=np.int64),  # constant: a fill
         }
         meta = {"stats": [1, 2], "seen": ["79"]}
         payload = serde.encode((arrays, meta), "columns")
@@ -275,8 +276,15 @@ class TestSerde:
         for name, col in arrays.items():
             view = decoded[name]
             assert view.dtype == col.dtype
-            assert np.array_equal(view.view(np.uint8), col.copy().view(np.uint8))
-            assert view.base is payload and not view.flags.writeable
+            assert np.array_equal(
+                np.ascontiguousarray(view).view(np.uint8), col.copy().view(np.uint8)
+            )
+            assert not view.flags.writeable, name
+            if name == "parent":
+                assert view.strides == (0,)
+                continue
+            # The copy fence: a non-constant column views the payload.
+            assert view.base is payload, name
             offset = view.ctypes.data - np.frombuffer(payload, np.uint8).ctypes.data
             assert offset % 64 == 0, name
         for bad in (payload[:-1], payload + b"\x00", b"\x00\x00\x00\x09{}"):
@@ -284,6 +292,76 @@ class TestSerde:
                 serde.decode(bad, "columns")
         with pytest.raises(serde.SerdeError):
             serde.encode(({"x": np.ones((2, 2))}, {}), "columns")
+
+    @pytest.mark.parametrize(
+        "col",
+        [
+            np.full(1000, -1, dtype=np.int16),
+            np.full(1000, 18687, dtype=np.int32),
+            np.full(1000, -1, dtype=np.int64),
+            np.full(1000, -0.0),
+            np.full(3, np.float64(1 / 3)),
+            np.array([7], dtype=np.int64),
+        ],
+        ids=["int16", "int32", "int64", "float64-neg-zero", "float64", "length-1"],
+    )
+    def test_constant_column_is_one_fill(self, col):
+        """A constant column costs the payload no bytes and decodes as a
+        read-only zero-stride view, equal in dtype and bits."""
+        stored = np.arange(5, dtype=np.int64)
+        payload = serde.encode(({"c": col, "s": stored}, {}), "columns")
+        # The header, its padding to 64 bytes, then only the stored column.
+        header_end = 4 + int.from_bytes(payload[:4], "big")
+        assert len(payload) == -(-header_end // 64) * 64 + stored.nbytes
+        decoded, _ = serde.decode(payload, "columns")
+        view = decoded["c"]
+        assert view.dtype == col.dtype and view.shape == col.shape
+        assert view.strides == (0,) and not view.flags.writeable
+        assert np.array_equal(
+            np.ascontiguousarray(view).view(np.uint8), col.view(np.uint8)
+        )
+        assert decoded["s"].base is payload
+        np.testing.assert_array_equal(decoded["s"], stored)
+
+    def test_constant_fill_compares_bits(self):
+        """``0.0`` and ``-0.0`` are equal values but not one fill, and a
+        NaN's payload bits survive either way."""
+        mixed = np.array([0.0, -0.0, 0.0])
+        nan = np.array([0x7FF8000000000001] * 4, dtype=np.int64).view(np.float64)
+        nans = np.array([0x7FF8000000000001, 0x7FF8000000000002], dtype=np.int64)
+        arrays = {"mixed": mixed, "nan": nan, "nans": nans.view(np.float64)}
+        payload = serde.encode((arrays, {}), "columns")
+        decoded, _ = serde.decode(payload, "columns")
+        assert decoded["mixed"].base is payload
+        assert decoded["nan"].strides == (0,)
+        assert decoded["nans"].base is payload
+        for name, col in arrays.items():
+            got = np.ascontiguousarray(decoded[name])
+            assert np.array_equal(got.view(np.uint8), col.view(np.uint8)), name
+
+    def test_short_columns_round_trip(self):
+        arrays = {
+            "empty": np.empty(0, dtype=np.int32),
+            "one": np.array([-1], dtype=np.int64),
+            "nan": np.array([np.nan]),
+        }
+        decoded, meta = serde.decode(
+            serde.encode((arrays, {"m": 1}), "columns"), "columns"
+        )
+        assert meta == {"m": 1}
+        for name, col in arrays.items():
+            assert decoded[name].dtype == col.dtype, name
+            assert np.array_equal(
+                np.ascontiguousarray(decoded[name]).view(np.uint8), col.view(np.uint8)
+            ), name
+
+    def test_bad_fill_rejected(self):
+        header = json.dumps(
+            {"columns": [["c", "<i8", 3, "ffffffffffffffffffff"]], "meta": {}}
+        ).encode()
+        payload = len(header).to_bytes(4, "big") + header
+        with pytest.raises(serde.SerdeError):
+            serde.decode(payload, "columns")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(serde.SerdeError):
@@ -609,18 +687,27 @@ class TestPipeline:
             want = getattr(cold.parsed_events, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(
-                got.view(np.uint8), want.view(np.uint8)
+                np.ascontiguousarray(got).view(np.uint8), want.view(np.uint8)
             ), name  # bit for bit, so -0.0 and NaN payloads count too
             assert not got.flags.writeable, name
             assert got.flags.aligned, name
-        # The copy fence: every column is a view of the one verified
-        # payload; a codec that copies after the read fails here.
+        # The copy fence: every column that is not constant is a view
+        # of the one verified payload, and every constant one (``parent``
+        # at least) a read-only zero-stride view of its fill; a codec
+        # that copies after the read fails here.
         payload = warm.parsed_events.time.base
         assert isinstance(payload, bytes)
-        assert all(
-            getattr(warm.parsed_events, name).base is payload
+        constant = {
+            name: _is_constant(getattr(cold.parsed_events, name))
             for name in columns
-        )
+        }
+        assert constant["parent"] and not constant["time"]
+        for name in columns:
+            got = getattr(warm.parsed_events, name)
+            if constant[name]:
+                assert got.strides == (0,), name
+            else:
+                assert got.base is payload, name
         np.testing.assert_array_equal(
             warm.nvsmi_table["sbe_total"], cold.nvsmi_table["sbe_total"]
         )
@@ -768,6 +855,48 @@ class TestPipeline:
         assert np.array_equal(
             reloaded.parsed_events.time, cold.parsed_events.time
         )
+
+
+    def test_old_column_dtypes_are_a_miss(self, tmp_path, warm_store):
+        """A ``parsed`` layer written when ``gpu`` was int64 is current in
+        kind but not in dtypes: it reads as a miss, counted as one, and
+        is persisted again with the log's dtypes."""
+        _, cold = warm_store
+        store = ArtifactStore(tmp_path)
+        dkey = persist_dataset(store, cold)
+        parsed = f"{dkey}/layer/parsed"
+        columns, doc = serde.decode(store.get_verified(parsed)[0], "columns")
+        old = {**columns, "gpu": columns["gpu"].astype(np.int64)}
+        store.put(parsed, (old, doc), "columns")
+        fresh = ArtifactStore(tmp_path)
+        assert load_dataset(fresh, SMOKE) is None
+        # Every layer is read; ``parsed`` is then rejected.
+        assert (fresh.stats.hits, fresh.stats.misses) == (4, 1)
+
+        _, warm = load_or_simulate(SMOKE, store)
+        assert not warm
+        reloaded, warm = load_or_simulate(SMOKE, store)
+        assert warm
+        assert reloaded.parsed_events.gpu.dtype == np.int32
+        np.testing.assert_array_equal(reloaded.parsed_events.gpu, cold.parsed_events.gpu)
+
+    def test_parsed_payload_size(self, tmp_path, smoke_dataset):
+        """The 45-day smoke log's ``parsed`` payload holds at most 32
+        bytes a row (time 8, gpu 4, etype 2, structure 2, job 8, aux 8;
+        ``parent`` is a fill), plus its header and the column padding."""
+        store = ArtifactStore(tmp_path)
+        dkey = persist_dataset(store, smoke_dataset)
+        payload = store.get_verified(f"{dkey}/layer/parsed")[0]
+        header = 4 + int.from_bytes(payload[:4], "big")
+        rows = len(smoke_dataset.parsed_events)
+        assert rows > 50_000
+        assert len(payload) <= 32 * rows + header + 7 * 64
+
+
+def _is_constant(col: np.ndarray) -> bool:
+    """Whether every element of ``col`` has the same bytes."""
+    raw = np.ascontiguousarray(col).view(np.uint8).reshape(len(col), -1)
+    return bool(len(col)) and bool((raw == raw[0]).all())
 
 
 class TestStudyMemoization:

@@ -1,12 +1,15 @@
 """Tests for the columnar EventLog."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors.event import EventLog, EventLogBuilder, structure_from_code
-from repro.errors.xid import ErrorType
+from repro.errors.xid import ErrorType, from_code
 from repro.gpu.k20x import MemoryStructure
 
 
@@ -185,3 +188,80 @@ def test_sort_property(times):
         zip(sorted(times), [])
     ) or True  # multiset check below
     assert sorted(log.time.tolist()) == sorted(times)
+
+
+# -- the per-log stream cache ---------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def stream_logs(smoke_dataset):
+    """The 45-day smoke log as parsed (time-sorted), and the same log
+    5%-corrupted and parsed without the sort, so its rows are out of
+    time order."""
+    from repro.chaos import ChaosConfig, CorruptionInjector
+    from repro.telemetry.parser import ConsoleLogParser
+
+    corrupted = CorruptionInjector(ChaosConfig.uniform(0.05), seed=20131002).corrupt_text(
+        smoke_dataset.console_text
+    )
+    unsorted, _ = ConsoleLogParser(smoke_dataset.machine).parse_text(corrupted.text)
+    return {"sorted": smoke_dataset.parsed_events, "corrupted": unsorted}
+
+
+def _fresh(log):
+    """The same columns in a log that has derived nothing yet."""
+    return EventLog(**{f.name: getattr(log, f.name) for f in dataclasses.fields(log)})
+
+
+@pytest.mark.parametrize("name", ["sorted", "corrupted"])
+def test_of_type_equals_isin_selection(stream_logs, name):
+    log = _fresh(stream_logs[name])
+    assert log.is_sorted() == (name == "sorted")
+    present = sorted({int(c) for c in log.etype})
+    assert len(present) > 5
+    selections = [(from_code(c),) for c in present] + [
+        (ErrorType.DBE, ErrorType.GRAPHICS_ENGINE_EXCEPTION),
+        (ErrorType.MEM_PAGE_FAULT, ErrorType.DBE, ErrorType.MEM_PAGE_FAULT),
+        tuple(from_code(c) for c in present),
+        (ErrorType.VIDEO_PROCESSOR_DRIVER,),
+        (),
+    ]
+    for etypes in selections:
+        codes = np.asarray([t.code for t in etypes], dtype=np.int16)
+        want = log.select(np.isin(log.etype, codes))
+        got = log.of_type(*etypes)
+        for f in dataclasses.fields(EventLog):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype and np.array_equal(
+                a.view(np.uint8), b.view(np.uint8)
+            ), (etypes, f.name)
+        np.testing.assert_array_equal(
+            log.rows_of_type(*etypes), np.flatnonzero(np.isin(log.etype, codes))
+        )
+
+
+def test_stream_rows_are_kept_read_only(stream_logs):
+    log = _fresh(stream_logs["sorted"])
+    rows = log.rows_of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION)
+    assert log.rows_of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION) is rows
+    assert rows.dtype == np.int32  # 4 bytes a row while row numbers fit
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0] = 0
+    both = log.rows_of_type(ErrorType.GRAPHICS_ENGINE_EXCEPTION, ErrorType.DBE)
+    assert not np.shares_memory(both, rows)
+
+
+def test_stream_cache_is_not_part_of_the_log(stream_logs):
+    log = _fresh(stream_logs["corrupted"])
+    blank = pickle.dumps(log)
+    assert len(dataclasses.fields(EventLog)) == 7
+    log.of_type(ErrorType.DBE)
+    assert not log.is_sorted()
+    assert pickle.dumps(log) == blank
+    assert log == _fresh(log)
+    restored = pickle.loads(blank)
+    assert not restored.time.flags.writeable
+    assert restored.rows_of_type(ErrorType.DBE).tolist() == (
+        log.rows_of_type(ErrorType.DBE).tolist()
+    )

@@ -1,7 +1,7 @@
 """Golden-trace regression suite: the pipeline's bit-for-bit contract.
 
 The canonical scenario (``Scenario.paper()``, seed 20131001) is run
-through every figure, the Observation 1–14 scorecard and the headline
+through every figure, the Observation scorecard and the headline
 statistics, and the resulting :func:`~repro.core.golden.golden_document`
 is compared against the committed ``tests/golden/paper.json``:
 

@@ -154,19 +154,19 @@ def _columns_digest(columns: dict[str, np.ndarray]) -> str:
 #: event log, the job trace, the SBE aggregates and the console text.
 _SMOKE_DIGESTS = {
     20131001: (
-        "380b3a4a4fb0ca90927d274cc307dbae5bbd492b93d1b5d0ffb2810731c72347",
+        "b7a67bddfa72fae17773d53163cf8c4791bdc7f7c1097d25f286651eccdd2e11",
         "75afff1fc18a09f489d8bc6256d61362537e87c2a95c775f35f5635750c658f3",
         "9d4363f069d6b40eaccd4461598464e0f901f170db614d10cdca6220c159450c",
         "7f3dc414346ed31b45041d46867ee908d8b096106a8df3c58edf760a3f73d745",
     ),
     7: (
-        "a76654462cd78fb7ab6f807ac44f6788b7a04b6ac3975785f6910156ad2559a5",
+        "329f538f37537b56e13e4227279dacc13d8dc7362cbb60a1292304f790769814",
         "8a92174490779982cd8a94cff4ffa06f450f25d445a6ece5fe2ddf53fd5c3e50",
         "46e09432daa667a2093a266008b814a536e603cc802d71d00f5077f324042e63",
         "7d850d370138d233b39eef30ee93c564cc4ef12e185326d6e2cff4ac126470f9",
     ),
     11: (
-        "aac2ed2e21c84cfd7364449de828310b6dd123af117e0780c6677f8203bd9268",
+        "e964b972cdacff97dfc568971e849f0ce0e651ec70659624d3669f2300b330f7",
         "d804688cef20f13f9cc38f58a5aa3027efb67bb395d46382125c53fdb8709b12",
         "d96ab3408806804dfde9b0407584f0099eed375b0dcc9510ad5bd48f50cebb6b",
         "670f6723a385870bdcc10fe4f1e8404234aa04185d93e9ae4011e4c3999627e6",
